@@ -27,6 +27,7 @@ import numpy as np
 from ._search import golden_max
 from .errors import ConvergenceError, DomainError, PreconditionError
 from .genfun import GenFunContext, grad_h, h, hess_h
+from .simulate import el_defect
 
 
 @dataclass(frozen=True)
@@ -80,16 +81,11 @@ def el_residual(ctx: GenFunContext, times, p: int | None = None) -> float:
         ts = [ts[-1] - p] + ts + [ts[0] + p]
     if len(ts) < 3:
         raise PreconditionError("need at least three times (or a periodic wrap)")
-    worst = 0.0
-    for n in range(1, len(ts) - 1):
-        d2 = grad_h(ctx, ts[n - 1], ts[n])[1]
-        d1 = grad_h(ctx, ts[n], ts[n + 1])[0]
-        worst = max(worst, abs(d1 + d2))
-    return worst
+    return el_defect(ctx, zip(ts, ts[1:]))
 
 
-def _el_terms(ctx, ts, p, j):
-    """(F_j, neighbors) of the periodic stationarity system at node j."""
+def _neighbours(ts, p, j):
+    """(t_prev, t_next) of node j in the (p, q)-periodic configuration ts."""
     q = len(ts)
     t_prev = ts[j - 1] if j > 0 else ts[q - 1] - p
     t_next = ts[j + 1] if j < q - 1 else ts[0] + p
@@ -101,7 +97,7 @@ def _sweep(ctx, ts, p, g_lo, g_hi, xtol):
     q = len(ts)
     moved = 0.0
     for j in range(q):
-        t_prev, t_next = _el_terms(ctx, ts, p, j)
+        t_prev, t_next = _neighbours(ts, p, j)
         lo = max(t_prev + g_lo, t_next - g_hi)
         hi = min(t_prev + g_hi, t_next - g_lo)
         if hi <= lo:
@@ -136,7 +132,7 @@ def _residual_vec(ctx, ts, p):
     q = len(ts)
     out = np.empty(q)
     for j in range(q):
-        t_prev, t_next = _el_terms(ctx, ts, p, j)
+        t_prev, t_next = _neighbours(ts, p, j)
         out[j] = grad_h(ctx, t_prev, ts[j])[1] + grad_h(ctx, ts[j], t_next)[0]
     return out
 
@@ -152,7 +148,7 @@ def _newton_polish(ctx, ts, p, g_lo, g_hi, max_iter=40):
             break
         jac = np.zeros((q, q))
         for j in range(q):
-            t_prev, t_next = _el_terms(ctx, ts, p, j)
+            t_prev, t_next = _neighbours(ts, p, j)
             d22_prev = hess_h(ctx, t_prev, ts[j])
             d_next = hess_h(ctx, ts[j], t_next)
             jac[j, j] += d22_prev[2] + d_next[0]
@@ -166,7 +162,7 @@ def _newton_polish(ctx, ts, p, g_lo, g_hi, max_iter=40):
         improved = False
         for _ in range(8):
             trial = [ts[j] - lam * step[j] for j in range(q)]
-            gaps = [(_el_terms(ctx, trial, p, j)[1] - trial[j]) for j in range(q)]
+            gaps = [(_neighbours(trial, p, j)[1] - trial[j]) for j in range(q)]
             if all(g_lo < g < g_hi for g in gaps):
                 try:
                     f_trial = _residual_vec(ctx, trial, p)
@@ -182,6 +178,14 @@ def _newton_polish(ctx, ts, p, g_lo, g_hi, max_iter=40):
         if not improved:
             break
     return ts, best
+
+
+def _env_workers() -> int:
+    """Worker count from BB_THREADS; 1 when it is unset or malformed."""
+    try:
+        return max(1, int(os.environ.get("BB_THREADS", "1")))
+    except ValueError:
+        return 1
 
 
 def _descend(args):
@@ -211,7 +215,8 @@ def periodic_orbit(ctx: GenFunContext, p: int, q: int,
     [max(beta, omega-1), min(sigma-beta, omega+1)]; beta defaults to
     min(omega-1, sigma-omega-1)/2, which makes the box exactly the spacing
     estimate [omega-1, omega+1].  Deterministic given the seed; ties in the
-    action within 1e-10 go to the smallest t_0 mod 1.
+    action within 1e-10 go to the smallest t_0 mod 1.  workers=None takes
+    the worker count from BB_THREADS.
     """
     if q < 1:
         raise PreconditionError(f"q must be positive, got {q}")
@@ -242,7 +247,7 @@ def periodic_orbit(ctx: GenFunContext, p: int, q: int,
         configs.append([t0 + base[j] + float(jitter[j]) for j in range(q)])
 
     if workers is None:
-        workers = int(os.environ.get("BB_THREADS", "1") or "1")
+        workers = _env_workers()
     tasks = [(ctx, p, ts0, g_lo, g_hi, sweep_budget) for ts0 in configs]
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -5,7 +5,8 @@ the action variable.  The forward map solves d1 h(t0, .) = K0 for the next
 bounce time (unique root: d1 h is strictly decreasing in its second slot and
 blows up as the gap closes) and sets K1 = -d2 h(t0, t1).  The map is defined
 for K above the cutoff sigma_star = max_t d1 h(t, t + sigma); images may
-leave that domain and callers are expected to check before iterating again.
+leave that domain.  Orbit is the one loop that iterates the map: it checks
+the domain before every step and reports why an orbit stopped.
 """
 
 from __future__ import annotations
@@ -54,6 +55,40 @@ def sigma_star(ctx: GenFunContext, grid_n: int = 512) -> float:
     """Lower action cutoff of the map domain: max over t of d1 h(t, t+sigma)."""
     _, value = circle_sup(lambda t: grad_h(ctx, t, t + ctx.sigma)[0], grid_n)
     return value
+
+
+# (far-edge text, action name, strip) of the forward (+1) and backward (-1) solves
+_STRIP_TEXT = {1: ("window exhaustion: d1 h(t0, t0+sigma)", "K0", "(t0, t0+sigma)"),
+               -1: ("no preimage bracket: -d2 h(t1-sigma, t1)", "K1", "(t1-sigma, t1)")}
+
+
+def _strip_root(ctx: GenFunContext, f, fprime, anchor: float, direction: int,
+                target: float, guess: float | None = None) -> float:
+    """Root of f between anchor and anchor + direction * sigma.
+
+    f is the defining equation of one map direction, offset by its target
+    action: positive where the gap closes, so at the far edge it must be
+    negative, or the target would need a flight longer than sigma.  The near
+    end of the bracket sits sigma * _EDGE from the anchor and moves closer by
+    1e-3 up to five times.
+    """
+    edge, name, strip = _STRIP_TEXT[direction]
+    far = anchor + direction * ctx.sigma
+    f_far = f(far)
+    if f_far >= 0.0:
+        raise DomainError(f"{edge} = {f_far + target} >= {name} = {target}")
+    off = ctx.sigma * _EDGE
+    for _ in range(6):
+        near = anchor + direction * off
+        f_near = f(near)
+        if f_near > 0.0:
+            break
+        off *= 1e-3
+    else:
+        raise DomainError(f"no bracket for {name} = {target} in {strip}")
+    if direction > 0:
+        return solve_monotone(f, fprime, near, far, f_near, f_far, guess=guess)
+    return solve_monotone(f, fprime, far, near, f_far, f_near, guess=guess)
 
 
 def _solve_forward_time(ctx: GenFunContext, t0: float, K0: float,
@@ -107,21 +142,7 @@ def _solve_forward_time(ctx: GenFunContext, t0: float, K0: float,
         if d is not None and best_f <= floor_estimate(best_x, d):
             return best_x
 
-    hi = t0 + sigma
-    f_hi = f(hi)
-    if f_hi >= 0.0:
-        raise DomainError(
-            f"window exhaustion: d1 h(t0, t0+sigma) = {f_hi + K0} >= K0 = {K0}")
-    lo_off = sigma * _EDGE
-    f_lo = f(t0 + lo_off)
-    shrink = 0
-    while f_lo <= 0.0:
-        lo_off *= 1e-3
-        shrink += 1
-        if shrink > 5:
-            raise DomainError(f"no bracket for K0 = {K0} in (t0, t0+sigma)")
-        f_lo = f(t0 + lo_off)
-    return solve_monotone(f, fprime, t0 + lo_off, hi, f_lo, f_hi, guess=guess)
+    return _strip_root(ctx, f, fprime, t0, 1, K0, guess=guess)
 
 
 def forward_time(ctx: GenFunContext, t0: float, K0: float,
@@ -143,13 +164,68 @@ def forward(ctx: GenFunContext, s: CylinderState,
         raise DomainError(f"state below map domain: K = {s.K} <= sigma_star = {s_star}")
     # work on the fundamental domain so the degree-one lift is exact
     shift = math.floor(s.t)
-    t0 = s.t - shift
-    t1 = _solve_forward_time(ctx, t0, s.K,
-                             guess=None if t1_guess is None else t1_guess - shift)
+    t1, k1 = _step(ctx, s.t - shift, s.K, None if t1_guess is None else t1_guess - shift)
+    return CylinderState(t=t1 + shift, K=k1)
+
+
+def _step(ctx: GenFunContext, t0: float, K0: float,
+          guess: float | None) -> tuple[float, float]:
+    """(t1, K1) of one forward step from t0 in [0, 1)."""
+    t1 = _solve_forward_time(ctx, t0, K0, guess=guess)
     d1, d2 = grad_h(ctx, t0, t1)
     # increment form of K1 = -d2 h: identical up to the root residual of
     # d1 h = K0, but conserves K bitwise on time-independent profiles
-    return CylinderState(t=t1 + shift, K=s.K - (d1 + d2))
+    return t1, K0 - (d1 + d2)
+
+
+class Orbit:
+    """The one loop that iterates the map: at most n steps from s0.
+
+    The state is kept as (winding, fraction), since a float lift near 1e6
+    resolves only ~1e-10 and would spoil every later solve by |d12 h| ulp(t).
+    Iterating yields (wind, frac, K, t1, K1) per step: the state at time
+    wind + frac, the next bounce time t1 on the same winding and the image
+    action.  Afterwards wind, frac and K hold the last state reached, steps
+    the steps taken and reason why the orbit stopped early (None if it did
+    not): a state that leaves the map domain stops it, while s0 outside the
+    domain raises.  Iterate it once.
+    """
+
+    def __init__(self, ctx: GenFunContext, s0: CylinderState, n: int):
+        if n < 1:
+            raise PreconditionError(f"need n >= 1 bounces, got {n}")
+        self.s_star = sigma_star(ctx)
+        if s0.K <= self.s_star:
+            raise DomainError(f"initial state below map domain: K = {s0.K} <= {self.s_star}")
+        self.ctx, self.n = ctx, n
+        self.wind = math.floor(s0.t)
+        self.frac = s0.t - self.wind
+        self.K = s0.K
+        self.steps = 0
+        self.reason: str | None = None
+
+    def __iter__(self):
+        ctx, s_star = self.ctx, self.s_star
+        wind, frac, K = self.wind, self.frac, self.K
+        guess = None
+        for i in range(self.n):
+            if K <= s_star:
+                self.reason = (f"left map domain at bounce {i}: K = {K} <= "
+                               f"sigma_star = {s_star}")
+                return
+            try:
+                t1, K1 = _step(ctx, frac, K, guess)
+            except DomainError as exc:
+                self.reason = f"forward step failed at bounce {i}: {exc}"
+                return
+            yield wind, frac, K, t1, K1
+            guess = t1 + (t1 - frac)  # next gap, relative to the new fraction
+            m = math.floor(t1)
+            wind += m
+            frac = t1 - m
+            guess -= m
+            K = K1
+            self.wind, self.frac, self.K, self.steps = wind, frac, K, i + 1
 
 
 def backward(ctx: GenFunContext, s: CylinderState) -> CylinderState:
@@ -159,7 +235,6 @@ def backward(ctx: GenFunContext, s: CylinderState) -> CylinderState:
         inner = backward(ctx, CylinderState(s.t - shift, s.K))
         return CylinderState(inner.t + shift, inner.K)
     t1, k1 = s.t, s.K
-    sigma = ctx.sigma
 
     def f(t0):
         return -grad_h(ctx, t0, t1)[1] - k1
@@ -167,21 +242,7 @@ def backward(ctx: GenFunContext, s: CylinderState) -> CylinderState:
     def fprime(t0):
         return -hess_h(ctx, t0, t1)[1]
 
-    lo = t1 - sigma
-    f_lo = f(lo)
-    if f_lo >= 0.0:
-        raise DomainError(
-            f"no preimage bracket: -d2 h(t1-sigma, t1) = {f_lo + k1} >= K1 = {k1}")
-    hi_off = sigma * _EDGE
-    f_hi = f(t1 - hi_off)
-    shrink = 0
-    while f_hi <= 0.0:
-        hi_off *= 1e-3
-        shrink += 1
-        if shrink > 5:
-            raise DomainError(f"no preimage bracket for K1 = {k1}")
-        f_hi = f(t1 - hi_off)
-    t0 = solve_monotone(f, fprime, lo, t1 - hi_off, f_lo, f_hi)
+    t0 = _strip_root(ctx, f, fprime, t1, -1, k1)
     d1, d2 = grad_h(ctx, t0, t1)
     return CylinderState(t=t0, K=k1 + (d1 + d2))
 

@@ -25,7 +25,7 @@ from . import bmap
 from ._version import VERSION
 from .bmap import CylinderState
 from .errors import DomainError, PreconditionError
-from .genfun import GenFunContext, grad_h, hess_h, make_context
+from .genfun import GenFunContext, hess_h, make_context
 from .radius import ClassVerdict, RadiusProfile, classify
 
 DEFAULT_OMEGA_GRID = 33
@@ -86,6 +86,7 @@ class LyapunovEstimate:
     steps: int
     completed: bool
     log_norms: tuple[float, ...] | None = None
+    reason: str | None = None  # why the orbit stopped short of n steps
 
 
 @dataclass
@@ -109,16 +110,11 @@ def xi_interval(profile: RadiusProfile, eps: float,
     intersected with (3, sigma - 1)."""
     if verdict is None:
         verdict = classify(profile, eps)
-    t_bar, ddr = _strongest_witness(verdict)
-    b = verdict.bounds
-    decel = -(ddr * b.r_min + b.dR_norm * b.r_max)
-    if decel <= 0:
+    _strongest_witness(verdict)  # raises unless the class is R_tilde
+    if verdict.window is None:
         raise PreconditionError("witness fails the deceleration condition")
-    w_lo = 1.0 + math.sqrt(2.0 * b.r_max ** 2 / decel)
-    w_hi = -1.0 + math.sqrt(
-        2.0 * b.r_min ** 2 / (2.0 * b.r_max ** 2 / b.sigma ** 2 + b.dR_norm * b.r_max))
-    w_lo = max(w_lo, 3.0)
-    w_hi = min(w_hi, b.sigma - 1.0)
+    w_lo = max(verdict.window[0], 3.0)
+    w_hi = min(verdict.window[1], verdict.bounds.sigma - 1.0)
     if not w_lo < w_hi:
         raise PreconditionError(f"empty rotation-number window ({w_lo}, {w_hi})")
     return w_lo, w_hi
@@ -199,10 +195,11 @@ def certify(profile: RadiusProfile, eps: float, c: float,
     inside the band.
     """
 
-    def refused(reason, verdict=None, witness=(math.nan, math.nan)):
+    def refused(reason, verdict=None, witness=(math.nan, math.nan),
+                window=(math.nan, math.nan), bands=()):
         return ChaosCertificate(
             profile=profile, eps=eps, c=c, t_witness=witness[0],
-            ddR_witness=witness[1], omega_window=(math.nan, math.nan), bands=[],
+            ddR_witness=witness[1], omega_window=window, bands=list(bands),
             k_range=(math.nan, math.nan), widen_margin=math.nan, a_grid=[],
             a_max=math.nan, certified=False, reason=reason,
             margins=dict(verdict.margins) if verdict is not None else {})
@@ -246,11 +243,8 @@ def certify(profile: RadiusProfile, eps: float, c: float,
                 lim, _ = alpha_limit(profile, t_bar, k_val, r_min=b.r_min)
                 gap = max(gap, abs(a_val - lim))
     except DomainError as exc:
-        out = refused(f"diagnostic left the map domain on the band grid: {exc}",
-                      verdict, witness)
-        out.omega_window = (w_lo, w_hi)
-        out.bands = bands
-        return out
+        return refused(f"diagnostic left the map domain on the band grid: {exc}",
+                       verdict, witness, (w_lo, w_hi), bands)
     widen = 2.0 * gap
 
     k_min = min(band.k_lo for band in bands) - widen
@@ -266,11 +260,8 @@ def certify(profile: RadiusProfile, eps: float, c: float,
         for k_val in ks:
             a_vals.append(a_exact(ctx, t_bar, float(k_val)))
     except DomainError as exc:
-        out = refused(f"diagnostic left the map domain on the K grid: {exc}",
-                      verdict, witness)
-        out.omega_window = (w_lo, w_hi)
-        out.bands = bands
-        return out
+        return refused(f"diagnostic left the map domain on the K grid: {exc}",
+                       verdict, witness, (w_lo, w_hi), bands)
     a_max = max(a_vals)
     margins["a_max_negative"] = -a_max
     margins.update(verdict.margins)
@@ -348,46 +339,24 @@ def lyapunov(ctx: GenFunContext, s0: CylinderState, n: int,
 
     One tangent vector is pushed by the map Jacobian and renormalised each
     step; lam is the average of the stored log-norms.  An orbit leaving the
-    map domain yields a partial (flagged) estimate.
+    map domain yields a partial estimate with the reason attached.
     """
-    if n < 1:
-        raise PreconditionError(f"need n >= 1, got {n}")
-    s_star = bmap.sigma_star(ctx)
-    if s0.K <= s_star:
-        raise DomainError(f"initial state below map domain: K = {s0.K} <= {s_star}")
+    orbit = bmap.Orbit(ctx, s0, n)
     v = (1.0, 0.0)
-    s = s0
     total = 0.0
-    steps = 0
-    guess = None
     norms = [] if store_norms else None
-    completed = True
-    for _ in range(n):
-        if s.K <= s_star:
-            completed = False
-            break
-        try:
-            t1 = bmap.forward_time(ctx, s.t, s.K, guess=guess)
-        except DomainError:
-            completed = False
-            break
-        jac = bmap.jacobian(ctx, s, t1=t1)
-        d1, d2 = grad_h(ctx, s.t, t1)
-        k1 = s.K - (d1 + d2)
-        v = jac.apply(v)
+    for _, frac, K, t1, _ in orbit:
+        # det J = 1, so the pushed unit vector never has zero norm
+        v = bmap.jacobian(ctx, CylinderState(frac, K), t1=t1).apply(v)
         norm = math.hypot(v[0], v[1])
-        if norm == 0.0:
-            completed = False
-            break
-        total += math.log(norm)
+        log_norm = math.log(norm)
+        total += log_norm
         if norms is not None:
-            norms.append(math.log(norm))
+            norms.append(log_norm)
         v = (v[0] / norm, v[1] / norm)
-        guess = t1 + (t1 - s.t)
-        s = CylinderState(t1, k1)
-        steps += 1
-    lam = total / steps if steps else math.nan
-    return LyapunovEstimate(lam=lam, steps=steps, completed=completed,
+    steps = orbit.steps
+    return LyapunovEstimate(lam=total / steps if steps else math.nan, steps=steps,
+                            completed=orbit.reason is None, reason=orbit.reason,
                             log_norms=tuple(norms) if norms is not None else None)
 
 
@@ -403,5 +372,6 @@ def lyapunov_table(ctx: GenFunContext, k_lo: float, k_hi: float,
         k0 = float(rng.uniform(k_lo, k_hi))
         est = lyapunov(ctx, CylinderState(t0, k0), n)
         rows.append({"seed_index": i, "t0": t0, "K0": k0, "lambda": est.lam,
-                     "steps": est.steps, "completed": est.completed})
+                     "steps": est.steps, "completed": est.completed,
+                     "reason": est.reason})
     return rows

@@ -11,10 +11,8 @@ Exit codes: 0 success, 1 domain/precondition error, 2 convergence failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -94,12 +92,7 @@ def _context(args, profile=None, sigma=None):
 
 def _write_csv(path, header, rows, config_line):
     with open(path, "w", newline="") as fh:
-        fh.write(f"# config: {config_line}\n")
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v
-                        for v in row])
+        simulate.write_csv(fh, header, rows, config_line)
 
 
 # --- subcommand bodies -----------------------------------------------------
@@ -201,7 +194,7 @@ def _cmd_simulate(args):
 def _cmd_orbit(args):
     ctx = _context(args)
     orbit = aubry.periodic_orbit(ctx, args.p, args.q, starts=args.starts,
-                                 seed=args.seed, workers=_workers())
+                                 seed=args.seed)
     if args.csv:
         _write_csv(args.csv, ["n", "t", "K"],
                    [(n, orbit.times[n], orbit.Ks[n]) for n in range(orbit.q)],
@@ -217,8 +210,7 @@ def _cmd_orbit(args):
 def _cmd_hull(args):
     ctx = _context(args)
     hull = aubry.hull_samples(ctx, args.omega, denom_cap=args.denom_cap,
-                              starts=args.starts, seed=args.seed,
-                              workers=_workers())
+                              starts=args.starts, seed=args.seed)
     if args.csv:
         _write_csv(args.csv, ["xi", "phi", "eta"],
                    list(zip(hull.xs, hull.phi, hull.eta)),
@@ -266,7 +258,8 @@ def _cmd_lyapunov(args):
         if args.t0 is None or args.K is None:
             raise PreconditionError("single-orbit mode needs --t0 and --K")
         est = chaoscert.lyapunov(ctx, CylinderState(args.t0, args.K), args.n)
-        result = {"lambda": est.lam, "steps": est.steps, "completed": est.completed}
+        result = {"lambda": est.lam, "steps": est.steps, "completed": est.completed,
+                  "reason": est.reason}
     _emit({"config": _config_dict(args), "result": result}, args.out)
     return EXIT_OK
 
@@ -279,31 +272,17 @@ def _cmd_portrait(args):
     rows = []
     for t0 in np.linspace(0.0, 1.0, args.t_count, endpoint=False):
         for k0 in np.linspace(k_lo, k_hi, args.k_count):
-            s = CylinderState(float(t0), float(k0))
-            guess = None
-            for _ in range(args.n):
-                if s.K <= s_star:
-                    break
-                try:
-                    s_next = bmap.forward(ctx, s, t1_guess=guess)
-                except DomainError:
-                    break
-                rows.append((s_next.t % 1.0, s_next.K))
-                guess = s_next.t + (s_next.t - s.t)
-                s = s_next
+            try:
+                orbit = bmap.Orbit(ctx, CylinderState(float(t0), float(k0)), args.n)
+            except DomainError:
+                continue  # grid point below the map domain
+            rows += [(t1 % 1.0, k1) for _, _, _, t1, k1 in orbit]
     _write_csv(args.csv, ["t_mod1", "K"], rows,
                json.dumps(_config_dict(args), sort_keys=True))
     _emit({"config": _config_dict(args),
            "result": {"points": len(rows), "csv": args.csv,
                       "sigma_star": s_star}}, args.out)
     return EXIT_OK
-
-
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("BB_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 # --- parser ----------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .radius import ProfileBounds, RadiusProfile, alpha_constant, bounds
+from .radius import ProfileBounds, RadiusProfile, bounds, sigma_limits
 
 
 @dataclass(frozen=True)
@@ -95,11 +95,22 @@ def validate_window(t0: float, t1: float, c: float, profile: RadiusProfile,
         b = bounds(profile, eps)
     tau = t1 - t0
     momentum = eps * b.r_min ** 2 / c if c > 0 else math.inf
-    slope = b.r_min / (2.0 * b.dR_norm) if b.dR_norm > 0 else math.inf
-    curvature = (2.0 * alpha_constant(eps) * b.r_min / math.sqrt(b.ddR2_norm)
-                 if b.ddR2_norm > 0 else math.inf)
+    slope, curvature = sigma_limits(eps, b.r_min, b.dR_norm, b.ddR2_norm)
     return WindowReport(tau=tau, momentum_limit=momentum,
                         slope_limit=slope, curvature_limit=curvature)
+
+
+def _endpoints(t0: float, t1: float, c: float,
+               profile: RadiusProfile) -> tuple[float, float, float, float]:
+    """(tau, R0, R1, S) of the flight, S = sqrt(R0^2 R1^2 - c^2 tau^2)."""
+    tau = t1 - t0
+    r0 = profile.radius(t0)
+    r1 = profile.radius(t1)
+    disc = r0 * r0 * r1 * r1 - c * c * tau * tau
+    if disc <= 0.0:
+        raise DomainError(
+            f"window violation: R0^2 R1^2 - c^2 tau^2 = {disc} <= 0 for tau = {tau}")
+    return tau, r0, r1, math.sqrt(disc)
 
 
 def flight_coeffs(t0: float, t1: float, c: float,
@@ -111,14 +122,7 @@ def flight_coeffs(t0: float, t1: float, c: float,
     """
     if t1 <= t0:
         raise PreconditionError(f"need t1 > t0, got {t0}, {t1}")
-    tau = t1 - t0
-    r0 = profile.radius(t0)
-    r1 = profile.radius(t1)
-    disc = r0 * r0 * r1 * r1 - c * c * tau * tau
-    if disc <= 0.0:
-        raise DomainError(
-            f"window violation: R0^2 R1^2 - c^2 tau^2 = {disc} <= 0 for tau = {tau}")
-    s = math.sqrt(disc)
+    tau, r0, r1, s = _endpoints(t0, t1, c, profile)
     a = (r0 * r0 + r1 * r1 + 2.0 * s) / (tau * tau)
     b_off = -(t0 + (r0 * r0 + s) / (tau * a))
     ell = -(r0 * r0 + s) / tau
@@ -129,13 +133,8 @@ def angular_advance(t0: float, t1: float, c: float, profile: RadiusProfile) -> f
     """Polar-angle advance over one flight: pi - arctan(c tau / sqrt(disc))."""
     if c < 0:
         raise PreconditionError("angular momentum must be >= 0")
-    tau = t1 - t0
-    r0 = profile.radius(t0)
-    r1 = profile.radius(t1)
-    disc = r0 * r0 * r1 * r1 - c * c * tau * tau
-    if disc <= 0.0:
-        raise DomainError(f"window violation: discriminant {disc} <= 0")
-    return math.pi - math.atan(c * tau / math.sqrt(disc))
+    tau, _, _, s = _endpoints(t0, t1, c, profile)
+    return math.pi - math.atan(c * tau / s)
 
 
 def make_segment(profile: RadiusProfile, t0: float, t1: float, c: float,

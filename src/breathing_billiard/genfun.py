@@ -76,7 +76,8 @@ def _core(ctx: GenFunContext, t0: float, t1: float):
     disc = r0 * r0 * r1 * r1 - ctx.c * ctx.c * tau * tau
     # cannot fail under the context momentum bound; a failure means the
     # context was built with an out-of-contract sigma/c pair
-    assert disc > 0.0, f"degenerate discriminant {disc} inside the strip"
+    if not disc > 0.0:
+        raise DomainError(f"degenerate discriminant {disc} inside the strip")
     return tau, r0, dr0, ddr0, r1, dr1, ddr1, math.sqrt(disc)
 
 

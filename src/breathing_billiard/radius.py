@@ -166,12 +166,20 @@ def bounds(profile: RadiusProfile, eps: float, grid_n: int = 4096) -> ProfileBou
     r_min = -neg_min
     _, dr_norm = circle_sup(lambda t: abs(profile.d_radius(t)), grid_n)
     _, dd2_norm = circle_sup(lambda t: abs(profile.dd_radius_sq(t)), grid_n)
-    s1 = r_min / (2.0 * dr_norm) if dr_norm > 0 else math.inf
-    s2 = (2.0 * alpha_constant(eps) * r_min / math.sqrt(dd2_norm)
-          if dd2_norm > 0 else math.inf)
     return ProfileBounds(eps=eps, r_min=r_min, r_max=r_max,
                          dR_norm=dr_norm, ddR2_norm=dd2_norm,
-                         sigma=min(s1, s2))
+                         sigma=min(sigma_limits(eps, r_min, dr_norm, dd2_norm)))
+
+
+def sigma_limits(eps: float, r_min: float, dR_norm: float,
+                 ddR2_norm: float) -> tuple[float, float]:
+    """(slope, curvature) limits on the flight duration; sigma is the smaller:
+    r_min / (2 ||Rdot||) and 2 sqrt(1 + sqrt(1 - eps^2)) r_min / sqrt(||(R^2)''||),
+    +inf when the norm vanishes."""
+    slope = r_min / (2.0 * dR_norm) if dR_norm > 0 else math.inf
+    curvature = (2.0 * alpha_constant(eps) * r_min / math.sqrt(ddR2_norm)
+                 if ddR2_norm > 0 else math.inf)
+    return slope, curvature
 
 
 def stationary_points(profile: RadiusProfile, samples: int = 1024) -> list[tuple[float, float]]:
@@ -196,18 +204,6 @@ def stationary_points(profile: RadiusProfile, samples: int = 1024) -> list[tuple
     return [(t, profile.dd_radius(t)) for t in roots]
 
 
-def _window_edges(b: ProfileBounds, ddr: float) -> tuple[float, float] | None:
-    """Rotation-number window edges attached to a stationary point with
-    curvature ddr; None when the deceleration condition fails."""
-    decel = -(ddr * b.r_min + b.dR_norm * b.r_max)
-    if decel <= 0.0:
-        return None
-    lo = 1.0 + math.sqrt(2.0 * b.r_max ** 2 / decel)
-    hi = -1.0 + math.sqrt(2.0 * b.r_min ** 2
-                          / (2.0 * b.r_max ** 2 / b.sigma ** 2 + b.dR_norm * b.r_max))
-    return lo, hi
-
-
 def classify(profile: RadiusProfile, eps: float, grid_n: int = 4096) -> ClassVerdict:
     """Class test: "R" needs sigma > 2 only; "R_tilde" needs sigma > 4 plus a
     stationary point passing the deceleration, window and curvature chain."""
@@ -220,9 +216,13 @@ def classify(profile: RadiusProfile, eps: float, grid_n: int = 4096) -> ClassVer
     stat = stationary_points(profile)
     witnesses = []
     candidates = []  # (|ddr|, t, ddr, window, margins-at-point)
+    # rotation-number window of a stationary point with curvature ddr: its
+    # lower edge needs the deceleration decel > 0, its upper edge is shared
+    w_hi = -1.0 + math.sqrt(2.0 * b.r_min ** 2
+                            / (2.0 * b.r_max ** 2 / b.sigma ** 2 + b.dR_norm * b.r_max))
     for t_bar, ddr in stat:
         decel = -(ddr * b.r_min + b.dR_norm * b.r_max)
-        edges = _window_edges(b, ddr)
+        edges = (1.0 + math.sqrt(2.0 * b.r_max ** 2 / decel), w_hi) if decel > 0.0 else None
         curvature = (-2.0 * b.r_max ** 2 / (b.sigma ** 2 * b.r_min)) - ddr
         point = {
             "deceleration": decel,

@@ -6,11 +6,9 @@ velocities and the cumulative polar angle, with zero discretisation error.
 A run that leaves the map domain mid-way is returned truncated with the
 reason attached rather than raised away.
 
-Long runs are iterated as (fractional time, integer winding): a float lift
-near t ~ 1e4 only resolves ~1e-12, which would pollute residual checks by
-|d12 h| * ulp(t); the fraction stays at full resolution instead.  Records
-expose the float lift `t` for display and the exact fraction `t_frac`;
-segments are built in reduced coordinates (their t0 equals t_frac).
+Runs are iterated by bmap.Orbit on (fractional time, integer winding).
+Records expose the float lift `t` for display and the exact fraction
+`t_frac`; segments are built in reduced coordinates (their t0 equals t_frac).
 """
 
 from __future__ import annotations
@@ -58,75 +56,51 @@ def run(ctx: GenFunContext, s0: CylinderState, n: int) -> RunResult:
     of every segment's first integral).  An iterate leaving the map domain
     truncates the run; the initial state being outside raises instead.
     """
-    if n < 1:
-        raise PreconditionError(f"need n >= 1 bounces, got {n}")
-    s_star = bmap.sigma_star(ctx)
-    if s0.K <= s_star:
-        raise DomainError(f"initial state below map domain: K = {s0.K} <= {s_star}")
-
+    orbit = bmap.Orbit(ctx, s0, n)
     profile = ctx.profile
     records: list[BounceRecord] = []
     theta = 0.0
-    wind = math.floor(s0.t)
-    frac = s0.t - wind
-    K = s0.K
     incoming = None  # rdot(t_n^-) from the previous segment
-    guess = None
-    completed = True
-    reason = None
-    for i in range(n):
-        if K <= s_star:
-            completed = False
-            reason = (f"left map domain at bounce {i}: K = {K} <= "
-                      f"sigma_star = {s_star}")
-            break
-        try:
-            t1r = bmap.forward_time(ctx, frac, K, guess=guess)
-        except DomainError as exc:
-            completed = False
-            reason = f"forward step failed at bounce {i}: {exc}"
-            break
-        seg = flight.make_segment(profile, frac, t1r, ctx.c, theta0=theta)
+
+    def record(i, wind, frac, K, rdot_plus, seg):
+        # the first bounce has no incoming flight: use the reflection law
+        rdot_minus = (incoming if incoming is not None
+                      else -rdot_plus + 2.0 * profile.d_radius(frac))
+        return BounceRecord(n=i, t=wind + frac, t_frac=frac, K=K,
+                            rdot_plus=rdot_plus, rdot_minus=rdot_minus,
+                            theta=theta, segment=seg)
+
+    for i, (wind, frac, K, t1, _) in enumerate(orbit):
+        seg = flight.make_segment(profile, frac, t1, ctx.c, theta0=theta)
         _, rdot_plus, _ = flight.flight_state(seg, frac)
-        dr = profile.d_radius(frac)
-        rdot_minus = incoming if incoming is not None else -rdot_plus + 2.0 * dr
-        records.append(BounceRecord(n=i, t=wind + frac, t_frac=frac, K=K,
-                                    rdot_plus=rdot_plus, rdot_minus=rdot_minus,
-                                    theta=theta, segment=seg))
-        _, incoming, _ = flight.flight_state(seg, t1r)
+        records.append(record(i, wind, frac, K, rdot_plus, seg))
+        _, incoming, _ = flight.flight_state(seg, t1)
         theta += seg.dtheta
-        d1, d2 = grad_h(ctx, frac, t1r)
-        K = K - (d1 + d2)
-        guess = t1r + (t1r - frac)  # next gap, relative to the new fraction
-        m = math.floor(t1r)
-        wind += m
-        frac = t1r - m
-        guess -= m
 
     # closing record at the final reached bounce
-    i = len(records)
     try:
-        rdot_plus = bmap.rdot_plus_from_action(ctx, frac, K)
+        rdot_plus = bmap.rdot_plus_from_action(ctx, orbit.frac, orbit.K)
     except DomainError:
         rdot_plus = math.nan
-    rdot_minus = incoming if incoming is not None else -rdot_plus + 2.0 * profile.d_radius(frac)
-    records.append(BounceRecord(n=i, t=wind + frac, t_frac=frac, K=K,
-                                rdot_plus=rdot_plus, rdot_minus=rdot_minus,
-                                theta=theta, segment=None))
-    return RunResult(records=records, completed=completed, reason=reason)
+    records.append(record(len(records), orbit.wind, orbit.frac, orbit.K, rdot_plus, None))
+    return RunResult(records=records, completed=orbit.reason is None, reason=orbit.reason)
+
+
+def el_defect(ctx: GenFunContext, flights) -> float:
+    """Max discrete Euler-Lagrange defect |d2 h(f_n) + d1 h(f_{n+1})| over
+    consecutive flights f_n = (t0, t1); zero on an orbit of the map."""
+    grads = [grad_h(ctx, t0, t1) for t0, t1 in flights]
+    worst = 0.0
+    for (_, d2), (d1, _) in zip(grads, grads[1:]):
+        worst = max(worst, abs(d1 + d2))
+    return worst
 
 
 def euler_lagrange_residual(ctx: GenFunContext, records: list[BounceRecord]) -> float:
     """Max discrete Euler-Lagrange defect over the interior bounces,
     evaluated on the exact reduced segment pairs."""
-    worst = 0.0
-    for prev, cur in zip(records, records[1:]):
-        if prev.segment is None or cur.segment is None:
-            continue
-        d2 = grad_h(ctx, prev.segment.t0, prev.segment.t1)[1]
-        d1 = grad_h(ctx, cur.segment.t0, cur.segment.t1)[0]
-        worst = max(worst, abs(d1 + d2))
-    return worst
+    return el_defect(ctx, [(rec.segment.t0, rec.segment.t1)
+                           for rec in records if rec.segment is not None])
 
 
 def reflection_residual(ctx: GenFunContext, records: list[BounceRecord]) -> float:
@@ -169,21 +143,23 @@ def bounce_rows(records: list[BounceRecord]) -> list[tuple]:
     return [(rec.n, rec.t, rec.K, rec.rdot_plus, rec.theta) for rec in records]
 
 
-def write_bounces_csv(records: list[BounceRecord], fh: io.TextIOBase,
-                      config_line: str | None = None) -> None:
+def write_csv(fh: io.TextIOBase, header: list[str], rows,
+              config_line: str | None = None) -> None:
+    """CSV with an optional leading config comment; floats written by repr."""
     if config_line is not None:
         fh.write(f"# config: {config_line}\n")
     w = csv.writer(fh)
-    w.writerow(["n", "t", "K", "rdot_plus", "theta"])
-    for row in bounce_rows(records):
-        w.writerow([repr(v) if isinstance(v, float) else v for v in row])
+    w.writerow(header)
+    for row in rows:
+        w.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v
+                    for v in row])
+
+
+def write_bounces_csv(records: list[BounceRecord], fh: io.TextIOBase,
+                      config_line: str | None = None) -> None:
+    write_csv(fh, ["n", "t", "K", "rdot_plus", "theta"], bounce_rows(records), config_line)
 
 
 def write_trajectory_csv(records: list[BounceRecord], dt: float, fh: io.TextIOBase,
                          config_line: str | None = None) -> None:
-    if config_line is not None:
-        fh.write(f"# config: {config_line}\n")
-    w = csv.writer(fh)
-    w.writerow(["t", "x", "y"])
-    for t, x, y in trajectory_samples(records, dt):
-        w.writerow([repr(float(t)), repr(float(x)), repr(float(y))])
+    write_csv(fh, ["t", "x", "y"], trajectory_samples(records, dt), config_line)

@@ -233,6 +233,7 @@ def test_criterion_10_chaos_evidence(static_profile, member, member_ctx, capsys)
     table = "\n".join(
         f"    seed {r['seed_index']:2d}: t0={r['t0']:.4f} K0={r['K0']:9.2f} "
         f"lambda={r['lambda']:+.4f} steps={r['steps']:6d} completed={r['completed']}"
+        + (f" ({r['reason']})" if r["reason"] else "")
         for r in rows)
     best = max(r["lambda"] for r in rows)
     if best > 0.01:

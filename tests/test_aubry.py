@@ -44,6 +44,11 @@ class TestElResidual:
 
 
 class TestPeriodicOrbit:
+    def test_malformed_thread_count_runs_serially(self, static_ctx, monkeypatch):
+        serial = aubry.periodic_orbit(static_ctx, 3, 2, starts=4, seed=0, workers=1)
+        monkeypatch.setenv("BB_THREADS", "abc")
+        assert aubry.periodic_orbit(static_ctx, 3, 2, starts=4, seed=0) == serial
+
     def test_static_equal_spacing(self, static_ctx):
         orbit = aubry.periodic_orbit(static_ctx, 3, 2, starts=4, seed=0)
         gaps = orbit.gaps()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -24,6 +25,14 @@ class TestXiInterval:
         assert w_hi == pytest.approx(113.5394, abs=0.5)
         assert w_lo == pytest.approx(105.13998, abs=1e-3)
         assert w_hi == pytest.approx(113.53942, abs=1e-3)
+
+    def test_clips_the_classifier_window(self, member):
+        profile, _, verdict = member
+        sigma = verdict.bounds.sigma
+        assert chaoscert.xi_interval(profile, EPS, verdict) == (
+            verdict.window[0], min(verdict.window[1], sigma - 1.0))
+        wide = dataclasses.replace(verdict, window=(2.0, sigma + 5.0))
+        assert chaoscert.xi_interval(profile, EPS, wide) == (3.0, sigma - 1.0)
 
     def test_window_inside_limits(self, reference_profile, member):
         profile, _, verdict = member
@@ -244,6 +253,7 @@ class TestLyapunov:
             est = chaoscert.lyapunov(member_ctx, CylinderState(float(t0), s_star * 1.0005), 500)
             if not est.completed:
                 assert est.steps < 500
+                assert est.reason is not None
                 break
         else:
             pytest.fail("expected at least one truncated orbit near the cutoff")

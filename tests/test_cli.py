@@ -181,6 +181,7 @@ class TestCertifyCommands:
         res = read_json(out)["result"]
         assert len(res["table"]) == 3
         assert all(abs(r["lambda"]) < 0.05 for r in res["table"])
+        assert all(r["reason"] is None for r in res["table"])
 
     def test_lyapunov_single(self, tmp_path):
         out = tmp_path / "lyap.json"
@@ -190,6 +191,7 @@ class TestCertifyCommands:
         assert code == 0
         res = read_json(out)["result"]
         assert abs(res["lambda"]) < 1e-2
+        assert res["completed"] is True and res["reason"] is None
 
     def test_portrait(self, tmp_path):
         csv_path = tmp_path / "portrait.csv"

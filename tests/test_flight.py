@@ -40,6 +40,11 @@ class TestValidateWindow:
         assert not rep.ok
         assert not rep.curvature_ok  # the sigma-defining condition
 
+    def test_limits_define_sigma(self, reference_profile):
+        b = radius.bounds(reference_profile, EPS)
+        rep = flight.validate_window(0.0, 1.0, 1.0, reference_profile, EPS, b)
+        assert min(rep.slope_limit, rep.curvature_limit) == b.sigma
+
     def test_short_window_passes(self, reference_profile):
         rep = flight.validate_window(0.0, 1e-3, 1.0, reference_profile, EPS)
         assert rep.ok

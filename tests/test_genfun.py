@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from breathing_billiard import flight, genfun, simulate
 from breathing_billiard.bmap import CylinderState
 from breathing_billiard.errors import DomainError, PreconditionError
+from breathing_billiard.radius import ProfileBounds, RadiusProfile
 
 EPS = 0.5
 
@@ -36,6 +37,17 @@ class TestContext:
             genfun.h(static_ctx, 0.0, 5.0)
         with pytest.raises(DomainError):
             genfun.h(static_ctx, 1.0, 1.0)
+
+    def test_negative_discriminant_is_a_domain_error(self):
+        # bounds claiming r_min = 1 for a profile whose minimum is 0.5 admit
+        # c = 0.5 on a unit strip; the discriminant R0^2 R1^2 - c^2 tau^2 is
+        # then 0.0625 - 0.25 < 0 across the whole period at the minimum
+        profile = RadiusProfile(1.0, ((1, 0.5),))
+        wrong = ProfileBounds(eps=EPS, r_min=1.0, r_max=1.5, dR_norm=math.pi,
+                              ddR2_norm=20.0, sigma=1.0)
+        ctx = genfun.GenFunContext(profile=profile, c=0.5, eps=EPS, bounds=wrong, sigma=1.0)
+        with pytest.raises(DomainError, match="discriminant"):
+            genfun.grad_h(ctx, 0.75, 1.75)
 
 
 class TestValue:
