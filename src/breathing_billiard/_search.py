@@ -44,8 +44,10 @@ def circle_sup(f: Callable[[float], float], grid_n: int = 4096,
     """Supremum of a smooth 1-periodic function over one period.
 
     Dense sampling locates every local maximum up to grid resolution;
-    golden-section refinement then pins each candidate.  Returns
-    (argmax in [0,1), sup).
+    golden-section refinement then pins each candidate.  A grid point is a
+    candidate when it rises above its left neighbour and does not fall to
+    its right one, so a plateau is refined once and a constant function not
+    at all.  Returns (argmax in [0,1), sup).
     """
     if grid_n < 3:
         raise PreconditionError(f"grid_n must be >= 3, got {grid_n}")
@@ -54,7 +56,7 @@ def circle_sup(f: Callable[[float], float], grid_n: int = 4096,
     best_t, best_v = 0.0, vals[0]
     for i in range(grid_n):
         v = vals[i]
-        if v >= vals[i - 1] and v >= vals[(i + 1) % grid_n]:
+        if v > vals[i - 1] and v >= vals[(i + 1) % grid_n]:
             t, fv = golden_max(f, (i - 1) * step, (i + 1) * step, xtol)
             if fv > best_v:
                 best_t, best_v = t % 1.0, fv

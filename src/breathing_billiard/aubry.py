@@ -5,10 +5,11 @@ its action is the sum of the generating function over consecutive pairs.
 Stationary configurations solve the discrete Euler-Lagrange equations and
 are orbits of the billiard map; minimisers are the Aubry-Mather orbits.
 
-The minimiser works on the compact gap box [omega-1, omega+1] (clipped to
-the strip), which contains every minimal orbit with rotation number omega
-by the universal spacing estimate |t_n - t_m - (n-m) omega| <= 1, so no
-extension of the generating function outside the strip is ever needed.
+The minimiser works on the compact gap box [omega-1, omega+1], which lies
+in the strip because 1 < omega < sigma-1 and contains every minimal orbit
+with rotation number omega by the universal spacing estimate
+|t_n - t_m - (n-m) omega| <= 1, so no extension of the generating function
+outside the strip is ever needed.
 Projected Gauss-Seidel sweeps (each time minimised on its feasible
 interval) rough out the configuration; a damped global Newton solve on the
 stationarity system polishes it to machine precision.
@@ -28,6 +29,9 @@ from ._search import golden_max
 from .errors import ConvergenceError, DomainError, PreconditionError
 from .genfun import GenFunContext, grad_h, h, hess_h
 from .simulate import el_defect
+
+_SWEEP_BUDGET = 400  # Gauss-Seidel sweeps per start before the Newton polish
+_RESIDUAL_TOL = 1e-8  # a start counts only if its polished residual is below
 
 
 @dataclass(frozen=True)
@@ -190,10 +194,10 @@ def _env_workers() -> int:
 
 def _descend(args):
     """One multi-start descent; top-level so worker pools can pickle it."""
-    ctx, p, ts0, g_lo, g_hi, budget = args
+    ctx, p, ts0, g_lo, g_hi = args
     ts = list(ts0)
     xtol = 1e-4
-    for sweep in range(budget):
+    for _ in range(_SWEEP_BUDGET):
         moved = _sweep(ctx, ts, p, g_lo, g_hi, xtol)
         if moved < 10.0 * xtol:
             if xtol <= 1e-10:
@@ -205,18 +209,13 @@ def _descend(args):
 
 def periodic_orbit(ctx: GenFunContext, p: int, q: int,
                    starts: int = 16, seed: int = 0,
-                   beta: float | None = None,
-                   sweep_budget: int = 400,
-                   residual_tol: float = 1e-8,
                    workers: int | None = None) -> MinimalOrbit:
     """Lowest-action stationary (p, q)-configuration over multi-start descent.
 
-    Requires 1 < p/q < sigma - 1 (and sigma > 2).  Gaps are confined to
-    [max(beta, omega-1), min(sigma-beta, omega+1)]; beta defaults to
-    min(omega-1, sigma-omega-1)/2, which makes the box exactly the spacing
-    estimate [omega-1, omega+1].  Deterministic given the seed; ties in the
-    action within 1e-10 go to the smallest t_0 mod 1.  workers=None takes
-    the worker count from BB_THREADS.
+    Requires 1 < p/q < sigma - 1 (and sigma > 2).  Gaps are confined to the
+    spacing estimate [omega-1, omega+1].  Deterministic given the seed; ties
+    in the action within 1e-10 go to the smallest t_0 mod 1.  workers=None
+    takes the worker count from BB_THREADS.
     """
     if q < 1:
         raise PreconditionError(f"q must be positive, got {q}")
@@ -229,12 +228,7 @@ def periodic_orbit(ctx: GenFunContext, p: int, q: int,
     if not (1.0 < omega < sigma - 1.0):
         raise PreconditionError(
             f"rotation number {omega} outside (1, sigma-1) = (1, {sigma - 1})")
-    if beta is None:
-        beta = min(omega - 1.0, sigma - omega - 1.0) / 2.0
-    if not (0.0 < beta < min(omega - 1.0, sigma - omega - 1.0)):
-        raise PreconditionError(f"beta = {beta} incompatible with omega and sigma")
-    g_lo = max(beta, omega - 1.0)
-    g_hi = min(sigma - beta, omega + 1.0)
+    g_lo, g_hi = omega - 1.0, omega + 1.0
 
     rng = np.random.default_rng(seed)
     amp = 0.45 * min(g_hi - omega, omega - g_lo, 1.0)
@@ -248,7 +242,7 @@ def periodic_orbit(ctx: GenFunContext, p: int, q: int,
 
     if workers is None:
         workers = _env_workers()
-    tasks = [(ctx, p, ts0, g_lo, g_hi, sweep_budget) for ts0 in configs]
+    tasks = [(ctx, p, ts0, g_lo, g_hi) for ts0 in configs]
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_descend, tasks))
@@ -260,7 +254,7 @@ def periodic_orbit(ctx: GenFunContext, p: int, q: int,
     diagnostics = []
     for ts, residual in outcomes:
         diagnostics.append(residual)
-        if residual > residual_tol:
+        if residual > _RESIDUAL_TOL:
             continue
         shift = math.floor(ts[0])
         ts_norm = [t - shift for t in ts]
@@ -270,7 +264,7 @@ def periodic_orbit(ctx: GenFunContext, p: int, q: int,
             best, best_key = (ts_norm, residual, act), key
     if best is None:
         raise ConvergenceError(
-            f"no start converged below residual {residual_tol}",
+            f"no start converged below residual {_RESIDUAL_TOL}",
             {"starts": starts, "best_residual": min(diagnostics, default=math.inf)})
 
     ts_norm, residual, act = best

@@ -20,16 +20,13 @@ from .errors import DomainError, PreconditionError
 from .genfun import GenFunContext, grad_h, hess_h
 
 _EDGE = 1e-9  # relative inset of the root bracket at the strip edges
+_SIGMA_STAR_GRID = 512  # sampling grid of the domain cutoff
 
 
 @dataclass(frozen=True)
 class CylinderState:
     t: float
     K: float
-
-    @property
-    def t_mod1(self) -> float:
-        return self.t % 1.0
 
 
 @dataclass(frozen=True)
@@ -51,9 +48,9 @@ class MapJacobian:
 
 
 @lru_cache(maxsize=128)
-def sigma_star(ctx: GenFunContext, grid_n: int = 512) -> float:
+def sigma_star(ctx: GenFunContext) -> float:
     """Lower action cutoff of the map domain: max over t of d1 h(t, t+sigma)."""
-    _, value = circle_sup(lambda t: grad_h(ctx, t, t + ctx.sigma)[0], grid_n)
+    _, value = circle_sup(lambda t: grad_h(ctx, t, t + ctx.sigma)[0], _SIGMA_STAR_GRID)
     return value
 
 
@@ -143,13 +140,6 @@ def _solve_forward_time(ctx: GenFunContext, t0: float, K0: float,
             return best_x
 
     return _strip_root(ctx, f, fprime, t0, 1, K0, guess=guess)
-
-
-def forward_time(ctx: GenFunContext, t0: float, K0: float,
-                 guess: float | None = None) -> float:
-    """Next bounce time alone (no image action); cheap building block for
-    orbit iteration loops that also need the Jacobian at (t0, t1)."""
-    return _solve_forward_time(ctx, t0, K0, guess=guess)
 
 
 def forward(ctx: GenFunContext, s: CylinderState,

@@ -183,7 +183,7 @@ def alpha_limit(profile: RadiusProfile, t_bar: float, K: float,
 def certify(profile: RadiusProfile, eps: float, c: float,
             omega_grid: int = DEFAULT_OMEGA_GRID,
             k_samples: int = DEFAULT_K_SAMPLES,
-            grid_n: int = 4096) -> ChaosCertificate:
+            verdict: ClassVerdict | None = None) -> ChaosCertificate:
     """Full destruction certificate at a concrete momentum c.
 
     Pipeline: class R_tilde check, strongest stationary witness, rotation
@@ -192,7 +192,8 @@ def certify(profile: RadiusProfile, eps: float, c: float,
     observed gap between the exact diagnostic and its zero-momentum limit.
     Certified means every sample is negative: any invariant curve with
     rotation number in the window would have to carry a nonnegative value
-    inside the band.
+    inside the band.  verdict, when given, must be classify(profile, eps);
+    the profile is classified otherwise.
     """
 
     def refused(reason, verdict=None, witness=(math.nan, math.nan),
@@ -204,7 +205,8 @@ def certify(profile: RadiusProfile, eps: float, c: float,
             a_max=math.nan, certified=False, reason=reason,
             margins=dict(verdict.margins) if verdict is not None else {})
 
-    verdict = classify(profile, eps, grid_n)
+    if verdict is None:
+        verdict = classify(profile, eps)
     if verdict.klass != "R_tilde":
         return refused(f"profile class is {verdict.klass}, needs R_tilde", verdict)
     witness = _strongest_witness(verdict)
@@ -225,7 +227,7 @@ def certify(profile: RadiusProfile, eps: float, c: float,
     chain_high = min(ceil_k - band.k_hi for band in bands)
     chain_order = min(band.k_hi - band.k_lo for band in bands)
 
-    ctx = make_context(profile, c, eps, grid_n=grid_n)
+    ctx = make_context(profile, c, eps, bounds=b)
     margins = {
         "window_width": w_hi - w_lo,
         "band_above_floor": chain_low,
@@ -280,7 +282,8 @@ def c0_search(profile: RadiusProfile, eps: float, iters: int = 20,
 
     Monotonicity of the verdict in c is plausible but unproven; the result
     reports whether the tested verdicts happened to be monotone instead of
-    asserting it.
+    asserting it.  The profile is classified once, and every certify call
+    reuses that verdict.
     """
     verdict = classify(profile, eps)
     if verdict.klass != "R_tilde":
@@ -292,7 +295,8 @@ def c0_search(profile: RadiusProfile, eps: float, iters: int = 20,
     tested: list[tuple[float, bool]] = []
 
     def ok(c):
-        cert = certify(profile, eps, c, omega_grid=omega_grid, k_samples=k_samples)
+        cert = certify(profile, eps, c, omega_grid=omega_grid, k_samples=k_samples,
+                       verdict=verdict)
         tested.append((c, cert.certified))
         return cert.certified
 

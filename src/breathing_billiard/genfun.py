@@ -16,7 +16,7 @@ oracles in the test suite guard the transcriptions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import DomainError, PreconditionError
 from .radius import ProfileBounds, RadiusProfile, bounds as profile_bounds
@@ -54,15 +54,21 @@ class GenFunContext:
 
 
 def make_context(profile: RadiusProfile, c: float, eps: float,
-                 sigma: float | None = None, grid_n: int = 4096) -> GenFunContext:
-    b = profile_bounds(profile, eps, grid_n)
+                 sigma: float | None = None,
+                 bounds: ProfileBounds | None = None) -> GenFunContext:
+    """Context on the profile's own sigma unless a working sigma is given.
+
+    bounds, when given, must be the profile's bounds at this eps (as held by
+    a ClassVerdict); they are computed otherwise.
+    """
+    if bounds is None:
+        bounds = profile_bounds(profile, eps)
+    elif bounds.eps != eps:
+        raise PreconditionError(f"bounds were computed at eps = {bounds.eps}, "
+                                f"the context needs eps = {eps}")
     if sigma is None:
-        sigma = b.sigma
-    return GenFunContext(profile=profile, c=c, eps=eps, bounds=b, sigma=sigma)
-
-
-def with_sigma(ctx: GenFunContext, sigma: float) -> GenFunContext:
-    return replace(ctx, sigma=sigma)
+        sigma = bounds.sigma
+    return GenFunContext(profile=profile, c=c, eps=eps, bounds=bounds, sigma=sigma)
 
 
 def _core(ctx: GenFunContext, t0: float, t1: float):

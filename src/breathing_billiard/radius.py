@@ -23,6 +23,8 @@ from ._search import bisect_root, circle_sup
 from .errors import ConvergenceError, PreconditionError
 
 TWO_PI = 2.0 * math.pi
+_MEAN_GRID_FACTOR = 1.25  # geometric scan step of find_member
+_MEAN_REL_TOL = 1e-3  # find_member refines the mean to 3 significant digits
 
 
 @dataclass(frozen=True)
@@ -299,9 +301,7 @@ def family_profile(k: int, delta: float, mean: float) -> RadiusProfile:
 
 def find_member(k: int, delta: float, eps: float,
                 M_hint: float | None = None,
-                min_window: float | None = None,
-                grid_factor: float = 1.25,
-                rel_tol: float = 1e-3) -> tuple[float, ClassVerdict]:
+                min_window: float | None = None) -> tuple[float, ClassVerdict]:
     """Smallest mean M (on a geometric grid, refined to 3 significant digits)
     whose family profile classifies as R_tilde.
 
@@ -339,7 +339,7 @@ def find_member(k: int, delta: float, eps: float,
     scans = 0
     while not ok:
         lo = mean
-        mean *= grid_factor
+        mean *= _MEAN_GRID_FACTOR
         scans += 1
         if scans > 200:
             raise ConvergenceError("no admissible mean found on the geometric grid",
@@ -348,7 +348,7 @@ def find_member(k: int, delta: float, eps: float,
     if lo is None:
         # hint already passes; walk down to bracket the threshold
         while True:
-            lower = mean / grid_factor
+            lower = mean / _MEAN_GRID_FACTOR
             ok_lower, v_lower = accept(lower)
             if not ok_lower:
                 lo = lower
@@ -357,7 +357,7 @@ def find_member(k: int, delta: float, eps: float,
             if mean < 4.0 * delta:
                 return mean, verdict
     # geometric bisection of (lo fail, mean pass) to 3 significant digits
-    while mean / lo > 1.0 + rel_tol:
+    while mean / lo > 1.0 + _MEAN_REL_TOL:
         mid = math.sqrt(lo * mean)
         ok_mid, v_mid = accept(mid)
         if ok_mid:

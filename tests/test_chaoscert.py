@@ -1,15 +1,37 @@
 import dataclasses
+import io
 import math
+import sys
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
 
-from breathing_billiard import bmap, chaoscert, genfun, radius
+from breathing_billiard import bmap, chaoscert, cli, genfun, radius
 from breathing_billiard.bmap import CylinderState
 from breathing_billiard.errors import DomainError, PreconditionError
 from breathing_billiard.radius import RadiusProfile
 
 EPS = 0.5
+
+
+@pytest.fixture
+def bounds_calls(monkeypatch):
+    """Arguments of every radius.bounds call, through every library module
+    that holds a reference to it."""
+    calls = []
+    original = radius.bounds
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if mod is not None and name.startswith("breathing_billiard"):
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, counted)
+    return calls
 
 
 class TestXiInterval:
@@ -208,6 +230,38 @@ class TestCertify:
         d = a.to_dict()
         assert d["tool_version"]
         assert json.loads(d["profile_literal"])["mean"] == profile.mean
+
+
+class TestClassifiedOnce:
+    """One certification computes the profile bounds once."""
+
+    def test_given_verdict_gives_the_same_certificate(self, member):
+        profile, _, verdict = member
+        given = chaoscert.certify(profile, EPS, 1.0, omega_grid=7, k_samples=33,
+                                  verdict=verdict)
+        bare = chaoscert.certify(profile, EPS, 1.0, omega_grid=7, k_samples=33)
+        assert given.certified
+        assert given.to_dict() == bare.to_dict()
+
+    def test_bare_certify_bounds_once(self, member, bounds_calls):
+        profile, _, _ = member
+        chaoscert.certify(profile, EPS, 1.0, omega_grid=7, k_samples=33)
+        assert len(bounds_calls) == 1
+
+    def test_cli_certify_bounds_once(self, member, bounds_calls):
+        profile, _, _ = member
+        with redirect_stdout(io.StringIO()):
+            assert cli.main(["certify", "--profile", profile.to_json(), "--c", "1.0",
+                             "--omega-grid", "7", "--k-samples", "33"]) == 0
+        assert len(bounds_calls) == 1
+
+    def test_c0_search_bounds_once(self, bounds_calls):
+        # two-harmonic member that fails at c_max, so the search certifies
+        # four times: a halving, then two bisection steps
+        profile = radius.family_profile(5, 0.0035, 177.0)
+        res = chaoscert.c0_search(profile, EPS, iters=2, omega_grid=5, k_samples=17)
+        assert len(res.tested) == 4 and res.c0 is not None
+        assert len(bounds_calls) == 1
 
 
 class TestC0Search:

@@ -32,6 +32,15 @@ class TestContext:
         with pytest.raises(PreconditionError):
             genfun.make_context(static_profile, 0.0, EPS)
 
+    def test_reuses_given_bounds(self, small_profile, small_ctx):
+        b = small_ctx.bounds
+        ctx = genfun.make_context(small_profile, 0.3, EPS, bounds=b)
+        assert ctx.bounds is b and ctx == small_ctx
+
+    def test_rejects_bounds_at_another_eps(self, small_profile, small_ctx):
+        with pytest.raises(PreconditionError, match="eps"):
+            genfun.make_context(small_profile, 0.3, 0.4, bounds=small_ctx.bounds)
+
     def test_strip_domain(self, static_ctx):
         with pytest.raises(DomainError):
             genfun.h(static_ctx, 0.0, 5.0)

@@ -7,13 +7,12 @@ the same verdict on every run.
 """
 
 import dataclasses
-import math
 
 from hypothesis import given, settings, strategies as st
 
 from breathing_billiard import bmap, genfun
 from breathing_billiard.bmap import CylinderState
-from breathing_billiard.radius import ProfileBounds, RadiusProfile
+from breathing_billiard.radius import RadiusProfile
 
 EPS = 0.5
 PROPERTY = settings(max_examples=20, deadline=None, derandomize=True)
@@ -75,12 +74,8 @@ def test_equivariance_under_unit_time_shift(profile, c_share, t, k_factor):
 @given(mean=st.floats(0.5, 20.0), sigma=st.floats(1.5, 6.0), c_share=st.floats(0.0, 0.99),
        t=st.floats(0.0, 1.0, exclude_max=True), k_factor=st.floats(1.001, 4.0))
 def test_core_conserves_K_bitwise_on_constant_profiles(mean, sigma, c_share, t, k_factor):
-    # the exact bounds of a constant profile; sampling them costs a golden
-    # search at every grid point, since every point of a flat function is a maximum
-    exact = ProfileBounds(eps=EPS, r_min=mean, r_max=mean, dR_norm=0.0, ddR2_norm=0.0,
-                          sigma=math.inf)
-    ctx = genfun.GenFunContext(profile=RadiusProfile(mean), c=c_share * EPS * mean ** 2 / sigma,
-                               eps=EPS, bounds=exact, sigma=sigma)
+    ctx = genfun.make_context(RadiusProfile(mean), c_share * EPS * mean ** 2 / sigma, EPS,
+                              sigma=sigma)
     s0 = _state(ctx, t, k_factor)
     orbit = bmap.Orbit(ctx, s0, 200)
     for _, _, K, _, K1 in orbit:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from breathing_billiard import radius
+from breathing_billiard import _search, radius
 from breathing_billiard.errors import PreconditionError
 from breathing_billiard.radius import RadiusProfile
 
@@ -87,6 +87,31 @@ class TestBounds:
     def test_grid_precondition(self):
         with pytest.raises(PreconditionError):
             radius.bounds(RadiusProfile(1.0), EPS, grid_n=100)
+
+
+class TestCircleSup:
+    def test_constant_function_is_not_refined(self):
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return 2.5
+
+        assert _search.circle_sup(f, 64) == (0.0, 2.5)
+        assert len(calls) == 64  # the grid only, no golden-section search
+
+    def test_plateau_refined_once(self, monkeypatch):
+        refined = []
+        golden_max = _search.golden_max
+
+        def spy(f, a, b, xtol):
+            refined.append((a, b))
+            return golden_max(f, a, b, xtol)
+
+        monkeypatch.setattr(_search, "golden_max", spy)
+        t, v = _search.circle_sup(lambda t: min(math.sin(2 * math.pi * t), 0.5), 64)
+        assert len(refined) == 1
+        assert v == 0.5 and 1 / 12 <= t <= 5 / 12
 
 
 class TestStationaryPoints:
