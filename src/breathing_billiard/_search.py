@@ -10,6 +10,9 @@ from .errors import ConvergenceError, DomainError, PreconditionError
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
+_SUP_XTOL = 1e-13  # argument tolerance of circle_sup's refinement
+_BISECT_XTOL = 1e-12
+_MAX_ITER = 200  # iteration budget of bisect_root and solve_monotone
 
 
 def golden_max(f: Callable[[float], float], a: float, b: float,
@@ -39,8 +42,7 @@ def golden_max(f: Callable[[float], float], a: float, b: float,
     return d, fd
 
 
-def circle_sup(f: Callable[[float], float], grid_n: int = 4096,
-               xtol: float = 1e-13) -> tuple[float, float]:
+def circle_sup(f: Callable[[float], float], grid_n: int = 4096) -> tuple[float, float]:
     """Supremum of a smooth 1-periodic function over one period.
 
     Dense sampling locates every local maximum up to grid resolution;
@@ -57,7 +59,7 @@ def circle_sup(f: Callable[[float], float], grid_n: int = 4096,
     for i in range(grid_n):
         v = vals[i]
         if v > vals[i - 1] and v >= vals[(i + 1) % grid_n]:
-            t, fv = golden_max(f, (i - 1) * step, (i + 1) * step, xtol)
+            t, fv = golden_max(f, (i - 1) * step, (i + 1) * step, _SUP_XTOL)
             if fv > best_v:
                 best_t, best_v = t % 1.0, fv
         elif v > best_v:
@@ -65,9 +67,8 @@ def circle_sup(f: Callable[[float], float], grid_n: int = 4096,
     return best_t, best_v
 
 
-def bisect_root(f: Callable[[float], float], a: float, b: float,
-                xtol: float = 1e-12, max_iter: int = 200) -> float:
-    """Plain bisection for a sign change bracketed by [a, b]."""
+def bisect_root(f: Callable[[float], float], a: float, b: float) -> float:
+    """Plain bisection for a sign change bracketed by [a, b], to 1e-12."""
     fa, fb = f(a), f(b)
     if fa == 0.0:
         return a
@@ -75,10 +76,10 @@ def bisect_root(f: Callable[[float], float], a: float, b: float,
         return b
     if fa * fb > 0:
         raise DomainError(f"no sign change on [{a}, {b}]")
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         m = 0.5 * (a + b)
         fm = f(m)
-        if fm == 0.0 or (b - a) < xtol:
+        if fm == 0.0 or (b - a) < _BISECT_XTOL:
             return m
         if fa * fm < 0:
             b, fb = m, fm
@@ -91,15 +92,12 @@ def solve_monotone(f: Callable[[float], float],
                    fprime: Callable[[float], float],
                    lo: float, hi: float,
                    f_lo: float, f_hi: float,
-                   guess: float | None = None,
-                   ftol: float = 0.0,
-                   max_iter: int = 200) -> float:
+                   guess: float | None = None) -> float:
     """Root of a strictly monotone f with a known sign-changing bracket.
 
     Safeguarded Newton: every step is clipped to the current bracket, the
     bracket shrinks monotonically, and bisection kicks in whenever Newton
-    stalls.  Iterates until |f| stops improving (machine floor) or drops
-    below ftol.
+    stalls.  Iterates until |f| stops improving (machine floor).
     """
     if f_lo == 0.0:
         return lo
@@ -110,14 +108,12 @@ def solve_monotone(f: Callable[[float], float],
     decreasing = f_lo > 0
     x = guess if (guess is not None and lo < guess < hi) else 0.5 * (lo + hi)
     best_x, best_f = x, math.inf
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         fx = f(x)
         if fx == 0.0:
             return x
         if abs(fx) < best_f:
             best_x, best_f = x, abs(fx)
-            if best_f <= ftol:
-                return best_x
         if (fx > 0) == decreasing:
             lo = x
         else:

@@ -32,6 +32,8 @@ from .simulate import el_defect
 
 _SWEEP_BUDGET = 400  # Gauss-Seidel sweeps per start before the Newton polish
 _RESIDUAL_TOL = 1e-8  # a start counts only if its polished residual is below
+_POLISH_MAX_ITER = 40  # Newton steps of the polish
+_CF_MAX_TERMS = 32  # continued-fraction terms convergents expands at most
 
 
 @dataclass(frozen=True)
@@ -141,13 +143,13 @@ def _residual_vec(ctx, ts, p):
     return out
 
 
-def _newton_polish(ctx, ts, p, g_lo, g_hi, max_iter=40):
+def _newton_polish(ctx, ts, p, g_lo, g_hi):
     """Damped Newton on the full periodic stationarity system."""
     q = len(ts)
     ts = list(ts)
     f = _residual_vec(ctx, ts, p)
     best = float(np.max(np.abs(f)))
-    for _ in range(max_iter):
+    for _ in range(_POLISH_MAX_ITER):
         if best == 0.0:
             break
         jac = np.zeros((q, q))
@@ -219,6 +221,8 @@ def periodic_orbit(ctx: GenFunContext, p: int, q: int,
     """
     if q < 1:
         raise PreconditionError(f"q must be positive, got {q}")
+    if starts < 1:
+        raise PreconditionError(f"starts must be positive, got {starts}")
     if math.gcd(p, q) != 1:
         raise PreconditionError(f"(p, q) = ({p}, {q}) must be coprime")
     sigma = ctx.sigma
@@ -235,7 +239,7 @@ def periodic_orbit(ctx: GenFunContext, p: int, q: int,
     configs = []
     base = [omega * j for j in range(q)]
     configs.append([float(rng.uniform(0.0, 1.0)) + b for b in base])
-    for _ in range(max(0, starts - 1)):
+    for _ in range(starts - 1):
         t0 = float(rng.uniform(0.0, 1.0))
         jitter = rng.uniform(-amp, amp, size=q)
         configs.append([t0 + base[j] + float(jitter[j]) for j in range(q)])
@@ -280,7 +284,7 @@ def _pairs(ts, p):
     return [(full[i], full[i + 1]) for i in range(len(ts))]
 
 
-def convergents(omega: float, denom_cap: int, max_terms: int = 32):
+def convergents(omega: float, denom_cap: int):
     """Continued-fraction convergents p/q of omega with q <= denom_cap."""
     if denom_cap < 1:
         raise PreconditionError(f"denom_cap must be >= 1, got {denom_cap}")
@@ -289,7 +293,7 @@ def convergents(omega: float, denom_cap: int, max_terms: int = 32):
     p_cur, q_cur = int(math.floor(omega)), 1
     out.append((p_cur, q_cur))
     x = omega - math.floor(omega)
-    for _ in range(max_terms):
+    for _ in range(_CF_MAX_TERMS):
         if x < 1e-12:
             break
         x = 1.0 / x
@@ -313,6 +317,8 @@ def hull_samples(ctx: GenFunContext, omega: float, denom_cap: int = 64,
     orbit itself; for irrational omega it is the standard approximation of
     the Mather set by periodic minimal orbits, arranged in cyclic order.
     """
+    if denom_cap < 1:
+        raise PreconditionError(f"denom_cap must be >= 1, got {denom_cap}")
     sigma = ctx.sigma
     if not (1.0 < omega < sigma - 1.0):
         raise PreconditionError(

@@ -21,6 +21,7 @@ from .genfun import GenFunContext, grad_h, hess_h
 
 _EDGE = 1e-9  # relative inset of the root bracket at the strip edges
 _SIGMA_STAR_GRID = 512  # sampling grid of the domain cutoff
+_IMPACT_SCAN_N = 4096  # bracketing scan of laederich_map over the window
 
 
 @dataclass(frozen=True)
@@ -291,8 +292,7 @@ def impact_to_action(ctx: GenFunContext, t: float, I: float) -> float:
     return 0.5 * rdot * rdot + 0.5 * ctx.c * ctx.c / (r * r) - rdot * dr
 
 
-def laederich_map(ctx: GenFunContext, t0: float, I0: float,
-                  scan_n: int = 4096) -> tuple[float, float]:
+def laederich_map(ctx: GenFunContext, t0: float, I0: float) -> tuple[float, float]:
     """Independent formulation of the bounce map in (t, I) variables.
 
     Solves  A tau^2 - 2 I0 tau = R(t1)^2 - R(t0)^2  with A = (c^2+I0^2)/R0^2
@@ -305,7 +305,7 @@ def laederich_map(ctx: GenFunContext, t0: float, I0: float,
         raise PreconditionError(f"impact variable must be positive, got {I0}")
     shift = math.floor(t0)
     if shift != 0:
-        t1, i1 = laederich_map(ctx, t0 - shift, I0, scan_n=scan_n)
+        t1, i1 = laederich_map(ctx, t0 - shift, I0)
         return t1 + shift, i1
     r0 = ctx.profile.radius(t0)
     a = (ctx.c * ctx.c + I0 * I0) / (r0 * r0)
@@ -318,10 +318,10 @@ def laederich_map(ctx: GenFunContext, t0: float, I0: float,
     lo = sigma * 1e-12
     if g(lo) >= 0.0:
         raise DomainError("impact-map bracket failed at the short-flight end")
-    step = sigma / scan_n
+    step = sigma / _IMPACT_SCAN_N
     tau_root = None
     prev = lo
-    for i in range(1, scan_n + 1):
+    for i in range(1, _IMPACT_SCAN_N + 1):
         tau = i * step
         if g(tau) > 0.0:
             tau_root = brentq(g, prev, tau, xtol=1e-13, rtol=8.9e-16)

@@ -98,6 +98,16 @@ class C0SearchResult:
     reason: str | None = None
 
 
+def _verdict(profile: RadiusProfile, eps: float,
+             verdict: ClassVerdict | None) -> ClassVerdict:
+    """classify(profile, eps), or the given verdict once it is checked to be
+    that one."""
+    if verdict is None:
+        return classify(profile, eps)
+    verdict.bounds.check(profile, eps)
+    return verdict
+
+
 def _strongest_witness(verdict: ClassVerdict) -> tuple[float, float]:
     if verdict.klass != "R_tilde" or not verdict.witnesses:
         raise PreconditionError("profile is not in class R_tilde")
@@ -108,8 +118,7 @@ def xi_interval(profile: RadiusProfile, eps: float,
                 verdict: ClassVerdict | None = None) -> tuple[float, float]:
     """Open rotation-number window attached to the strongest witness,
     intersected with (3, sigma - 1)."""
-    if verdict is None:
-        verdict = classify(profile, eps)
+    verdict = _verdict(profile, eps, verdict)
     _strongest_witness(verdict)  # raises unless the class is R_tilde
     if verdict.window is None:
         raise PreconditionError("witness fails the deceleration condition")
@@ -123,8 +132,7 @@ def xi_interval(profile: RadiusProfile, eps: float,
 def k_band(profile: RadiusProfile, omega: float, eps: float,
            verdict: ClassVerdict | None = None) -> KBand:
     """Forced action band for invariant curves of rotation number omega."""
-    if verdict is None:
-        verdict = classify(profile, eps)
+    verdict = _verdict(profile, eps, verdict)
     w_lo, w_hi = xi_interval(profile, eps, verdict)
     if not (w_lo < omega < w_hi):
         raise DomainError(f"omega = {omega} outside the window ({w_lo}, {w_hi})")
@@ -193,8 +201,12 @@ def certify(profile: RadiusProfile, eps: float, c: float,
     Certified means every sample is negative: any invariant curve with
     rotation number in the window would have to carry a nonnegative value
     inside the band.  verdict, when given, must be classify(profile, eps);
-    the profile is classified otherwise.
+    the profile is classified otherwise.  omega_grid >= 1 and k_samples >= 2
+    (one sample would check only the lower end of the K range).
     """
+    if omega_grid < 1 or k_samples < 2:
+        raise PreconditionError(f"need omega_grid >= 1 and k_samples >= 2, got "
+                                f"{omega_grid} and {k_samples}")
 
     def refused(reason, verdict=None, witness=(math.nan, math.nan),
                 window=(math.nan, math.nan), bands=()):
@@ -205,8 +217,7 @@ def certify(profile: RadiusProfile, eps: float, c: float,
             a_max=math.nan, certified=False, reason=reason,
             margins=dict(verdict.margins) if verdict is not None else {})
 
-    if verdict is None:
-        verdict = classify(profile, eps)
+    verdict = _verdict(profile, eps, verdict)
     if verdict.klass != "R_tilde":
         return refused(f"profile class is {verdict.klass}, needs R_tilde", verdict)
     witness = _strongest_witness(verdict)
@@ -367,8 +378,9 @@ def lyapunov(ctx: GenFunContext, s0: CylinderState, n: int,
 def lyapunov_table(ctx: GenFunContext, k_lo: float, k_hi: float,
                    seeds: int, n: int, seed: int = 0) -> list[dict]:
     """Lyapunov estimates for `seeds` random states in a K band."""
-    if not (k_lo < k_hi):
-        raise PreconditionError("need k_lo < k_hi")
+    if not (k_lo < k_hi) or seeds < 1:
+        raise PreconditionError(f"need k_lo < k_hi and seeds >= 1, got "
+                                f"({k_lo}, {k_hi}) and {seeds}")
     rng = np.random.default_rng(seed)
     rows = []
     for i in range(seeds):

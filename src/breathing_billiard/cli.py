@@ -11,6 +11,8 @@ Exit codes: 0 success, 1 domain/precondition error, 2 convergence failure,
 from __future__ import annotations
 
 import argparse
+import csv
+import dataclasses
 import json
 import math
 import sys
@@ -38,18 +40,11 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _json_default(o):
-    if isinstance(o, (np.floating, np.integer)):
-        return o.item()
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    if isinstance(o, float) and not math.isfinite(o):
-        return repr(o)
-    raise TypeError(f"not serialisable: {type(o)}")
-
-
 def _sanitize(obj):
-    """Replace non-finite floats so the JSON stays strictly parseable."""
+    """Plain JSON values: dataclasses become dicts, tuples lists, and
+    non-finite floats strings (NaN null), so the JSON stays strictly parseable."""
+    if dataclasses.is_dataclass(obj):
+        obj = dataclasses.asdict(obj)
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -57,16 +52,6 @@ def _sanitize(obj):
     if isinstance(obj, float) and not math.isfinite(obj):
         return None if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
     return obj
-
-
-def _emit(payload: dict, out_path: str | None):
-    text = json.dumps(_sanitize(payload), sort_keys=True, indent=2,
-                      default=_json_default)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
 
 
 _PATH_KEYS = {"out", "csv", "bounces_csv", "trajectory_csv"}
@@ -84,165 +69,121 @@ def _profile(args) -> RadiusProfile:
     return RadiusProfile.from_json(args.profile)
 
 
-def _context(args, profile=None, sigma=None):
-    profile = profile if profile is not None else _profile(args)
-    sigma = sigma if sigma is not None else getattr(args, "sigma", None)
-    return make_context(profile, args.c, args.eps, sigma=sigma)
+def _context(args):
+    return make_context(_profile(args), args.c, args.eps, sigma=args.sigma)
 
 
-def _write_csv(path, header, rows, config_line):
+def _write_csv(args, path, header, rows):
+    """CSV with the run's config in a leading comment line; floats by repr."""
     with open(path, "w", newline="") as fh:
-        simulate.write_csv(fh, header, rows, config_line)
+        fh.write(f"# config: {json.dumps(_config_dict(args), sort_keys=True)}\n")
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
 
 
-# --- subcommand bodies -----------------------------------------------------
+# --- subcommand bodies: each returns the "result" of the JSON payload -------
 
 def _cmd_classify(args):
-    profile = _profile(args)
-    v = radius.classify(profile, args.eps, grid_n=args.grid_n)
+    v = radius.classify(_profile(args), args.eps, grid_n=args.grid_n)
     b = v.bounds
-    _emit({"config": _config_dict(args),
-           "result": {"class": v.klass,
-                      "degenerate": v.degenerate,
-                      "witnesses": [[t, dd] for t, dd in v.witnesses],
-                      "margins": v.margins,
-                      "window": list(v.window) if v.window else None,
-                      "bounds": {"r_min": b.r_min, "r_max": b.r_max,
-                                 "dR_norm": b.dR_norm, "ddR2_norm": b.ddR2_norm,
-                                 "sigma": b.sigma}}}, args.out)
-    return EXIT_OK
+    return {"class": v.klass, "degenerate": v.degenerate, "witnesses": v.witnesses,
+            "margins": v.margins, "window": v.window,
+            "bounds": {"r_min": b.r_min, "r_max": b.r_max, "dR_norm": b.dR_norm,
+                       "ddR2_norm": b.ddR2_norm, "sigma": b.sigma}}
 
 
 def _cmd_find_member(args):
     mean, v = radius.find_member(args.k, args.delta, args.eps,
                                  M_hint=args.m_hint, min_window=args.min_window)
-    _emit({"config": _config_dict(args),
-           "result": {"mean": mean,
-                      "profile": json.loads(radius.family_profile(
-                          args.k, args.delta, mean).to_json()),
-                      "class": v.klass,
-                      "window": list(v.window) if v.window else None,
-                      "sigma": v.bounds.sigma,
-                      "appendix_bound": radius.sufficient_mean_bound(args.k, args.delta),
-                      "margins": v.margins}}, args.out)
-    return EXIT_OK
+    return {"mean": mean,
+            "profile": radius.family_profile(args.k, args.delta, mean),
+            "class": v.klass,
+            "window": v.window,
+            "sigma": v.bounds.sigma,
+            "appendix_bound": radius.sufficient_mean_bound(args.k, args.delta),
+            "margins": v.margins}
 
 
 def _cmd_flight(args):
     profile = _profile(args)
     report = flight.validate_window(args.t0, args.t1, args.c, profile, args.eps)
     seg = flight.make_segment(profile, args.t0, args.t1, args.c)
-    payload = {"config": _config_dict(args),
-               "result": {"window": report.as_dict(),
-                          "A": seg.A, "B": seg.B, "dtheta": seg.dtheta,
-                          "energy": seg.energy, "chord_length": seg.chord_length}}
+    result = {"window": report.as_dict(),
+              "A": seg.A, "B": seg.B, "dtheta": seg.dtheta,
+              "energy": seg.energy, "chord_length": seg.chord_length}
     if args.csv:
-        rows = flight.segment_samples(seg, args.dt)
-        _write_csv(args.csv, ["t", "r", "theta", "x", "y"], rows,
-                   json.dumps(_config_dict(args), sort_keys=True))
-        payload["result"]["csv"] = args.csv
-    _emit(payload, args.out)
-    return EXIT_OK
+        _write_csv(args, args.csv, ["t", "r", "theta", "x", "y"],
+                   flight.segment_samples(seg, args.dt))
+        result["csv"] = args.csv
+    return result
 
 
 def _cmd_map(args):
     ctx = _context(args)
     s = CylinderState(args.t0, args.K)
-    if args.inverse:
-        s1 = bmap.backward(ctx, s)
-        jac = None
-    else:
-        s1 = bmap.forward(ctx, s)
-        jac = bmap.jacobian(ctx, s, t1=s1.t)
-    rplus, rminus = (bmap.radial_velocity(ctx, args.t0, args.K)
-                     if not args.inverse else (None, None))
+    s1 = bmap.backward(ctx, s) if args.inverse else bmap.forward(ctx, s)
     result = {"sigma_star": bmap.sigma_star(ctx),
               "t1": s1.t, "K1": s1.K,
               "t1_mod1": s1.t % 1.0}
-    if jac is not None:
+    if not args.inverse:
+        jac = bmap.jacobian(ctx, s, t1=s1.t)
         result["jacobian"] = {"dt1_dt0": jac.dt1_dt0, "dt1_dK0": jac.dt1_dK0,
                               "dK1_dt0": jac.dK1_dt0, "dK1_dK0": jac.dK1_dK0,
                               "det": jac.det}
-        result["rdot_plus"] = rplus
-        result["rdot_minus"] = rminus
-    _emit({"config": _config_dict(args), "result": result}, args.out)
-    return EXIT_OK
+        result["rdot_plus"], result["rdot_minus"] = bmap.radial_velocity(
+            ctx, args.t0, args.K)
+    return result
 
 
 def _cmd_simulate(args):
-    ctx = _context(args)
-    res = simulate.run(ctx, CylinderState(args.t0, args.K), args.n)
-    cfg_line = json.dumps(_config_dict(args), sort_keys=True)
+    res = simulate.run(_context(args), CylinderState(args.t0, args.K), args.n)
     if args.bounces_csv:
-        with open(args.bounces_csv, "w", newline="") as fh:
-            simulate.write_bounces_csv(res.records, fh, config_line=cfg_line)
+        _write_csv(args, args.bounces_csv, ["n", "t", "K", "rdot_plus", "theta"],
+                   [(r.n, r.t, r.K, r.rdot_plus, r.theta) for r in res.records])
     if args.trajectory_csv:
-        with open(args.trajectory_csv, "w", newline="") as fh:
-            simulate.write_trajectory_csv(res.records, args.dt, fh, config_line=cfg_line)
-    energies = simulate.energy_series(res.records)
-    _emit({"config": _config_dict(args),
-           "result": {"bounces": len(res.records),
-                      "completed": res.completed,
-                      "reason": res.reason,
-                      "first": {"t": res.records[0].t, "K": res.records[0].K},
-                      "last": {"t": res.records[-1].t, "K": res.records[-1].K},
-                      "energy_min": min(e for _, e in energies),
-                      "energy_max": max(e for _, e in energies)}}, args.out)
-    return EXIT_OK
+        _write_csv(args, args.trajectory_csv, ["t", "x", "y"],
+                   simulate.trajectory_samples(res.records, args.dt))
+    energies = [e for _, e in simulate.energy_series(res.records)]
+    return {"bounces": len(res.records),
+            "completed": res.completed,
+            "reason": res.reason,
+            "first": {"t": res.records[0].t, "K": res.records[0].K},
+            "last": {"t": res.records[-1].t, "K": res.records[-1].K},
+            # NaN (null in the JSON) when the first step already failed
+            "energy_min": min(energies, default=math.nan),
+            "energy_max": max(energies, default=math.nan)}
 
 
 def _cmd_orbit(args):
-    ctx = _context(args)
-    orbit = aubry.periodic_orbit(ctx, args.p, args.q, starts=args.starts,
+    orbit = aubry.periodic_orbit(_context(args), args.p, args.q, starts=args.starts,
                                  seed=args.seed)
     if args.csv:
-        _write_csv(args.csv, ["n", "t", "K"],
-                   [(n, orbit.times[n], orbit.Ks[n]) for n in range(orbit.q)],
-                   json.dumps(_config_dict(args), sort_keys=True))
-    _emit({"config": _config_dict(args),
-           "result": {"p": orbit.p, "q": orbit.q, "times": list(orbit.times),
-                      "Ks": list(orbit.Ks), "action": orbit.action,
-                      "residual": orbit.residual, "monotone": orbit.monotone}},
-          args.out)
-    return EXIT_OK
+        _write_csv(args, args.csv, ["n", "t", "K"],
+                   zip(range(orbit.q), orbit.times, orbit.Ks))
+    return orbit
 
 
 def _cmd_hull(args):
-    ctx = _context(args)
-    hull = aubry.hull_samples(ctx, args.omega, denom_cap=args.denom_cap,
+    hull = aubry.hull_samples(_context(args), args.omega, denom_cap=args.denom_cap,
                               starts=args.starts, seed=args.seed)
     if args.csv:
-        _write_csv(args.csv, ["xi", "phi", "eta"],
-                   list(zip(hull.xs, hull.phi, hull.eta)),
-                   json.dumps(_config_dict(args), sort_keys=True))
-    _emit({"config": _config_dict(args),
-           "result": {"omega": hull.omega, "p": hull.p, "q": hull.q,
-                      "xs": list(hull.xs), "phi": list(hull.phi),
-                      "eta": list(hull.eta)}}, args.out)
-    return EXIT_OK
+        _write_csv(args, args.csv, ["xi", "phi", "eta"], zip(hull.xs, hull.phi, hull.eta))
+    return hull
 
 
 def _cmd_certify(args):
-    profile = _profile(args)
-    cert = chaoscert.certify(profile, args.eps, args.c,
+    cert = chaoscert.certify(_profile(args), args.eps, args.c,
                              omega_grid=args.omega_grid, k_samples=args.k_samples)
     if args.csv and cert.a_grid:
-        _write_csv(args.csv, ["K", "a"], cert.a_grid,
-                   json.dumps(_config_dict(args), sort_keys=True))
-    _emit({"config": _config_dict(args), "result": cert.to_dict()}, args.out)
-    return EXIT_OK
+        _write_csv(args, args.csv, ["K", "a"], cert.a_grid)
+    return cert.to_dict()
 
 
 def _cmd_c0(args):
-    profile = _profile(args)
-    res = chaoscert.c0_search(profile, args.eps, iters=args.iters,
-                              omega_grid=args.omega_grid, k_samples=args.k_samples)
-    _emit({"config": _config_dict(args),
-           "result": {"c0": res.c0, "c_max": res.c_max,
-                      "tested": [[c, ok] for c, ok in res.tested],
-                      "monotone_observed": res.monotone_observed,
-                      "reason": res.reason}}, args.out)
-    return EXIT_OK
+    return chaoscert.c0_search(_profile(args), args.eps, iters=args.iters,
+                               omega_grid=args.omega_grid, k_samples=args.k_samples)
 
 
 def _cmd_lyapunov(args):
@@ -252,37 +193,28 @@ def _cmd_lyapunov(args):
             raise PreconditionError("--seeds needs --k-lo and --k-hi")
         rows = chaoscert.lyapunov_table(ctx, args.k_lo, args.k_hi,
                                         seeds=args.seeds, n=args.n, seed=args.seed)
-        result = {"table": rows,
-                  "lambda_max": max(r["lambda"] for r in rows)}
-    else:
-        if args.t0 is None or args.K is None:
-            raise PreconditionError("single-orbit mode needs --t0 and --K")
-        est = chaoscert.lyapunov(ctx, CylinderState(args.t0, args.K), args.n)
-        result = {"lambda": est.lam, "steps": est.steps, "completed": est.completed,
-                  "reason": est.reason}
-    _emit({"config": _config_dict(args), "result": result}, args.out)
-    return EXIT_OK
+        return {"table": rows, "lambda_max": max(r["lambda"] for r in rows)}
+    if args.t0 is None or args.K is None:
+        raise PreconditionError("single-orbit mode needs --t0 and --K")
+    est = chaoscert.lyapunov(ctx, CylinderState(args.t0, args.K), args.n)
+    return {"lambda": est.lam, "steps": est.steps, "completed": est.completed,
+            "reason": est.reason}
 
 
 def _cmd_portrait(args):
     ctx = _context(args)
     s_star = bmap.sigma_star(ctx)
     k_lo = args.k_lo if args.k_lo is not None else s_star * 1.05
-    k_hi = args.k_hi
     rows = []
     for t0 in np.linspace(0.0, 1.0, args.t_count, endpoint=False):
-        for k0 in np.linspace(k_lo, k_hi, args.k_count):
+        for k0 in np.linspace(k_lo, args.k_hi, args.k_count):
             try:
                 orbit = bmap.Orbit(ctx, CylinderState(float(t0), float(k0)), args.n)
             except DomainError:
                 continue  # grid point below the map domain
             rows += [(t1 % 1.0, k1) for _, _, _, t1, k1 in orbit]
-    _write_csv(args.csv, ["t_mod1", "K"], rows,
-               json.dumps(_config_dict(args), sort_keys=True))
-    _emit({"config": _config_dict(args),
-           "result": {"points": len(rows), "csv": args.csv,
-                      "sigma_star": s_star}}, args.out)
-    return EXIT_OK
+    _write_csv(args, args.csv, ["t_mod1", "K"], rows)
+    return {"points": len(rows), "csv": args.csv, "sigma_star": s_star}
 
 
 # --- parser ----------------------------------------------------------------
@@ -402,17 +334,22 @@ def main(argv=None) -> int:
         sys.stderr.write(f"usage error: {exc}\n")
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    except SystemExit:
-        # argparse exits itself on --help; keep that behaviour
-        raise
     try:
-        return args.func(args)
+        result = args.func(args)
     except (DomainError, PreconditionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DOMAIN
     except ConvergenceError as exc:
         sys.stderr.write(f"convergence failure: {exc} {exc.diagnostics}\n")
         return EXIT_CONVERGENCE
+    text = json.dumps({"config": _config_dict(args), "result": _sanitize(result)},
+                      sort_keys=True, indent=2) + "\n"
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -63,9 +63,8 @@ def make_context(profile: RadiusProfile, c: float, eps: float,
     """
     if bounds is None:
         bounds = profile_bounds(profile, eps)
-    elif bounds.eps != eps:
-        raise PreconditionError(f"bounds were computed at eps = {bounds.eps}, "
-                                f"the context needs eps = {eps}")
+    else:
+        bounds.check(profile, eps)
     if sigma is None:
         sigma = bounds.sigma
     return GenFunContext(profile=profile, c=c, eps=eps, bounds=bounds, sigma=sigma)

@@ -25,6 +25,7 @@ from .errors import ConvergenceError, PreconditionError
 TWO_PI = 2.0 * math.pi
 _MEAN_GRID_FACTOR = 1.25  # geometric scan step of find_member
 _MEAN_REL_TOL = 1e-3  # find_member refines the mean to 3 significant digits
+_STATIONARY_SAMPLES = 1024  # sign-change grid of stationary_points
 
 
 @dataclass(frozen=True)
@@ -112,6 +113,7 @@ class ProfileBounds:
     with the convention +inf when a denominator vanishes (constant profile).
     """
 
+    profile: RadiusProfile  # the profile the norms were computed for
     eps: float
     r_min: float
     r_max: float
@@ -126,6 +128,15 @@ class ProfileBounds:
             raise PreconditionError("bounds require 0 < r_min <= r_max")
         if not self.sigma > 0:
             raise PreconditionError("sigma must be positive")
+
+    def check(self, profile: RadiusProfile, eps: float) -> None:
+        """Raise PreconditionError unless these are the bounds of profile at eps."""
+        if self.profile != profile:
+            raise PreconditionError(f"bounds were computed for the profile "
+                                    f"{self.profile.to_json()}, not {profile.to_json()}")
+        if self.eps != eps:
+            raise PreconditionError(f"bounds were computed at eps = {self.eps}, "
+                                    f"not at eps = {eps}")
 
 
 @dataclass(frozen=True)
@@ -168,7 +179,7 @@ def bounds(profile: RadiusProfile, eps: float, grid_n: int = 4096) -> ProfileBou
     r_min = -neg_min
     _, dr_norm = circle_sup(lambda t: abs(profile.d_radius(t)), grid_n)
     _, dd2_norm = circle_sup(lambda t: abs(profile.dd_radius_sq(t)), grid_n)
-    return ProfileBounds(eps=eps, r_min=r_min, r_max=r_max,
+    return ProfileBounds(profile=profile, eps=eps, r_min=r_min, r_max=r_max,
                          dR_norm=dr_norm, ddR2_norm=dd2_norm,
                          sigma=min(sigma_limits(eps, r_min, dr_norm, dd2_norm)))
 
@@ -184,25 +195,26 @@ def sigma_limits(eps: float, r_min: float, dR_norm: float,
     return slope, curvature
 
 
-def stationary_points(profile: RadiusProfile, samples: int = 1024) -> list[tuple[float, float]]:
+def stationary_points(profile: RadiusProfile) -> list[tuple[float, float]]:
     """All roots of Rdot in [0,1), each paired with Rddot there.
 
-    Sign-change bracketing on `samples` points followed by bisection to
+    Sign-change bracketing on 1024 points followed by bisection to
     1e-12; tangential (double) roots are outside the contract.
     """
     if profile.is_constant:
         raise PreconditionError("constant profile: every point is stationary")
     f = profile.d_radius
-    step = 1.0 / samples
-    vals = [f(i * step) for i in range(samples)]
+    n = _STATIONARY_SAMPLES
+    step = 1.0 / n
+    vals = [f(i * step) for i in range(n)]
     roots = []
-    for i in range(samples):
+    for i in range(n):
         a = i * step
-        fa, fb = vals[i], vals[(i + 1) % samples]
+        fa, fb = vals[i], vals[(i + 1) % n]
         if fa == 0.0:
             roots.append(a)
         elif fa * fb < 0:
-            roots.append(bisect_root(f, a, a + step, xtol=1e-12))
+            roots.append(bisect_root(f, a, a + step))
     return [(t, profile.dd_radius(t)) for t in roots]
 
 

@@ -13,8 +13,6 @@ Records expose the float lift `t` for display and the exact fraction
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -138,28 +136,3 @@ def energy_series(records: list[BounceRecord]) -> list[tuple[float, float]]:
         raise PreconditionError("empty record list")
     return [(rec.t, rec.segment.energy) for rec in records if rec.segment is not None]
 
-
-def bounce_rows(records: list[BounceRecord]) -> list[tuple]:
-    return [(rec.n, rec.t, rec.K, rec.rdot_plus, rec.theta) for rec in records]
-
-
-def write_csv(fh: io.TextIOBase, header: list[str], rows,
-              config_line: str | None = None) -> None:
-    """CSV with an optional leading config comment; floats written by repr."""
-    if config_line is not None:
-        fh.write(f"# config: {config_line}\n")
-    w = csv.writer(fh)
-    w.writerow(header)
-    for row in rows:
-        w.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v
-                    for v in row])
-
-
-def write_bounces_csv(records: list[BounceRecord], fh: io.TextIOBase,
-                      config_line: str | None = None) -> None:
-    write_csv(fh, ["n", "t", "K", "rdot_plus", "theta"], bounce_rows(records), config_line)
-
-
-def write_trajectory_csv(records: list[BounceRecord], dt: float, fh: io.TextIOBase,
-                         config_line: str | None = None) -> None:
-    write_csv(fh, ["t", "x", "y"], trajectory_samples(records, dt), config_line)

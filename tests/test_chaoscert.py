@@ -232,6 +232,28 @@ class TestCertify:
         assert json.loads(d["profile_literal"])["mean"] == profile.mean
 
 
+class TestForeignVerdict:
+    """A verdict is used only with the profile and eps it was computed for."""
+
+    def test_verdict_of_another_profile_rejected(self, reference_profile):
+        own = RadiusProfile(754, ((1, 0.05),))
+        other = radius.classify(reference_profile, EPS)
+        with pytest.raises(PreconditionError, match="profile"):
+            chaoscert.certify(own, EPS, 1.0, verdict=other)
+        with pytest.raises(PreconditionError, match="profile"):
+            chaoscert.xi_interval(own, EPS, other)
+        with pytest.raises(PreconditionError, match="profile"):
+            chaoscert.k_band(own, 31.5, EPS, other)
+
+    def test_verdict_at_another_eps_rejected(self, member):
+        profile, _, _ = member
+        other = radius.classify(profile, 0.4)
+        with pytest.raises(PreconditionError, match="eps"):
+            chaoscert.certify(profile, EPS, 1.0, verdict=other)
+        with pytest.raises(PreconditionError, match="eps"):
+            chaoscert.xi_interval(profile, EPS, other)
+
+
 class TestClassifiedOnce:
     """One certification computes the profile bounds once."""
 

@@ -91,6 +91,46 @@ class TestMapCommands:
         assert res["bounces"] == 6
         assert bcsv.exists()
 
+    def test_simulate_stopped_at_first_bounce(self, tmp_path):
+        # K far above the map domain: the first forward solve finds no bracket
+        out = tmp_path / "run.json"
+        code = run_cli(["simulate", "--profile", CONST, "--eps", "0.5", "--c", "0.0",
+                        "--sigma", "4.0", "--t0", "0.0", "--K", "1e300", "--n", "3",
+                        "--out", str(out)])
+        assert code == 0
+        res = read_json(out)["result"]
+        assert res["bounces"] == 1 and res["completed"] is False
+        assert res["reason"].startswith("forward step failed at bounce 0")
+        assert res["energy_min"] is None and res["energy_max"] is None
+
+
+class TestSimulateCsv:
+    # constant unit profile, c = 0, working strip 4: diameter bounces from (0, 2)
+    ARGS = ["simulate", "--profile", CONST, "--eps", "0.5", "--c", "0.0",
+            "--sigma", "4.0", "--t0", "0.0", "--K", "2.0"]
+
+    def test_bounce_csv_shape(self, tmp_path):
+        csv_path = tmp_path / "bounces.csv"
+        code = run_cli(self.ARGS + ["--n", "3", "--bounces-csv", str(csv_path),
+                                    "--out", str(tmp_path / "run.json")])
+        assert code == 0
+        lines = csv_path.read_text().strip().splitlines()
+        assert lines[0].startswith("# config:")
+        assert json.loads(lines[0][len("# config:"):])["n"] == 3
+        assert lines[1] == "n,t,K,rdot_plus,theta"
+        assert len(lines) == 2 + 4
+
+    def test_trajectory_csv(self, tmp_path):
+        csv_path = tmp_path / "trajectory.csv"
+        code = run_cli(self.ARGS + ["--n", "2", "--dt", "0.25",
+                                    "--trajectory-csv", str(csv_path),
+                                    "--out", str(tmp_path / "run.json")])
+        assert code == 0
+        lines = csv_path.read_text().strip().splitlines()
+        assert lines[0].startswith("# config:")
+        assert lines[1] == "t,x,y"
+        assert len(lines[1:]) > 8
+
 
 class TestOrbitCommands:
     def test_orbit_and_determinism(self, tmp_path):
@@ -205,6 +245,26 @@ class TestCertifyCommands:
         for line in lines[2:]:
             t_val = float(line.split(",")[0])
             assert 0.0 <= t_val < 1.0
+
+
+class TestRejectedInput:
+    # each used to end in an uncaught ValueError instead of exit code 1
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--profile", MEMBER, "--c", "1.0", "--omega-grid", "0"],
+        ["certify", "--profile", MEMBER, "--c", "1.0", "--k-samples", "0"],
+        ["certify", "--profile", MEMBER, "--c", "1.0", "--k-samples", "1"],
+        ["c0", "--profile", MEMBER, "--omega-grid", "0"],
+        ["hull", "--profile", CONST, "--c", "0.0", "--sigma", "8.0", "--omega", "2.5",
+         "--denom-cap", "0", "--seed", "1"],
+        ["orbit", "--profile", CONST, "--c", "0.0", "--sigma", "4.0", "--p", "3",
+         "--q", "2", "--starts", "0", "--seed", "7"],
+        ["lyapunov", "--profile", CONST, "--c", "0.05", "--sigma", "4.0", "--n", "10",
+         "--seeds", "-1", "--seed", "0", "--k-lo", "1.0", "--k-hi", "3.0"],
+    ], ids=["certify-omega-grid-0", "certify-k-samples-0", "certify-k-samples-1",
+            "c0-omega-grid-0", "hull-denom-cap-0", "orbit-starts-0", "lyapunov-seeds-neg"])
+    def test_precondition_exit(self, argv, capsys):
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestDeterminism:

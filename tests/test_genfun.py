@@ -41,6 +41,10 @@ class TestContext:
         with pytest.raises(PreconditionError, match="eps"):
             genfun.make_context(small_profile, 0.3, 0.4, bounds=small_ctx.bounds)
 
+    def test_rejects_bounds_of_another_profile(self, reference_profile, small_ctx):
+        with pytest.raises(PreconditionError, match="profile"):
+            genfun.make_context(reference_profile, 0.3, EPS, bounds=small_ctx.bounds)
+
     def test_strip_domain(self, static_ctx):
         with pytest.raises(DomainError):
             genfun.h(static_ctx, 0.0, 5.0)
@@ -52,8 +56,8 @@ class TestContext:
         # c = 0.5 on a unit strip; the discriminant R0^2 R1^2 - c^2 tau^2 is
         # then 0.0625 - 0.25 < 0 across the whole period at the minimum
         profile = RadiusProfile(1.0, ((1, 0.5),))
-        wrong = ProfileBounds(eps=EPS, r_min=1.0, r_max=1.5, dR_norm=math.pi,
-                              ddR2_norm=20.0, sigma=1.0)
+        wrong = ProfileBounds(profile=profile, eps=EPS, r_min=1.0, r_max=1.5,
+                              dR_norm=math.pi, ddR2_norm=20.0, sigma=1.0)
         ctx = genfun.GenFunContext(profile=profile, c=0.5, eps=EPS, bounds=wrong, sigma=1.0)
         with pytest.raises(DomainError, match="discriminant"):
             genfun.grad_h(ctx, 0.75, 1.75)

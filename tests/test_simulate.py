@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -151,23 +150,6 @@ class TestEnergySeries:
 
 
 class TestExport:
-    def test_bounce_csv_shape(self, static_ctx):
-        res = simulate.run(static_ctx, CylinderState(0.0, 2.0), 3)
-        buf = io.StringIO()
-        simulate.write_bounces_csv(res.records, buf, config_line='{"n": 3}')
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0].startswith("# config:")
-        assert lines[1] == "n,t,K,rdot_plus,theta"
-        assert len(lines) == 2 + 4
-
-    def test_trajectory_csv(self, static_ctx):
-        res = simulate.run(static_ctx, CylinderState(0.0, 2.0), 2)
-        buf = io.StringIO()
-        simulate.write_trajectory_csv(res.records, 0.25, buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "t,x,y"
-        assert len(lines) > 8
-
     def test_empty_records_rejected(self):
         with pytest.raises(PreconditionError):
             simulate.trajectory_samples([], 0.1)
