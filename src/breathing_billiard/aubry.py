@@ -10,9 +10,13 @@ in the strip because 1 < omega < sigma-1 and contains every minimal orbit
 with rotation number omega by the universal spacing estimate
 |t_n - t_m - (n-m) omega| <= 1, so no extension of the generating function
 outside the strip is ever needed.
-Projected Gauss-Seidel sweeps (each time minimised on its feasible
-interval) rough out the configuration; a damped global Newton solve on the
-stationarity system polishes it to machine precision.
+Coarse projected Gauss-Seidel sweeps (each time minimised on its feasible
+interval by golden section to 1e-4) rough out the configuration until no
+time moves by more than 1e-3; a damped global Newton solve on the
+stationarity system, with least-squares steps because the Hessian is
+singular on orbit families, polishes it to machine precision.  Every
+converged configuration is labelled from its point of smallest t mod 1, so
+the reported orbit does not depend on which start found it.
 """
 
 from __future__ import annotations
@@ -26,14 +30,17 @@ from fractions import Fraction
 import numpy as np
 
 from ._search import golden_max
-from .errors import ConvergenceError, DomainError, PreconditionError
+from .errors import ConvergenceError, PreconditionError
 from .genfun import GenFunContext, grad_h, h, hess_h
 from .simulate import el_defect
 
 _SWEEP_BUDGET = 400  # Gauss-Seidel sweeps per start before the Newton polish
+_SWEEP_XTOL = 1e-4  # golden-section tolerance of every sweep
+_SWEEP_STOP = 1e-3  # sweeping ends once no time moves by more than this
 _RESIDUAL_TOL = 1e-8  # a start counts only if its polished residual is below
 _POLISH_MAX_ITER = 40  # Newton steps of the polish
 _CF_MAX_TERMS = 32  # continued-fraction terms convergents expands at most
+_TIE_RTOL = 1e-13  # actions this close (relative) tie; rounding noise is ~4e-16
 
 
 @dataclass(frozen=True)
@@ -98,11 +105,15 @@ def _neighbours(ts, p, j):
     return t_prev, t_next
 
 
-def _sweep(ctx, ts, p, g_lo, g_hi, xtol):
-    """One projected Gauss-Seidel sweep; returns the largest move."""
-    q = len(ts)
+def _pairs(ts, p):
+    full = list(ts) + [ts[0] + p]
+    return [(full[i], full[i + 1]) for i in range(len(ts))]
+
+
+def _sweep(ctx, ts, p, g_lo, g_hi):
+    """One projected Gauss-Seidel sweep at _SWEEP_XTOL; returns the largest move."""
     moved = 0.0
-    for j in range(q):
+    for j in range(len(ts)):
         t_prev, t_next = _neighbours(ts, p, j)
         lo = max(t_prev + g_lo, t_next - g_hi)
         hi = min(t_prev + g_hi, t_next - g_lo)
@@ -116,72 +127,51 @@ def _sweep(ctx, ts, p, g_lo, g_hi, xtol):
         def neg_phi(x):
             return -(h(ctx, t_prev, x) + h(ctx, x, t_next))
 
-        x, _ = golden_max(neg_phi, lo, hi, xtol=xtol)
-        # Newton polish on the stationarity equation when interior
-        for _ in range(3):
-            if not (lo < x < hi):
-                break
-            f = grad_h(ctx, t_prev, x)[1] + grad_h(ctx, x, t_next)[0]
-            d = hess_h(ctx, t_prev, x)[2] + hess_h(ctx, x, t_next)[0]
-            if d <= 0.0:
-                break
-            x_new = x - f / d
-            if not (lo <= x_new <= hi) or x_new == x:
-                break
-            x = x_new
+        x, _ = golden_max(neg_phi, lo, hi, xtol=_SWEEP_XTOL)
         moved = max(moved, abs(x - ts[j]))
         ts[j] = x
     return moved
 
 
-def _residual_vec(ctx, ts, p):
+def _system(ctx, ts, p):
+    """Stationarity residual and Hessian (cyclic tridiagonal, kept dense) of
+    the (p, q)-periodic action: one grad_h and one hess_h call per pair."""
     q = len(ts)
-    out = np.empty(q)
-    for j in range(q):
-        t_prev, t_next = _neighbours(ts, p, j)
-        out[j] = grad_h(ctx, t_prev, ts[j])[1] + grad_h(ctx, ts[j], t_next)[0]
-    return out
+    f = np.zeros(q)
+    hess = np.zeros((q, q))
+    for j, (a, b) in enumerate(_pairs(ts, p)):
+        k = (j + 1) % q
+        d1, d2 = grad_h(ctx, a, b)
+        d11, d12, d22 = hess_h(ctx, a, b)
+        f[j] += d1
+        f[k] += d2
+        hess[j, j] += d11
+        hess[k, k] += d22
+        hess[j, k] += d12
+        hess[k, j] += d12
+    return f, hess
 
 
 def _newton_polish(ctx, ts, p, g_lo, g_hi):
-    """Damped Newton on the full periodic stationarity system."""
-    q = len(ts)
-    ts = list(ts)
-    f = _residual_vec(ctx, ts, p)
+    """Damped Newton on the full periodic stationarity system.  Steps are
+    least-squares solutions: the Hessian is singular where minimal orbits
+    come in a family (every translate of one on a constant profile)."""
+    f, hess = _system(ctx, ts, p)
     best = float(np.max(np.abs(f)))
     for _ in range(_POLISH_MAX_ITER):
         if best == 0.0:
             break
-        jac = np.zeros((q, q))
-        for j in range(q):
-            t_prev, t_next = _neighbours(ts, p, j)
-            d22_prev = hess_h(ctx, t_prev, ts[j])
-            d_next = hess_h(ctx, ts[j], t_next)
-            jac[j, j] += d22_prev[2] + d_next[0]
-            jac[j, (j - 1) % q] += d22_prev[1]
-            jac[j, (j + 1) % q] += d_next[1]
-        try:
-            step = np.linalg.solve(jac, f)
-        except np.linalg.LinAlgError:
-            break
-        lam = 1.0
-        improved = False
-        for _ in range(8):
-            trial = [ts[j] - lam * step[j] for j in range(q)]
-            gaps = [(_neighbours(trial, p, j)[1] - trial[j]) for j in range(q)]
-            if all(g_lo < g < g_hi for g in gaps):
-                try:
-                    f_trial = _residual_vec(ctx, trial, p)
-                except DomainError:
-                    lam *= 0.5
-                    continue
-                r = float(np.max(np.abs(f_trial)))
-                if r < best:
-                    ts, f, best = trial, f_trial, r
-                    improved = True
-                    break
-            lam *= 0.5
-        if not improved:
+        step = np.linalg.lstsq(hess, f, rcond=None)[0]
+        for k in range(8):  # halve the step until the residual drops
+            trial = [t - 0.5 ** k * d for t, d in zip(ts, step)]
+            if not all(g_lo < t1 - t0 < g_hi for t0, t1 in _pairs(trial, p)):
+                continue
+            f_trial, hess_trial = _system(ctx, trial, p)
+            r = float(np.max(np.abs(f_trial)))
+            if r < best:
+                ts, f, hess, best = trial, f_trial, hess_trial, r
+                break
+        else:
             break
     return ts, best
 
@@ -198,15 +188,10 @@ def _descend(args):
     """One multi-start descent; top-level so worker pools can pickle it."""
     ctx, p, ts0, g_lo, g_hi = args
     ts = list(ts0)
-    xtol = 1e-4
     for _ in range(_SWEEP_BUDGET):
-        moved = _sweep(ctx, ts, p, g_lo, g_hi, xtol)
-        if moved < 10.0 * xtol:
-            if xtol <= 1e-10:
-                break
-            xtol = max(xtol * 1e-3, 1e-10)
-    ts, residual = _newton_polish(ctx, ts, p, g_lo, g_hi)
-    return ts, residual
+        if _sweep(ctx, ts, p, g_lo, g_hi) <= _SWEEP_STOP:
+            break
+    return _newton_polish(ctx, ts, p, g_lo, g_hi)
 
 
 def periodic_orbit(ctx: GenFunContext, p: int, q: int,
@@ -215,14 +200,17 @@ def periodic_orbit(ctx: GenFunContext, p: int, q: int,
     """Lowest-action stationary (p, q)-configuration over multi-start descent.
 
     Requires 1 < p/q < sigma - 1 (and sigma > 2).  Gaps are confined to the
-    spacing estimate [omega-1, omega+1].  Deterministic given the seed; ties
-    in the action within 1e-10 go to the smallest t_0 mod 1.  workers=None
-    takes the worker count from BB_THREADS.
+    spacing estimate [omega-1, omega+1].  Each start is swept coarsely and
+    polished by least-squares Newton; each converged orbit is labelled from
+    its point of smallest t mod 1, with times[0] in [0, 1).  Actions within
+    1e-13 relative count as tied, and a tie goes to the smaller times[0].
+    The seed picks the starts only.  workers=None takes the worker count
+    from BB_THREADS.
     """
     if q < 1:
         raise PreconditionError(f"q must be positive, got {q}")
-    if starts < 1:
-        raise PreconditionError(f"starts must be positive, got {starts}")
+    if starts < 1 or seed < 0:
+        raise PreconditionError(f"need starts >= 1 and seed >= 0, got {starts} and {seed}")
     if math.gcd(p, q) != 1:
         raise PreconditionError(f"(p, q) = ({p}, {q}) must be coprime")
     sigma = ctx.sigma
@@ -253,35 +241,35 @@ def periodic_orbit(ctx: GenFunContext, p: int, q: int,
     else:
         outcomes = [_descend(t) for t in tasks]
 
-    best = None
-    best_key = None
+    converged = []
     diagnostics = []
     for ts, residual in outcomes:
         diagnostics.append(residual)
-        if residual > _RESIDUAL_TOL:
-            continue
-        shift = math.floor(ts[0])
-        ts_norm = [t - shift for t in ts]
-        act = sum(h(ctx, *pair) for pair in _pairs(ts_norm, p))
-        key = (round(act / 1e-10), ts_norm[0] % 1.0)
-        if best is None or key < best_key:
-            best, best_key = (ts_norm, residual, act), key
-    if best is None:
+        if residual <= _RESIDUAL_TOL:
+            ts = _canonical(ts, p)
+            converged.append((action(ctx, ts + [ts[0] + p]), ts, residual))
+    if not converged:
         raise ConvergenceError(
             f"no start converged below residual {_RESIDUAL_TOL}",
             {"starts": starts, "best_residual": min(diagnostics, default=math.inf)})
 
-    ts_norm, residual, act = best
-    ks = tuple(float(grad_h(ctx, a, b)[0]) for a, b in _pairs(ts_norm, p))
-    gaps = [b - a for a, b in _pairs(ts_norm, p)]
-    return MinimalOrbit(p=p, q=q, times=tuple(float(t) for t in ts_norm), Ks=ks,
+    act_min = min(c[0] for c in converged)
+    act, ts, residual = min((c for c in converged
+                             if c[0] - act_min <= _TIE_RTOL * abs(act_min)),
+                            key=lambda c: c[1][0])
+    ks = tuple(float(grad_h(ctx, a, b)[0]) for a, b in _pairs(ts, p))
+    gaps = [b - a for a, b in _pairs(ts, p)]
+    return MinimalOrbit(p=p, q=q, times=tuple(float(t) for t in ts), Ks=ks,
                         action=float(act), residual=float(residual),
                         monotone=all(g > 0 for g in gaps))
 
 
-def _pairs(ts, p):
-    full = list(ts) + [ts[0] + p]
-    return [(full[i], full[i + 1]) for i in range(len(ts))]
+def _canonical(ts, p):
+    """The configuration relabelled from its point of smallest t mod 1,
+    with the lift shifted so that it starts in [0, 1)."""
+    m = min(range(len(ts)), key=lambda j: ts[j] % 1.0)
+    shift = math.floor(ts[m])
+    return [t - shift for t in ts[m:]] + [t + p - shift for t in ts[:m]]
 
 
 def convergents(omega: float, denom_cap: int):

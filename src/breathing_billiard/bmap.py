@@ -29,6 +29,10 @@ class CylinderState:
     t: float
     K: float
 
+    def __post_init__(self):
+        if not (math.isfinite(self.t) and math.isfinite(self.K)):
+            raise PreconditionError(f"state must be finite, got t = {self.t}, K = {self.K}")
+
 
 @dataclass(frozen=True)
 class MapJacobian:

@@ -202,6 +202,9 @@ def _cmd_lyapunov(args):
 
 
 def _cmd_portrait(args):
+    if args.t_count < 1 or args.k_count < 1:
+        raise PreconditionError(f"--t-count and --k-count must be >= 1, got "
+                                f"{args.t_count} and {args.k_count}")
     ctx = _context(args)
     s_star = bmap.sigma_star(ctx)
     k_lo = args.k_lo if args.k_lo is not None else s_star * 1.05

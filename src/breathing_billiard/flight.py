@@ -89,7 +89,7 @@ class WindowReport:
 def validate_window(t0: float, t1: float, c: float, profile: RadiusProfile,
                     eps: float, b: ProfileBounds | None = None) -> WindowReport:
     """Check the three sufficient conditions for the flight to exist."""
-    if t1 <= t0:
+    if not t1 > t0:
         raise PreconditionError(f"need t1 > t0, got {t0}, {t1}")
     if b is None:
         b = bounds(profile, eps)
@@ -120,7 +120,7 @@ def flight_coeffs(t0: float, t1: float, c: float,
     ell_minus = A*(t0+B) is the inward branch of the endpoint condition;
     the outward branch never yields a bouncing solution and is discarded.
     """
-    if t1 <= t0:
+    if not t1 > t0:
         raise PreconditionError(f"need t1 > t0, got {t0}, {t1}")
     tau, r0, r1, s = _endpoints(t0, t1, c, profile)
     a = (r0 * r0 + r1 * r1 + 2.0 * s) / (tau * tau)
@@ -165,7 +165,7 @@ def flight_state(seg: FlightSegment, t: float) -> tuple[float, float, float]:
 
 def segment_samples(seg: FlightSegment, dt: float) -> np.ndarray:
     """Rows (t, r, theta, x, y) sampled every dt, endpoints included."""
-    if dt <= 0:
+    if not dt > 0:
         raise PreconditionError(f"dt must be positive, got {dt}")
     n = max(1, int(math.ceil(seg.duration / dt)))
     ts = np.linspace(seg.t0, seg.t1, n + 1)

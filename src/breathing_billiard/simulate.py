@@ -115,7 +115,7 @@ def trajectory_samples(records: list[BounceRecord], dt: float) -> np.ndarray:
     """Cartesian polyline rows (t, x, y) sampled every dt along each segment."""
     if not records:
         raise PreconditionError("empty record list")
-    if dt <= 0:
+    if not dt > 0:
         raise PreconditionError(f"dt must be positive, got {dt}")
     chunks = []
     for rec in records:

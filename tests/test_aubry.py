@@ -100,6 +100,14 @@ class TestPeriodicOrbit:
         b = aubry.periodic_orbit(member_ctx, 158, 5, starts=6, seed=9)
         assert a == b
 
+    def test_canonical_labelling_is_seed_independent(self, member_ctx):
+        # the starts differ by seed, the reported orbit and its labelling not
+        orbits = [aubry.periodic_orbit(member_ctx, 286, 9, starts=8, seed=s)
+                  for s in range(3)]
+        for orbit in orbits:
+            assert orbit.times[0] == min(t % 1.0 for t in orbit.times)
+            assert orbit.times == pytest.approx(orbits[0].times, abs=1e-12)
+
     def test_worker_pool_matches_serial(self, member_ctx):
         serial = aubry.periodic_orbit(member_ctx, 158, 5, starts=4, seed=9, workers=1)
         pooled = aubry.periodic_orbit(member_ctx, 158, 5, starts=4, seed=9, workers=2)

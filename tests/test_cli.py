@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -247,8 +248,15 @@ class TestCertifyCommands:
             assert 0.0 <= t_val < 1.0
 
 
+MAP = ["map", "--profile", CONST, "--c", "0.0", "--sigma", "4.0"]
+FLIGHT = ["flight", "--profile", CONST, "--c", "0.1"]
+PORTRAIT = ["portrait", "--profile", CONST, "--c", "0.05", "--sigma", "4.0",
+            "--k-hi", "3.0", "--n", "5", "--csv", os.devnull]
+
+
 class TestRejectedInput:
-    # each used to end in an uncaught ValueError instead of exit code 1
+    # each used to end in a traceback (or, for a NaN flight time, in exit
+    # code 0 with NaN output) instead of exit code 1
     @pytest.mark.parametrize("argv", [
         ["certify", "--profile", MEMBER, "--c", "1.0", "--omega-grid", "0"],
         ["certify", "--profile", MEMBER, "--c", "1.0", "--k-samples", "0"],
@@ -260,8 +268,30 @@ class TestRejectedInput:
          "--q", "2", "--starts", "0", "--seed", "7"],
         ["lyapunov", "--profile", CONST, "--c", "0.05", "--sigma", "4.0", "--n", "10",
          "--seeds", "-1", "--seed", "0", "--k-lo", "1.0", "--k-hi", "3.0"],
+        ["orbit", "--profile", CONST, "--c", "0.0", "--sigma", "4.0", "--p", "3",
+         "--q", "2", "--seed", "-1"],
+        ["hull", "--profile", CONST, "--c", "0.0", "--sigma", "8.0", "--omega", "2.5",
+         "--seed", "-1"],
+        ["lyapunov", "--profile", CONST, "--c", "0.05", "--sigma", "4.0", "--n", "10",
+         "--seeds", "2", "--seed", "-1", "--k-lo", "1.0", "--k-hi", "3.0"],
+        PORTRAIT + ["--t-count", "-1"],
+        PORTRAIT + ["--k-count", "-1"],
+        MAP + ["--t0", "nan", "--K", "2.0"],
+        MAP + ["--t0", "nan", "--K", "2.0", "--inverse"],
+        MAP + ["--t0", "inf", "--K", "2.0"],
+        MAP + ["--t0", "0.0", "--K", "nan"],
+        ["simulate", "--profile", CONST, "--c", "0.0", "--sigma", "4.0", "--t0", "nan",
+         "--K", "2.0", "--n", "3"],
+        ["lyapunov", "--profile", CONST, "--c", "0.05", "--sigma", "4.0", "--n", "10",
+         "--seed", "0", "--t0", "nan", "--K", "2.0"],
+        FLIGHT + ["--t0", "nan", "--t1", "1.0"],
+        FLIGHT + ["--t0", "0.0", "--t1", "1.0", "--dt", "nan", "--csv", os.devnull],
     ], ids=["certify-omega-grid-0", "certify-k-samples-0", "certify-k-samples-1",
-            "c0-omega-grid-0", "hull-denom-cap-0", "orbit-starts-0", "lyapunov-seeds-neg"])
+            "c0-omega-grid-0", "hull-denom-cap-0", "orbit-starts-0", "lyapunov-seeds-neg",
+            "orbit-seed-neg", "hull-seed-neg", "lyapunov-table-seed-neg",
+            "portrait-t-count-neg", "portrait-k-count-neg", "map-t0-nan",
+            "map-inverse-t0-nan", "map-t0-inf", "map-K-nan", "simulate-t0-nan",
+            "lyapunov-t0-nan", "flight-t0-nan", "flight-dt-nan"])
     def test_precondition_exit(self, argv, capsys):
         assert run_cli(argv) == 1
         assert capsys.readouterr().err.startswith("error: ")
