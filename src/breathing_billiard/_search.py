@@ -1,5 +1,6 @@
 """Scalar search helpers: golden-section refinement, sup-norms on the circle,
-bracketed root solving for monotone functions."""
+bisection for sign changes, and the one Newton solve for monotone functions
+that serves every map step, warm or cold, forward or backward."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
 _SUP_XTOL = 1e-13  # argument tolerance of circle_sup's refinement
 _BISECT_XTOL = 1e-12
 _MAX_ITER = 200  # iteration budget of bisect_root and solve_monotone
+_ULP = 2.3e-16  # unit roundoff with a little headroom
 
 
 def golden_max(f: Callable[[float], float], a: float, b: float,
@@ -90,42 +92,42 @@ def bisect_root(f: Callable[[float], float], a: float, b: float) -> float:
 
 def solve_monotone(f: Callable[[float], float],
                    fprime: Callable[[float], float],
-                   lo: float, hi: float,
-                   f_lo: float, f_hi: float,
-                   guess: float | None = None) -> float:
-    """Root of a strictly monotone f with a known sign-changing bracket.
+                   lo: float, hi: float, decreasing: bool, noise: float,
+                   guess: float | None = None) -> tuple[float, bool]:
+    """Root of a strictly monotone f on the bracket [lo, hi].
 
-    Safeguarded Newton: every step is clipped to the current bracket, the
-    bracket shrinks monotonically, and bisection kicks in whenever Newton
-    stalls.  Iterates until |f| stops improving (machine floor).
+    Safeguarded Newton from guess when it lies in the bracket, else from
+    the midpoint.  decreasing is the known direction of monotonicity, so no
+    end of the bracket is evaluated: the sign of f at each iterate shrinks
+    the bracket, and a Newton step that leaves it becomes a bisection.  The
+    best iterate is returned once |f| stops improving within the rounding
+    floor 4 |f'| ulp(x) + noise, noise being the evaluation noise of f.
+    Returns (root, reached the floor); a bracket without a root collapses
+    to rounding width at one end and reports False.
     """
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if f_lo * f_hi > 0:
-        raise DomainError(f"no sign change on [{lo}, {hi}]")
-    decreasing = f_lo > 0
-    x = guess if (guess is not None and lo < guess < hi) else 0.5 * (lo + hi)
+    x = guess if guess is not None and lo <= guess <= hi else 0.5 * (lo + hi)
     best_x, best_f = x, math.inf
     for _ in range(_MAX_ITER):
         fx = f(x)
         if fx == 0.0:
-            return x
-        if abs(fx) < best_f:
+            return x, True
+        stalled = abs(fx) >= best_f
+        if not stalled:
             best_x, best_f = x, abs(fx)
-        if (fx > 0) == decreasing:
+        if (fx > 0.0) == decreasing:
             lo = x
         else:
             hi = x
-        if hi - lo <= 4e-16 * max(1.0, abs(lo), abs(hi)):
-            return best_x
         d = fprime(x)
-        x_new = x - fx / d if d != 0.0 else 0.5 * (lo + hi)
-        if not (lo < x_new < hi):
-            x_new = 0.5 * (lo + hi)
-        if x_new == x or not (lo < x_new < hi):
-            return best_x
+        x_new = x - fx / d if d else math.nan
+        if not lo <= x_new <= hi:
+            # bisect, unless the bracket is down to rounding width
+            collapsed = hi - lo <= 2.0 * _ULP * max(1.0, abs(lo), abs(hi))
+            x_new = x if collapsed else 0.5 * (lo + hi)
+        if stalled or x_new == x:
+            at_floor = best_f <= 4.0 * abs(d) * _ULP * max(1.0, abs(best_x)) + noise
+            if at_floor or x_new == x:
+                return best_x, at_floor
         x = x_new
     raise ConvergenceError("monotone solve did not converge",
                            {"lo": lo, "hi": hi, "residual": best_f})

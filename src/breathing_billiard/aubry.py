@@ -22,8 +22,6 @@ the reported orbit does not depend on which start found it.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -176,17 +174,8 @@ def _newton_polish(ctx, ts, p, g_lo, g_hi):
     return ts, best
 
 
-def _env_workers() -> int:
-    """Worker count from BB_THREADS; 1 when it is unset or malformed."""
-    try:
-        return max(1, int(os.environ.get("BB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _descend(args):
-    """One multi-start descent; top-level so worker pools can pickle it."""
-    ctx, p, ts0, g_lo, g_hi = args
+def _descend(ctx, p, ts0, g_lo, g_hi):
+    """One start of the multi-start descent: coarse sweeps, then the polish."""
     ts = list(ts0)
     for _ in range(_SWEEP_BUDGET):
         if _sweep(ctx, ts, p, g_lo, g_hi) <= _SWEEP_STOP:
@@ -196,7 +185,7 @@ def _descend(args):
 
 def periodic_orbit(ctx: GenFunContext, p: int, q: int,
                    starts: int = 16, seed: int = 0,
-                   workers: int | None = None) -> MinimalOrbit:
+                   workers: int = 1) -> MinimalOrbit:
     """Lowest-action stationary (p, q)-configuration over multi-start descent.
 
     Requires 1 < p/q < sigma - 1 (and sigma > 2).  Gaps are confined to the
@@ -204,9 +193,17 @@ def periodic_orbit(ctx: GenFunContext, p: int, q: int,
     polished by least-squares Newton; each converged orbit is labelled from
     its point of smallest t mod 1, with times[0] in [0, 1).  Actions within
     1e-13 relative count as tied, and a tie goes to the smaller times[0].
-    The seed picks the starts only.  workers=None takes the worker count
-    from BB_THREADS.
+    The seed picks the starts only, and the starts run one after another
+    (workers must be 1).
+
+    The result is the lowest action among the starts, not a proven minimum.
+    When q is about 20 a few starts can miss the minimal orbit: on the
+    find_member(1, 0.05, min_window=1) member at c = 1, (664, 21) with
+    starts=8 gives three stationary orbits of different action for seeds 0,
+    1 and 2, and only seed 0's is the lowest of the three.
     """
+    if workers != 1:
+        raise PreconditionError(f"starts run serially: workers must be 1, got {workers}")
     if q < 1:
         raise PreconditionError(f"q must be positive, got {q}")
     if starts < 1 or seed < 0:
@@ -232,18 +229,9 @@ def periodic_orbit(ctx: GenFunContext, p: int, q: int,
         jitter = rng.uniform(-amp, amp, size=q)
         configs.append([t0 + base[j] + float(jitter[j]) for j in range(q)])
 
-    if workers is None:
-        workers = _env_workers()
-    tasks = [(ctx, p, ts0, g_lo, g_hi) for ts0 in configs]
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_descend, tasks))
-    else:
-        outcomes = [_descend(t) for t in tasks]
-
     converged = []
     diagnostics = []
-    for ts, residual in outcomes:
+    for ts, residual in (_descend(ctx, p, ts0, g_lo, g_hi) for ts0 in configs):
         diagnostics.append(residual)
         if residual <= _RESIDUAL_TOL:
             ts = _canonical(ts, p)
@@ -298,7 +286,7 @@ def convergents(omega: float, denom_cap: int):
 
 def hull_samples(ctx: GenFunContext, omega: float, denom_cap: int = 64,
                  starts: int = 8, seed: int = 0,
-                 workers: int | None = None) -> HullSample:
+                 workers: int = 1) -> HullSample:
     """Hull-function samples from the best rational convergent p/q of omega.
 
     For rational omega (within float resolution) this is the periodic

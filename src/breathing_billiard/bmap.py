@@ -3,7 +3,9 @@
 States are (t, K) with t the bounce time (real lift) and K = d1 h(t, t1)
 the action variable.  The forward map solves d1 h(t0, .) = K0 for the next
 bounce time (unique root: d1 h is strictly decreasing in its second slot and
-blows up as the gap closes) and sets K1 = -d2 h(t0, t1).  The map is defined
+blows up as the gap closes) and sets K1 = -d2 h(t0, t1); the backward map
+solves -d2 h(., t1) = K1 the same way.  Both directions, warm or cold, are
+one bracketed Newton solve (_search.solve_monotone).  The map is defined
 for K above the cutoff sigma_star = max_t d1 h(t, t + sigma); images may
 leave that domain.  Orbit is the one loop that iterates the map: it checks
 the domain before every step and reports why an orbit stopped.
@@ -66,83 +68,42 @@ _STRIP_TEXT = {1: ("window exhaustion: d1 h(t0, t0+sigma)", "K0", "(t0, t0+sigma
 
 def _strip_root(ctx: GenFunContext, f, fprime, anchor: float, direction: int,
                 target: float, guess: float | None = None) -> float:
-    """Root of f between anchor and anchor + direction * sigma.
+    """Root of f on the strip from anchor + direction * sigma * _EDGE to
+    anchor + direction * sigma.
 
     f is the defining equation of one map direction, offset by its target
-    action: positive where the gap closes, so at the far edge it must be
-    negative, or the target would need a flight longer than sigma.  The near
-    end of the bracket sits sigma * _EDGE from the anchor and moves closer by
-    1e-3 up to five times.
+    action: it falls away from the anchor, from positive where the gap
+    closes.  The far edge is evaluated only to word the error when there is
+    no root: a target that needs a flight longer than sigma, or one whose
+    root lies within sigma * _EDGE of the anchor.
     """
-    edge, name, strip = _STRIP_TEXT[direction]
+    near = anchor + direction * (ctx.sigma * _EDGE)
     far = anchor + direction * ctx.sigma
+    lo, hi = (near, far) if direction > 0 else (far, near)
+    noise = 16.0 * 2.3e-16 * max(1.0, abs(target))  # of f: 16 ulp of the action
+    root, found = solve_monotone(f, fprime, lo, hi, direction > 0, noise, guess)
+    if found:
+        return root
+    edge, name, strip = _STRIP_TEXT[direction]
     f_far = f(far)
     if f_far >= 0.0:
         raise DomainError(f"{edge} = {f_far + target} >= {name} = {target}")
-    off = ctx.sigma * _EDGE
-    for _ in range(6):
-        near = anchor + direction * off
-        f_near = f(near)
-        if f_near > 0.0:
-            break
-        off *= 1e-3
-    else:
-        raise DomainError(f"no bracket for {name} = {target} in {strip}")
-    if direction > 0:
-        return solve_monotone(f, fprime, near, far, f_near, f_far, guess=guess)
-    return solve_monotone(f, fprime, far, near, f_far, f_near, guess=guess)
+    raise DomainError(f"no bracket for {name} = {target} in {strip}")
 
 
 def _solve_forward_time(ctx: GenFunContext, t0: float, K0: float,
                         guess: float | None = None) -> float:
-    """Unique t1 in (t0, t0 + sigma) with d1 h(t0, t1) = K0.
+    """Unique t1 in (t0, t0 + sigma) with d1 h(t0, t1) = K0, for t0 in [0, 1).
 
-    Solved on the fundamental domain t0 in [0, 1): generating-function
-    periodicity makes the shift exact, and it keeps root precision
-    independent of how far the orbit lift has travelled.
+    A guess (the warm start of an orbit) only moves the first iterate: warm
+    and cold starts run the same solve.
     """
-    shift = math.floor(t0)
-    if shift != 0:
-        return shift + _solve_forward_time(ctx, t0 - shift, K0,
-                                           guess=None if guess is None else guess - shift)
-    sigma = ctx.sigma
 
     def f(t1):
         return grad_h(ctx, t0, t1)[0] - K0
 
     def fprime(t1):
         return hess_h(ctx, t0, t1)[1]
-
-    def floor_estimate(x, d):
-        # achievable |f|: moving the root by one ulp changes f by |f'| ulp(x),
-        # plus the evaluation noise of f itself
-        return 4.0 * abs(d) * 2.3e-16 * max(1.0, abs(x)) \
-            + 16.0 * 2.3e-16 * max(1.0, abs(K0))
-
-    # warm start: pure Newton, valid whenever it converges inside the strip
-    # (f is strictly decreasing there, so any root found is the root)
-    if guess is not None and t0 < guess < t0 + sigma:
-        x = guess
-        best_x, best_f = x, math.inf
-        d = None
-        for _ in range(24):
-            fx = f(x)
-            if fx == 0.0:
-                return x
-            stalled = abs(fx) >= best_f
-            if not stalled:
-                best_x, best_f = x, abs(fx)
-            d = fprime(x)
-            if stalled and best_f <= floor_estimate(best_x, d):
-                return best_x  # converged to the rounding floor
-            if d == 0.0:
-                break
-            x_new = x - fx / d
-            if not (t0 < x_new < t0 + sigma) or x_new == x:
-                break
-            x = x_new
-        if d is not None and best_f <= floor_estimate(best_x, d):
-            return best_x
 
     return _strip_root(ctx, f, fprime, t0, 1, K0, guess=guess)
 
@@ -151,8 +112,11 @@ def forward(ctx: GenFunContext, s: CylinderState,
             t1_guess: float | None = None) -> CylinderState:
     """One forward step.  Requires s.K > sigma_star(ctx).
 
-    The image K may fall at or below sigma_star: the map domain is
-    one-sided, so iterability of the image is the caller's check.
+    The step is solved on the fundamental domain t0 in [0, 1):
+    generating-function periodicity makes the shift exact, and it keeps root
+    precision independent of how far the orbit lift has travelled.  The
+    image K may fall at or below sigma_star: the map domain is one-sided,
+    so iterability of the image is the caller's check.
     """
     s_star = sigma_star(ctx)
     if s.K <= s_star:
@@ -245,17 +209,15 @@ def backward(ctx: GenFunContext, s: CylinderState) -> CylinderState:
 def radial_velocity(ctx: GenFunContext, t: float, K: float) -> tuple[float, float]:
     """(rdot after bounce, rdot before bounce) at the state (t, K).
 
-    The outgoing velocity comes from the closed form of the connecting
-    flight; the incoming one follows from the elastic reflection law
-    rdot(-) = -rdot(+) + 2 Rdot(t).
+    Requires K > sigma_star(ctx).  The outgoing velocity is the inward root
+    of the action quadratic (rdot_plus_from_action); the incoming one
+    follows from the elastic reflection law rdot(-) = -rdot(+) + 2 Rdot(t).
     """
-    t1 = forward(ctx, CylinderState(t, K)).t
-    tau = t1 - t
-    r0, dr0, _ = ctx.profile.eval(t)
-    r1 = ctx.profile.radius(t1)
-    s = math.sqrt(r0 * r0 * r1 * r1 - ctx.c * ctx.c * tau * tau)
-    rdot_plus = -(r0 * r0 + s) / (r0 * tau)
-    return rdot_plus, -rdot_plus + 2.0 * dr0
+    s_star = sigma_star(ctx)
+    if K <= s_star:
+        raise DomainError(f"state below map domain: K = {K} <= sigma_star = {s_star}")
+    rdot_plus = rdot_plus_from_action(ctx, t, K)
+    return rdot_plus, -rdot_plus + 2.0 * ctx.profile.d_radius(t)
 
 
 def rdot_plus_from_action(ctx: GenFunContext, t: float, K: float) -> float:

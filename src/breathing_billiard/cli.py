@@ -5,7 +5,7 @@ certify, c0, lyapunov, portrait.  JSON goes to --out (default stdout) and
 embeds the config that produced it; bulk numeric series go to CSV files
 ('.' decimal, ',' separator, header row, config in a leading comment line).
 Exit codes: 0 success, 1 domain/precondition error, 2 convergence failure,
-64 usage error.  BB_THREADS caps worker parallelism of multi-start runs.
+64 usage error.
 """
 
 from __future__ import annotations
@@ -193,7 +193,10 @@ def _cmd_lyapunov(args):
             raise PreconditionError("--seeds needs --k-lo and --k-hi")
         rows = chaoscert.lyapunov_table(ctx, args.k_lo, args.k_hi,
                                         seeds=args.seeds, n=args.n, seed=args.seed)
-        return {"table": rows, "lambda_max": max(r["lambda"] for r in rows)}
+        # rows that took no step have no estimate (lambda NaN)
+        return {"table": rows,
+                "lambda_max": max((r["lambda"] for r in rows if r["steps"] > 0),
+                                  default=math.nan)}
     if args.t0 is None or args.K is None:
         raise PreconditionError("single-orbit mode needs --t0 and --K")
     est = chaoscert.lyapunov(ctx, CylinderState(args.t0, args.K), args.n)

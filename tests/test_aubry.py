@@ -44,11 +44,6 @@ class TestElResidual:
 
 
 class TestPeriodicOrbit:
-    def test_malformed_thread_count_runs_serially(self, static_ctx, monkeypatch):
-        serial = aubry.periodic_orbit(static_ctx, 3, 2, starts=4, seed=0, workers=1)
-        monkeypatch.setenv("BB_THREADS", "abc")
-        assert aubry.periodic_orbit(static_ctx, 3, 2, starts=4, seed=0) == serial
-
     def test_static_equal_spacing(self, static_ctx):
         orbit = aubry.periodic_orbit(static_ctx, 3, 2, starts=4, seed=0)
         gaps = orbit.gaps()
@@ -108,10 +103,14 @@ class TestPeriodicOrbit:
             assert orbit.times[0] == min(t % 1.0 for t in orbit.times)
             assert orbit.times == pytest.approx(orbits[0].times, abs=1e-12)
 
-    def test_worker_pool_matches_serial(self, member_ctx):
-        serial = aubry.periodic_orbit(member_ctx, 158, 5, starts=4, seed=9, workers=1)
-        pooled = aubry.periodic_orbit(member_ctx, 158, 5, starts=4, seed=9, workers=2)
-        assert pooled == serial
+    def test_starts_run_serially(self, static_ctx):
+        serial = aubry.periodic_orbit(static_ctx, 3, 2, starts=4, seed=0)
+        assert aubry.periodic_orbit(static_ctx, 3, 2, starts=4, seed=0, workers=1) == serial
+        for workers in (0, 2):
+            with pytest.raises(PreconditionError):
+                aubry.periodic_orbit(static_ctx, 3, 2, starts=4, seed=0, workers=workers)
+            with pytest.raises(PreconditionError):
+                aubry.hull_samples(static_ctx, 2.5, starts=4, seed=0, workers=workers)
 
     def test_rotation_window_precondition(self, static_ctx):
         with pytest.raises(PreconditionError):

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from breathing_billiard import bmap, genfun
+from breathing_billiard import _search, bmap, flight, genfun
 from breathing_billiard.bmap import CylinderState
 from breathing_billiard.errors import DomainError
 
@@ -14,6 +16,41 @@ def domain_states(ctx, count, seed, k_factor=(1.2, 4.0)):
     return [CylinderState(float(rng.uniform(0, 1)),
                           float(rng.uniform(k_factor[0] * s_star, k_factor[1] * s_star)))
             for _ in range(count)]
+
+
+class TestSolveMonotone:
+    @staticmethod
+    def recorded(f, calls):
+        def g(x):
+            calls.append(x)
+            return f(x)
+        return g
+
+    def test_guess_outside_bracket_starts_at_midpoint(self):
+        calls = []
+        root, found = _search.solve_monotone(self.recorded(lambda x: x ** 3 - 2.0, calls),
+                                             lambda x: 3.0 * x * x, 0.0, 4.0,
+                                             decreasing=False, noise=0.0, guess=10.0)
+        assert calls[0] == 2.0
+        assert found and root == pytest.approx(2.0 ** (1 / 3), rel=4e-16)
+
+    @pytest.mark.parametrize("decreasing, end", [(False, 0.0), (True, 1.0)])
+    def test_no_root_is_not_found(self, decreasing, end):
+        # f > 0 on the whole bracket [0, 1]: it collapses onto the end nearest the root
+        slope = -1.0 if decreasing else 1.0
+        root, found = _search.solve_monotone(lambda x: 1.5 + slope * (x - 0.5),
+                                             lambda x: slope, 0.0, 1.0,
+                                             decreasing=decreasing, noise=1e-15)
+        assert not found and root == pytest.approx(end, abs=1e-15)
+
+    def test_returns_at_the_floor(self):
+        calls = []
+        root, found = _search.solve_monotone(self.recorded(lambda x: 1.0 / x - 0.3, calls),
+                                             lambda x: -1.0 / (x * x), 0.1, 10.0,
+                                             decreasing=True, noise=1e-16, guess=3.0)
+        assert found and abs(root - 10.0 / 3.0) <= 2 * math.ulp(10.0 / 3.0)
+        # Newton's quadratic convergence, then one evaluation that does not improve
+        assert len(calls) <= 8
 
 
 class TestSigmaStar:
@@ -125,12 +162,17 @@ class TestRadialVelocity:
             plus, _ = bmap.radial_velocity(member_ctx, s.t, s.K)
             assert plus < min(0.0, member_ctx.profile.d_radius(s.t))
 
-    def test_matches_quadratic_closed_form(self, member_ctx):
+    def test_matches_flight_closed_form(self, member_ctx):
+        # rdot(t+) of the step's flight segment, from the solved bounce time
         for s in domain_states(member_ctx, 100, seed=7):
             plus, _ = bmap.radial_velocity(member_ctx, s.t, s.K)
-            assert plus == pytest.approx(
-                bmap.rdot_plus_from_action(member_ctx, s.t, s.K),
-                rel=1e-10)
+            seg = flight.make_segment(member_ctx.profile, s.t, bmap.forward(member_ctx, s).t,
+                                      member_ctx.c)
+            assert plus == pytest.approx(flight.flight_state(seg, s.t)[1], rel=1e-10)
+
+    def test_below_domain_raises(self, member_ctx):
+        with pytest.raises(DomainError):
+            bmap.radial_velocity(member_ctx, 0.3, bmap.sigma_star(member_ctx))
 
 
 class TestJacobian:

@@ -1,9 +1,10 @@
 import json
+import math
 import os
 
 import pytest
 
-from breathing_billiard import cli
+from breathing_billiard import chaoscert, cli
 
 CONST = '{"mean": 1, "harmonics": []}'
 MEMBER = '{"mean": 9000, "harmonics": [[1, 0.05]]}'
@@ -224,6 +225,20 @@ class TestCertifyCommands:
         assert all(abs(r["lambda"]) < 0.05 for r in res["table"])
         assert all(r["reason"] is None for r in res["table"])
 
+    @pytest.mark.parametrize("steps", [(0, 5, 3), (0, 0)], ids=["step-0-row-first", "no-steps"])
+    def test_lyapunov_max_skips_rows_without_steps(self, monkeypatch, capsys, steps):
+        # a row that took no step has lambda NaN; where it sits must not matter
+        rows = [{"seed_index": i, "t0": 0.5, "K0": 2.0, "lambda": 0.1 * n if n else math.nan,
+                 "steps": n, "completed": n > 0, "reason": None if n else "failed"}
+                for i, n in enumerate(steps)]
+        monkeypatch.setattr(chaoscert, "lyapunov_table", lambda *args, **kwargs: rows)
+        code = run_cli(["lyapunov", "--profile", CONST, "--c", "0.05", "--sigma", "4.0",
+                        "--n", "5", "--seeds", str(len(rows)), "--seed", "0", "--k-lo", "1.0",
+                        "--k-hi", "3.0"])
+        assert code == 0
+        res = json.loads(capsys.readouterr().out)["result"]
+        assert res["lambda_max"] == (0.5 if any(steps) else None)
+
     def test_lyapunov_single(self, tmp_path):
         out = tmp_path / "lyap.json"
         code = run_cli(["lyapunov", "--profile", CONST, "--eps", "0.5", "--c", "0.05",
@@ -286,12 +301,13 @@ class TestRejectedInput:
          "--seed", "0", "--t0", "nan", "--K", "2.0"],
         FLIGHT + ["--t0", "nan", "--t1", "1.0"],
         FLIGHT + ["--t0", "0.0", "--t1", "1.0", "--dt", "nan", "--csv", os.devnull],
+        ["map", "--profile", MEMBER, "--c", "1.0", "--t0", "0.3", "--K", "1e40"],
     ], ids=["certify-omega-grid-0", "certify-k-samples-0", "certify-k-samples-1",
             "c0-omega-grid-0", "hull-denom-cap-0", "orbit-starts-0", "lyapunov-seeds-neg",
             "orbit-seed-neg", "hull-seed-neg", "lyapunov-table-seed-neg",
             "portrait-t-count-neg", "portrait-k-count-neg", "map-t0-nan",
             "map-inverse-t0-nan", "map-t0-inf", "map-K-nan", "simulate-t0-nan",
-            "lyapunov-t0-nan", "flight-t0-nan", "flight-dt-nan"])
+            "lyapunov-t0-nan", "flight-t0-nan", "flight-dt-nan", "map-K-near-edge"])
     def test_precondition_exit(self, argv, capsys):
         assert run_cli(argv) == 1
         assert capsys.readouterr().err.startswith("error: ")

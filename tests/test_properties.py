@@ -7,6 +7,7 @@ the same verdict on every run.
 """
 
 import dataclasses
+import math
 
 from hypothesis import given, settings, strategies as st
 
@@ -49,6 +50,36 @@ def test_backward_inverts_forward(profile, c_share, t, k_factor):
     back = bmap.backward(ctx, bmap.forward(ctx, s))
     assert abs(back.t - s.t) <= 1e-12
     assert abs(back.K - s.K) <= 1e-12 * s.K
+
+
+def _floor(ctx, t0, t1, x, K):
+    """Rounding floor of a map solve: 4 |d12 h| ulp(x) plus 16 ulp of the action."""
+    return 4.0 * abs(genfun.hess_h(ctx, t0, t1)[1]) * 2.3e-16 * max(1.0, abs(x)) \
+        + 16.0 * 2.3e-16 * max(1.0, abs(K))
+
+
+@PROPERTY
+@given(**cases)
+def test_solves_reach_the_rounding_floor(profile, c_share, t, k_factor):
+    ctx = _context(profile, c_share)
+    s = _state(ctx, t, k_factor)
+    image = bmap.forward(ctx, s)
+    t1 = image.t
+    assert abs(genfun.grad_h(ctx, s.t, t1)[0] - s.K) <= _floor(ctx, s.t, t1, t1, s.K)
+    # backward is solved at the image, which has a preimage by construction
+    t0 = bmap.backward(ctx, image).t
+    assert abs(-genfun.grad_h(ctx, t0, t1)[1] - image.K) <= _floor(ctx, t0, t1, t0, image.K)
+
+
+@PROPERTY
+@given(**cases, shift=st.floats(-0.2, 0.2))
+def test_warm_step_agrees_with_cold(profile, c_share, t, k_factor, shift):
+    ctx = _context(profile, c_share)
+    s = _state(ctx, t, k_factor)
+    t1, K1 = bmap._step(ctx, s.t, s.K, None)
+    warm_t1, warm_K1 = bmap._step(ctx, s.t, s.K, t1 + shift * (t1 - s.t))
+    assert abs(warm_t1 - t1) <= 4 * math.ulp(t1)
+    assert abs(warm_K1 - K1) <= 1e-12 * K1
 
 
 @PROPERTY
