@@ -51,10 +51,6 @@ class MinimalOrbit:
     residual: float
     monotone: bool
 
-    @property
-    def omega(self) -> float:
-        return self.p / self.q
-
     def gaps(self) -> list[float]:
         ts = list(self.times) + [self.times[0] + self.p]
         return [ts[i + 1] - ts[i] for i in range(self.q)]

@@ -85,7 +85,6 @@ class LyapunovEstimate:
     lam: float
     steps: int
     completed: bool
-    log_norms: tuple[float, ...] | None = None
     reason: str | None = None  # why the orbit stopped short of n steps
 
 
@@ -348,31 +347,25 @@ def _monotone(tested):
     return True
 
 
-def lyapunov(ctx: GenFunContext, s0: CylinderState, n: int,
-             store_norms: bool = False) -> LyapunovEstimate:
+def lyapunov(ctx: GenFunContext, s0: CylinderState, n: int) -> LyapunovEstimate:
     """Largest Lyapunov exponent estimate along the orbit of s0.
 
     One tangent vector is pushed by the map Jacobian and renormalised each
-    step; lam is the average of the stored log-norms.  An orbit leaving the
+    step; lam is the average of the log-norms.  An orbit leaving the
     map domain yields a partial estimate with the reason attached.
     """
     orbit = bmap.Orbit(ctx, s0, n)
     v = (1.0, 0.0)
     total = 0.0
-    norms = [] if store_norms else None
     for _, frac, K, t1, _ in orbit:
         # det J = 1, so the pushed unit vector never has zero norm
         v = bmap.jacobian(ctx, CylinderState(frac, K), t1=t1).apply(v)
         norm = math.hypot(v[0], v[1])
-        log_norm = math.log(norm)
-        total += log_norm
-        if norms is not None:
-            norms.append(log_norm)
+        total += math.log(norm)
         v = (v[0] / norm, v[1] / norm)
     steps = orbit.steps
     return LyapunovEstimate(lam=total / steps if steps else math.nan, steps=steps,
-                            completed=orbit.reason is None, reason=orbit.reason,
-                            log_norms=tuple(norms) if norms is not None else None)
+                            completed=orbit.reason is None, reason=orbit.reason)
 
 
 def lyapunov_table(ctx: GenFunContext, k_lo: float, k_hi: float,

@@ -100,9 +100,17 @@ def validate_window(t0: float, t1: float, c: float, profile: RadiusProfile,
                         slope_limit=slope, curvature_limit=curvature)
 
 
-def _endpoints(t0: float, t1: float, c: float,
-               profile: RadiusProfile) -> tuple[float, float, float, float]:
-    """(tau, R0, R1, S) of the flight, S = sqrt(R0^2 R1^2 - c^2 tau^2)."""
+def make_segment(profile: RadiusProfile, t0: float, t1: float, c: float,
+                 theta0: float = 0.0) -> FlightSegment:
+    """The admissible flight from t0 to t1, with R evaluated once per endpoint.
+
+    With S = sqrt(R0^2 R1^2 - c^2 tau^2), A = (R0^2 + R1^2 + 2 S) / tau^2 and
+    the inward branch A (t0 + B) = -(R0^2 + S) / tau; the outward branch
+    never yields a bouncing solution and is discarded.  The polar angle
+    advances by pi - arctan(c tau / S).
+    """
+    if not t1 > t0:
+        raise PreconditionError(f"need t1 > t0, got {t0}, {t1}")
     tau = t1 - t0
     r0 = profile.radius(t0)
     r1 = profile.radius(t1)
@@ -110,38 +118,13 @@ def _endpoints(t0: float, t1: float, c: float,
     if disc <= 0.0:
         raise DomainError(
             f"window violation: R0^2 R1^2 - c^2 tau^2 = {disc} <= 0 for tau = {tau}")
-    return tau, r0, r1, math.sqrt(disc)
-
-
-def flight_coeffs(t0: float, t1: float, c: float,
-                  profile: RadiusProfile) -> tuple[float, float, float]:
-    """(A, B, ell_minus) of the admissible flight from t0 to t1.
-
-    ell_minus = A*(t0+B) is the inward branch of the endpoint condition;
-    the outward branch never yields a bouncing solution and is discarded.
-    """
-    if not t1 > t0:
-        raise PreconditionError(f"need t1 > t0, got {t0}, {t1}")
-    tau, r0, r1, s = _endpoints(t0, t1, c, profile)
-    a = (r0 * r0 + r1 * r1 + 2.0 * s) / (tau * tau)
-    b_off = -(t0 + (r0 * r0 + s) / (tau * a))
-    ell = -(r0 * r0 + s) / tau
-    return a, b_off, ell
-
-
-def angular_advance(t0: float, t1: float, c: float, profile: RadiusProfile) -> float:
-    """Polar-angle advance over one flight: pi - arctan(c tau / sqrt(disc))."""
     if c < 0:
         raise PreconditionError("angular momentum must be >= 0")
-    tau, _, _, s = _endpoints(t0, t1, c, profile)
-    return math.pi - math.atan(c * tau / s)
-
-
-def make_segment(profile: RadiusProfile, t0: float, t1: float, c: float,
-                 theta0: float = 0.0) -> FlightSegment:
-    a, b_off, _ = flight_coeffs(t0, t1, c, profile)
+    s = math.sqrt(disc)
+    a = (r0 * r0 + r1 * r1 + 2.0 * s) / (tau * tau)
+    b_off = -(t0 + (r0 * r0 + s) / (tau * a))
     return FlightSegment(t0=t0, t1=t1, c=c, A=a, B=b_off, theta0=theta0,
-                         dtheta=angular_advance(t0, t1, c, profile))
+                         dtheta=math.pi - math.atan(c * tau / s))
 
 
 def flight_state(seg: FlightSegment, t: float) -> tuple[float, float, float]:

@@ -38,11 +38,18 @@ class RadiusProfile:
     def __post_init__(self):
         if self.mean <= 0:
             raise PreconditionError(f"mean radius must be positive, got {self.mean}")
-        harm = tuple((int(k), float(d)) for k, d in self.harmonics)
-        object.__setattr__(self, "harmonics", harm)
-        for k, _ in harm:
-            if k < 1:
+        if not math.isfinite(self.mean):
+            raise PreconditionError(f"mean radius must be finite, got {self.mean}")
+        harm = []
+        for k, d in self.harmonics:
+            # a whole float such as 1.0 is the integer 1; 1.7 is no frequency
+            k_float, d = float(k), float(d)
+            if not (k_float.is_integer() and k_float >= 1):
                 raise PreconditionError(f"harmonic frequency must be a positive integer, got {k}")
+            if not math.isfinite(d):
+                raise PreconditionError(f"harmonic amplitude must be finite, got {d}")
+            harm.append((int(k_float), d))
+        object.__setattr__(self, "harmonics", tuple(harm))
         if sum(abs(d) for _, d in harm) >= self.mean:
             raise PreconditionError("profile not strictly positive: mean <= sum |amplitudes|")
 
@@ -99,8 +106,8 @@ class RadiusProfile:
         try:
             obj = json.loads(text)
             return cls(mean=float(obj["mean"]),
-                       harmonics=tuple((int(k), float(d)) for k, d in obj.get("harmonics", [])))
-        except (KeyError, TypeError, ValueError) as exc:
+                       harmonics=tuple((k, d) for k, d in obj.get("harmonics", [])))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise PreconditionError(f"malformed profile literal: {exc}") from exc
 
 

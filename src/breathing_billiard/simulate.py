@@ -42,10 +42,6 @@ class RunResult:
     completed: bool
     reason: str | None = None
 
-    @property
-    def states(self) -> list[CylinderState]:
-        return [CylinderState(r.t, r.K) for r in self.records]
-
 
 def run(ctx: GenFunContext, s0: CylinderState, n: int) -> RunResult:
     """Iterate the map n steps from s0, building per-bounce segments.

@@ -270,8 +270,9 @@ PORTRAIT = ["portrait", "--profile", CONST, "--c", "0.05", "--sigma", "4.0",
 
 
 class TestRejectedInput:
-    # each used to end in a traceback (or, for a NaN flight time, in exit
-    # code 0 with NaN output) instead of exit code 1
+    # each used to end in a traceback (or, for a NaN flight time, a
+    # fractional frequency or an infinite mean, in exit code 0 with
+    # truncated or non-finite output) instead of exit code 1
     @pytest.mark.parametrize("argv", [
         ["certify", "--profile", MEMBER, "--c", "1.0", "--omega-grid", "0"],
         ["certify", "--profile", MEMBER, "--c", "1.0", "--k-samples", "0"],
@@ -302,12 +303,19 @@ class TestRejectedInput:
         FLIGHT + ["--t0", "nan", "--t1", "1.0"],
         FLIGHT + ["--t0", "0.0", "--t1", "1.0", "--dt", "nan", "--csv", os.devnull],
         ["map", "--profile", MEMBER, "--c", "1.0", "--t0", "0.3", "--K", "1e40"],
+        ["classify", "--profile", '{"mean": 754, "harmonics": [[1.7, 0.05]]}'],
+        ["flight", "--profile", '{"mean": Infinity, "harmonics": [[1, 0.05]]}',
+         "--c", "0", "--t0", "0", "--t1", "1"],
+        ["classify", "--profile", '{"mean": 754, "harmonics": [[1, NaN]]}'],
+        ["classify", "--profile", '{"mean": 754, "harmonics": [[1' + "0" * 400 + ', 0.05]]}'],
     ], ids=["certify-omega-grid-0", "certify-k-samples-0", "certify-k-samples-1",
             "c0-omega-grid-0", "hull-denom-cap-0", "orbit-starts-0", "lyapunov-seeds-neg",
             "orbit-seed-neg", "hull-seed-neg", "lyapunov-table-seed-neg",
             "portrait-t-count-neg", "portrait-k-count-neg", "map-t0-nan",
             "map-inverse-t0-nan", "map-t0-inf", "map-K-nan", "simulate-t0-nan",
-            "lyapunov-t0-nan", "flight-t0-nan", "flight-dt-nan", "map-K-near-edge"])
+            "lyapunov-t0-nan", "flight-t0-nan", "flight-dt-nan", "map-K-near-edge",
+            "profile-fractional-frequency", "profile-infinite-mean",
+            "profile-nan-amplitude", "profile-huge-frequency"])
     def test_precondition_exit(self, argv, capsys):
         assert run_cli(argv) == 1
         assert capsys.readouterr().err.startswith("error: ")

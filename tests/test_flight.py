@@ -56,15 +56,15 @@ class TestValidateWindow:
 
 class TestFlightCoeffs:
     def test_static_diameter(self, static_profile):
-        a, b, ell = flight.flight_coeffs(0.0, 2.0, 0.0, static_profile)
-        assert (a, b, ell) == (1.0, -1.0, -1.0)
         seg = flight.make_segment(static_profile, 0.0, 2.0, 0.0)
+        # A * (t0 + B) is the inward branch of the endpoint condition
+        assert (seg.A, seg.B, seg.A * (seg.t0 + seg.B)) == (1.0, -1.0, -1.0)
         r, _, _ = flight.flight_state(seg, 1.0)
         assert r == pytest.approx(0.0, abs=1e-15)
 
     def test_static_with_momentum(self, static_profile):
-        a, _, _ = flight.flight_coeffs(0.0, 1.0, 0.1, static_profile)
-        assert a == pytest.approx(2 + 2 * math.sqrt(0.99), rel=1e-14)
+        seg = flight.make_segment(static_profile, 0.0, 1.0, 0.1)
+        assert seg.A == pytest.approx(2 + 2 * math.sqrt(0.99), rel=1e-14)
 
     def test_endpoint_residuals(self, small_profile):
         for t0, t1 in random_valid_windows(small_profile, 0.3, EPS, 1000, seed=2):
@@ -76,7 +76,28 @@ class TestFlightCoeffs:
 
     def test_degenerate_discriminant_rejected(self, static_profile):
         with pytest.raises(DomainError):
-            flight.flight_coeffs(0.0, 11.0, 0.1, static_profile)
+            flight.make_segment(static_profile, 0.0, 11.0, 0.1)
+
+    def test_check_order(self, static_profile):
+        # ordering first, then the window, then the momentum sign
+        with pytest.raises(PreconditionError, match="t1 > t0"):
+            flight.make_segment(static_profile, 1.0, 1.0, -1.0)
+        with pytest.raises(DomainError, match="window violation"):
+            flight.make_segment(static_profile, 0.0, 11.0, -1.0)
+        with pytest.raises(PreconditionError, match="angular momentum"):
+            flight.make_segment(static_profile, 0.0, 1.0, -0.1)
+
+    def test_radius_evaluated_once_per_endpoint(self, small_profile):
+        class CountingProfile:
+            calls = 0
+
+            def radius(self, t):
+                CountingProfile.calls += 1
+                return small_profile.radius(t)
+
+        seg = flight.make_segment(CountingProfile(), 0.1, 0.9, 0.3)
+        assert CountingProfile.calls == 2
+        assert seg == flight.make_segment(small_profile, 0.1, 0.9, 0.3)
 
 
 class TestFlightState:
@@ -119,12 +140,12 @@ class TestFlightState:
 
 class TestAngularAdvance:
     def test_diameter(self, static_profile):
-        assert flight.angular_advance(0.0, 2.0, 0.0, static_profile) == math.pi
+        assert flight.make_segment(static_profile, 0.0, 2.0, 0.0).dtheta == math.pi
 
     def test_three_quarter_turn(self, static_profile):
         # c tau = R0 R1 / sqrt(2)  =>  advance exactly 3 pi / 4
         c = 1 / math.sqrt(2)
-        got = flight.angular_advance(0.0, 1.0, c, static_profile)
+        got = flight.make_segment(static_profile, 0.0, 1.0, c).dtheta
         assert got == pytest.approx(3 * math.pi / 4, rel=1e-14)
 
     def test_against_quadrature(self, static_profile, small_profile):
@@ -140,12 +161,11 @@ class TestAngularAdvance:
 
             oracle, err = quad(integrand, t0, t1, epsabs=1e-13, epsrel=1e-13)
             assert err < 1e-10
-            assert flight.angular_advance(t0, t1, c, profile) == pytest.approx(
-                oracle, abs=1e-9)
+            assert seg.dtheta == pytest.approx(oracle, abs=1e-9)
 
     def test_advance_range(self, small_profile):
         for t0, t1 in random_valid_windows(small_profile, 0.3, EPS, 200, seed=8):
-            adv = flight.angular_advance(t0, t1, 0.3, small_profile)
+            adv = flight.make_segment(small_profile, t0, t1, 0.3).dtheta
             assert math.pi / 2 < adv <= math.pi
 
 

@@ -36,6 +36,21 @@ class TestEval:
         with pytest.raises(PreconditionError):
             RadiusProfile(0.1, ((1, 0.2),))
 
+    def test_whole_float_frequency_is_an_integer(self):
+        p = RadiusProfile(9000.0, ((1.0, 0.05),))
+        assert p.harmonics == ((1, 0.05),)
+        assert type(p.harmonics[0][0]) is int
+
+    @pytest.mark.parametrize("mean, harmonics, field", [
+        (9000.0, ((1.7, 0.05),), "frequency"),
+        (math.inf, ((1, 0.05),), "mean"),
+        (math.nan, ((1, 0.05),), "mean"),
+        (9000.0, ((1, math.nan),), "amplitude"),
+    ])
+    def test_rejected_fields(self, mean, harmonics, field):
+        with pytest.raises(PreconditionError, match=field):
+            RadiusProfile(mean, harmonics)
+
     def test_json_round_trip(self):
         p = RadiusProfile(9000.0, ((1, 0.05),))
         assert RadiusProfile.from_json(p.to_json()) == p
