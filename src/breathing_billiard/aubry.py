@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -283,28 +282,24 @@ def convergents(omega: float, denom_cap: int):
 def hull_samples(ctx: GenFunContext, omega: float, denom_cap: int = 64,
                  starts: int = 8, seed: int = 0,
                  workers: int = 1) -> HullSample:
-    """Hull-function samples from the best rational convergent p/q of omega.
+    """Hull-function samples from the last in-window convergent p/q of omega
+    with q <= denom_cap.
 
-    For rational omega (within float resolution) this is the periodic
-    orbit itself; for irrational omega it is the standard approximation of
-    the Mather set by periodic minimal orbits, arranged in cyclic order.
+    The convergents of a rational omega end at omega itself, so there this is
+    the periodic orbit; for irrational omega it is the standard approximation
+    of the Mather set by periodic minimal orbits, arranged in cyclic order.
     """
-    if denom_cap < 1:
-        raise PreconditionError(f"denom_cap must be >= 1, got {denom_cap}")
     sigma = ctx.sigma
+    # checked before convergents, whose math.floor fails on a NaN omega
     if not (1.0 < omega < sigma - 1.0):
         raise PreconditionError(
             f"rotation number {omega} outside (1, sigma-1) = (1, {sigma - 1})")
-    frac = Fraction(omega).limit_denominator(denom_cap)
-    if abs(float(frac) - omega) < 1e-12:
-        p, q = frac.numerator, frac.denominator
-    else:
-        cands = [(pp, qq) for pp, qq in convergents(omega, denom_cap)
-                 if 1.0 < pp / qq < sigma - 1.0]
-        if not cands:
-            raise PreconditionError(
-                f"no convergent of {omega} with denominator <= {denom_cap} in window")
-        p, q = cands[-1]
+    cands = [(pp, qq) for pp, qq in convergents(omega, denom_cap)
+             if 1.0 < pp / qq < sigma - 1.0]
+    if not cands:
+        raise PreconditionError(
+            f"no convergent of {omega} with denominator <= {denom_cap} in window")
+    p, q = cands[-1]
     orbit = periodic_orbit(ctx, p, q, starts=starts, seed=seed, workers=workers)
     rot = p / q
     xs, phi, eta = [], [], []

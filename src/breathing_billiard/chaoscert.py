@@ -43,20 +43,23 @@ class KBand:
 
 @dataclass
 class ChaosCertificate:
+    """Outcome of certify.  A refusal keeps NaN or empty in the fields of the
+    stages it did not reach, and only the class verdict's margins."""
+
     profile: RadiusProfile
     eps: float
     c: float
-    t_witness: float
-    ddR_witness: float
-    omega_window: tuple[float, float]
-    bands: list[KBand]
-    k_range: tuple[float, float]
-    widen_margin: float
-    a_grid: list[tuple[float, float]]
-    a_max: float
-    certified: bool
+    margins: dict[str, float]
+    certified: bool = False
     reason: str | None = None
-    margins: dict[str, float] = field(default_factory=dict)
+    t_witness: float = math.nan
+    ddR_witness: float = math.nan
+    omega_window: tuple[float, float] = (math.nan, math.nan)
+    bands: list[KBand] = field(default_factory=list)
+    k_range: tuple[float, float] = (math.nan, math.nan)
+    widen_margin: float = math.nan
+    a_grid: list[tuple[float, float]] = field(default_factory=list)
+    a_max: float = math.nan
 
     def to_dict(self) -> dict:
         return {
@@ -107,18 +110,13 @@ def _verdict(profile: RadiusProfile, eps: float,
     return verdict
 
 
-def _strongest_witness(verdict: ClassVerdict) -> tuple[float, float]:
-    if verdict.klass != "R_tilde" or not verdict.witnesses:
-        raise PreconditionError("profile is not in class R_tilde")
-    return verdict.witnesses[0]
-
-
 def xi_interval(profile: RadiusProfile, eps: float,
                 verdict: ClassVerdict | None = None) -> tuple[float, float]:
     """Open rotation-number window attached to the strongest witness,
     intersected with (3, sigma - 1)."""
     verdict = _verdict(profile, eps, verdict)
-    _strongest_witness(verdict)  # raises unless the class is R_tilde
+    if verdict.klass != "R_tilde" or not verdict.witnesses:
+        raise PreconditionError("profile is not in class R_tilde")
     if verdict.window is None:
         raise PreconditionError("witness fails the deceleration condition")
     w_lo = max(verdict.window[0], 3.0)
@@ -207,43 +205,33 @@ def certify(profile: RadiusProfile, eps: float, c: float,
         raise PreconditionError(f"need omega_grid >= 1 and k_samples >= 2, got "
                                 f"{omega_grid} and {k_samples}")
 
-    def refused(reason, verdict=None, witness=(math.nan, math.nan),
-                window=(math.nan, math.nan), bands=()):
-        return ChaosCertificate(
-            profile=profile, eps=eps, c=c, t_witness=witness[0],
-            ddR_witness=witness[1], omega_window=window, bands=list(bands),
-            k_range=(math.nan, math.nan), widen_margin=math.nan, a_grid=[],
-            a_max=math.nan, certified=False, reason=reason,
-            margins=dict(verdict.margins) if verdict is not None else {})
-
     verdict = _verdict(profile, eps, verdict)
+    cert = ChaosCertificate(profile=profile, eps=eps, c=c, margins=dict(verdict.margins))
     if verdict.klass != "R_tilde":
-        return refused(f"profile class is {verdict.klass}, needs R_tilde", verdict)
-    witness = _strongest_witness(verdict)
-    t_bar, ddr = witness
+        cert.reason = f"profile class is {verdict.klass}, needs R_tilde"
+        return cert
+    t_bar, ddr = verdict.witnesses[0]
+    cert.t_witness, cert.ddR_witness = t_bar, ddr
     b = verdict.bounds
     c_max = eps * b.r_min ** 2 / b.sigma
     if not (0.0 < c < c_max):
-        return refused(f"momentum c = {c} outside (0, {c_max})", verdict, witness)
+        cert.reason = f"momentum c = {c} outside (0, {c_max})"
+        return cert
 
-    w_lo, w_hi = xi_interval(profile, eps, verdict)
+    w_lo, w_hi = cert.omega_window = xi_interval(profile, eps, verdict)
     omegas = np.linspace(w_lo, w_hi, omega_grid + 2)[1:-1]
-    bands = [k_band(profile, float(w), eps, verdict) for w in omegas]
+    bands = cert.bands = [k_band(profile, float(w), eps, verdict) for w in omegas]
 
     # chain margins of the band construction (positive = holds)
     floor_k = 2.0 * b.r_max ** 2 / b.sigma ** 2
     ceil_k = -ddr * b.r_min
-    chain_low = min(band.k_lo - floor_k for band in bands)
-    chain_high = min(ceil_k - band.k_hi for band in bands)
-    chain_order = min(band.k_hi - band.k_lo for band in bands)
-
-    ctx = make_context(profile, c, eps, bounds=b)
     margins = {
         "window_width": w_hi - w_lo,
-        "band_above_floor": chain_low,
-        "band_below_ceiling": chain_high,
-        "band_nonempty": chain_order,
+        "band_above_floor": min(band.k_lo - floor_k for band in bands),
+        "band_below_ceiling": min(ceil_k - band.k_hi for band in bands),
+        "band_nonempty": min(band.k_hi - band.k_lo for band in bands),
     }
+    ctx = make_context(profile, c, eps, bounds=b)
 
     # empirical widening: gap between exact diagnostic and its c->0 limit,
     # observed at the band edges of the omega grid
@@ -255,8 +243,8 @@ def certify(profile: RadiusProfile, eps: float, c: float,
                 lim, _ = alpha_limit(profile, t_bar, k_val, r_min=b.r_min)
                 gap = max(gap, abs(a_val - lim))
     except DomainError as exc:
-        return refused(f"diagnostic left the map domain on the band grid: {exc}",
-                       verdict, witness, (w_lo, w_hi), bands)
+        cert.reason = f"diagnostic left the map domain on the band grid: {exc}"
+        return cert
     widen = 2.0 * gap
 
     k_min = min(band.k_lo for band in bands) - widen
@@ -272,17 +260,16 @@ def certify(profile: RadiusProfile, eps: float, c: float,
         for k_val in ks:
             a_vals.append(a_exact(ctx, t_bar, float(k_val)))
     except DomainError as exc:
-        return refused(f"diagnostic left the map domain on the K grid: {exc}",
-                       verdict, witness, (w_lo, w_hi), bands)
+        cert.reason = f"diagnostic left the map domain on the K grid: {exc}"
+        return cert
     a_max = max(a_vals)
-    margins["a_max_negative"] = -a_max
-    margins.update(verdict.margins)
-
-    return ChaosCertificate(
-        profile=profile, eps=eps, c=c, t_witness=t_bar, ddR_witness=ddr,
-        omega_window=(w_lo, w_hi), bands=bands, k_range=(float(k_min), float(k_max)),
-        widen_margin=widen, a_grid=[(float(k), float(a)) for k, a in zip(ks, a_vals)],
-        a_max=a_max, certified=bool(a_max < 0.0), reason=None, margins=margins)
+    cert.margins = {**margins, "a_max_negative": -a_max, **verdict.margins}
+    cert.k_range = (float(k_min), float(k_max))
+    cert.widen_margin = widen
+    cert.a_grid = [(float(k), float(a)) for k, a in zip(ks, a_vals)]
+    cert.a_max = a_max
+    cert.certified = bool(a_max < 0.0)
+    return cert
 
 
 def c0_search(profile: RadiusProfile, eps: float, iters: int = 20,

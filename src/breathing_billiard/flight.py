@@ -86,11 +86,20 @@ class WindowReport:
         }
 
 
+def _check_arguments(t0: float, t1: float, c: float) -> None:
+    """Finite times t0 < t1 and a momentum c that is a number."""
+    if not t1 > t0:
+        raise PreconditionError(f"need t1 > t0, got {t0}, {t1}")
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise PreconditionError(f"flight times must be finite, got {t0}, {t1}")
+    if math.isnan(c):
+        raise PreconditionError(f"angular momentum c must be a number, got {c}")
+
+
 def validate_window(t0: float, t1: float, c: float, profile: RadiusProfile,
                     eps: float, b: ProfileBounds | None = None) -> WindowReport:
     """Check the three sufficient conditions for the flight to exist."""
-    if not t1 > t0:
-        raise PreconditionError(f"need t1 > t0, got {t0}, {t1}")
+    _check_arguments(t0, t1, c)
     if b is None:
         b = bounds(profile, eps)
     tau = t1 - t0
@@ -109,8 +118,7 @@ def make_segment(profile: RadiusProfile, t0: float, t1: float, c: float,
     never yields a bouncing solution and is discarded.  The polar angle
     advances by pi - arctan(c tau / S).
     """
-    if not t1 > t0:
-        raise PreconditionError(f"need t1 > t0, got {t0}, {t1}")
+    _check_arguments(t0, t1, c)
     tau = t1 - t0
     r0 = profile.radius(t0)
     r1 = profile.radius(t1)

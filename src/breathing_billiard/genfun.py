@@ -41,6 +41,8 @@ class GenFunContext:
     sigma: float
 
     def __post_init__(self):
+        if math.isnan(self.c):
+            raise PreconditionError(f"angular momentum c must be a number, got {self.c}")
         if self.c < 0:
             raise PreconditionError(f"angular momentum must be >= 0, got {self.c}")
         if not (math.isfinite(self.sigma) and self.sigma > 0):

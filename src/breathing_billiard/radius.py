@@ -150,10 +150,11 @@ class ProfileBounds:
 class ClassVerdict:
     """Outcome of the class-R / class-R_tilde test.
 
-    witnesses are the stationary points (t, Rddot(t)) that pass the full
-    per-point chain (deceleration, window ordering, curvature), sorted by
-    |Rddot| descending; margins hold the signed slack of every inequality,
-    evaluated at the strongest candidate witness (positive = satisfied).
+    witnesses are the stationary points (t, Rddot(t)) whose per-point chain
+    (deceleration, window ordering, curvature) has positive slack throughout,
+    sorted by |Rddot| descending; margins hold the signed slack of every
+    inequality (positive = satisfied), evaluated at the strongest witness, or
+    at the strongest stationary point when there is none.
     """
 
     klass: str  # "none" | "R" | "R_tilde"
@@ -234,33 +235,24 @@ def classify(profile: RadiusProfile, eps: float, grid_n: int = 4096) -> ClassVer
         return ClassVerdict(klass="R", witnesses=(), margins=margins,
                             bounds=b, degenerate=True)
 
-    stat = stationary_points(profile)
-    witnesses = []
-    candidates = []  # (|ddr|, t, ddr, window, margins-at-point)
     # rotation-number window of a stationary point with curvature ddr: its
     # lower edge needs the deceleration decel > 0, its upper edge is shared
     w_hi = -1.0 + math.sqrt(2.0 * b.r_min ** 2
                             / (2.0 * b.r_max ** 2 / b.sigma ** 2 + b.dR_norm * b.r_max))
-    for t_bar, ddr in stat:
+    points = []  # (t, ddr, window, signed slack of the per-point chain)
+    for t_bar, ddr in stationary_points(profile):
         decel = -(ddr * b.r_min + b.dR_norm * b.r_max)
         edges = (1.0 + math.sqrt(2.0 * b.r_max ** 2 / decel), w_hi) if decel > 0.0 else None
-        curvature = (-2.0 * b.r_max ** 2 / (b.sigma ** 2 * b.r_min)) - ddr
-        point = {
+        points.append((t_bar, ddr, edges, {
             "deceleration": decel,
             "window_above_3": (edges[0] - 3.0) if edges else -math.inf,
             "window_nonempty": (edges[1] - edges[0]) if edges else -math.inf,
-            "curvature": curvature,
-        }
-        ok = (decel > 0 and edges is not None
-              and 3.0 < edges[0] < edges[1] and curvature > 0)
-        candidates.append((abs(ddr), t_bar, ddr, edges, point))
-        if ok:
-            witnesses.append((abs(ddr), t_bar, ddr, edges, point))
-
-    pool = witnesses if witnesses else candidates
-    best = max(pool, key=lambda w: w[0])
-    margins = {"sigma_gt_2": b.sigma - 2.0, "sigma_gt_4": b.sigma - 4.0}
-    margins.update(best[4])
+            "curvature": (-2.0 * b.r_max ** 2 / (b.sigma ** 2 * b.r_min)) - ddr,
+        }))
+    points.sort(key=lambda pt: -abs(pt[1]))  # stable: ties keep their order
+    # all(), not min(): a NaN slack fails the chain wherever it sits
+    witnesses = [pt for pt in points if all(m > 0.0 for m in pt[3].values())]
+    best = (witnesses or points)[0]
 
     if b.sigma > 4.0 and witnesses:
         klass = "R_tilde"
@@ -268,13 +260,12 @@ def classify(profile: RadiusProfile, eps: float, grid_n: int = 4096) -> ClassVer
         klass = "R"
     else:
         klass = "none"
-    witnesses.sort(key=lambda w: -w[0])
     return ClassVerdict(
         klass=klass,
-        witnesses=tuple((w[1], w[2]) for w in witnesses),
-        margins=margins,
+        witnesses=tuple((t_bar, ddr) for t_bar, ddr, _, _ in witnesses),
+        margins={"sigma_gt_2": b.sigma - 2.0, "sigma_gt_4": b.sigma - 4.0, **best[3]},
         bounds=b,
-        window=best[3] if (witnesses and b.sigma > 4.0) else None,
+        window=best[2] if klass == "R_tilde" else None,
     )
 
 
@@ -329,6 +320,8 @@ def find_member(k: int, delta: float, eps: float,
     pipeline needs some width to work with, while the bare classifier accepts
     means whose window is arbitrarily thin.
     """
+    if min_window is not None and not math.isfinite(min_window):
+        raise PreconditionError(f"min_window must be finite, got {min_window}")
     lo_d, hi_d = delta_window(k)
     if k == 1:
         if eps >= single_harmonic_eps_max():

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -175,3 +176,46 @@ class TestHullSamples:
     def test_window_precondition(self, member_ctx):
         with pytest.raises(PreconditionError):
             aubry.hull_samples(member_ctx, 0.5, denom_cap=8, starts=2, seed=0)
+
+
+class TestChoiceOfPQ:
+    """hull_samples orbits the last in-window convergent p/q of omega.  For
+    omega within 1e-12 of a fraction with denominator <= denom_cap that is the
+    fraction itself, which Fraction.limit_denominator finds independently."""
+
+    @pytest.fixture
+    def chosen(self, static_ctx, monkeypatch):
+        # static_ctx has sigma = 4: the rotation window is (1, 3)
+        def stand_in(ctx, p, q, **kwargs):
+            return aubry.MinimalOrbit(p=p, q=q, times=tuple(n * p / q for n in range(q)),
+                                      Ks=(1.0,) * q, action=0.0, residual=0.0,
+                                      monotone=True)
+
+        monkeypatch.setattr(aubry, "periodic_orbit", stand_in)
+
+        def choose(omega, cap):
+            hull = aubry.hull_samples(static_ctx, omega, denom_cap=cap)
+            return hull.p, hull.q
+        return choose
+
+    @staticmethod
+    def oracle(omega, cap):
+        frac = Fraction(omega).limit_denominator(cap)
+        assert abs(float(frac) - omega) < 1e-12
+        return frac.numerator, frac.denominator
+
+    FRACTIONS = [(p, q) for q in range(1, 65) for p in range(q + 1, 3 * q)
+                 if math.gcd(p, q) == 1]
+
+    def test_rational_omega(self, chosen):
+        for p, q in self.FRACTIONS:
+            for cap in {q, 64, 1000}:
+                assert chosen(p / q, cap) == self.oracle(p / q, cap) == (p, q)
+
+    def test_near_rational_omega(self, chosen):
+        rng = np.random.default_rng(9)
+        for i in rng.integers(0, len(self.FRACTIONS), 2000):
+            p, q = self.FRACTIONS[i]
+            omega = p / q + float(rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-15, -12.5))
+            cap = int(rng.integers(q, 200))
+            assert chosen(omega, cap) == self.oracle(omega, cap) == (p, q)

@@ -3,6 +3,7 @@ import io
 import math
 import sys
 from contextlib import redirect_stdout
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -219,6 +220,55 @@ class TestCertify:
         cert = chaoscert.certify(profile, EPS, 2 * EPS * b.r_min**2 / b.sigma)
         assert not cert.certified
         assert "momentum" in cert.reason
+        # the refusal comes before the window: only the witness is filled in
+        assert cert.margins == verdict.margins
+        assert (cert.t_witness, cert.ddR_witness) == verdict.witnesses[0]
+        assert all(math.isnan(x) for x in cert.omega_window)
+        assert cert.bands == [] and cert.a_grid == []
+
+    @pytest.mark.parametrize("fail_at, stage", [(1, "band grid"), (2 * 5 + 1, "K grid")],
+                             ids=["band-grid", "K-grid"])
+    def test_domain_error_refusal(self, member, monkeypatch, fail_at, stage):
+        # a_exact leaves the map domain at its fail_at-th call: the band edges
+        # of the omega grid take the first 2 * omega_grid calls, the K grid
+        # the rest; the refusal keeps the stages it reached
+        profile, _, verdict = member
+        calls = []
+        original = chaoscert.a_exact
+
+        def a_exact(ctx, t_bar, K):
+            calls.append(K)
+            if len(calls) == fail_at:
+                raise DomainError("no bracket")
+            return original(ctx, t_bar, K)
+
+        monkeypatch.setattr(chaoscert, "a_exact", a_exact)
+        cert = chaoscert.certify(profile, EPS, 1.0, omega_grid=5, k_samples=9,
+                                 verdict=verdict)
+        assert len(calls) == fail_at
+        assert cert.reason == f"diagnostic left the map domain on the {stage}: no bracket"
+        assert not cert.certified
+        assert cert.margins == verdict.margins
+        assert (cert.t_witness, cert.ddR_witness) == verdict.witnesses[0]
+        assert cert.omega_window == chaoscert.xi_interval(profile, EPS, verdict)
+        assert len(cert.bands) == 5
+        assert all(math.isnan(x) for x in (*cert.k_range, cert.widen_margin, cert.a_max))
+        assert cert.a_grid == []
+
+    def test_k_range_clamped_above_sigma_star(self):
+        # on this two-harmonic member at 0.9 c_max the widened band union
+        # reaches below the map domain, so the K grid starts at sigma_star
+        mean, verdict = radius.find_member(5, 0.01, EPS)
+        profile = radius.family_profile(5, 0.01, mean)
+        b = verdict.bounds
+        c = 0.9 * EPS * b.r_min ** 2 / b.sigma
+        cert = chaoscert.certify(profile, EPS, c, omega_grid=7, k_samples=33,
+                                 verdict=verdict)
+        s_star = bmap.sigma_star(genfun.make_context(profile, c, EPS, bounds=b))
+        assert cert.reason is None
+        assert cert.margins["k_range_clamped_at"] == s_star
+        assert cert.k_range[0] == s_star * (1.0 + 1e-9) == cert.a_grid[0][0]
+        assert min(band.k_lo for band in cert.bands) - cert.widen_margin <= s_star
 
     def test_deterministic_serialisation(self, member):
         import json
@@ -300,6 +350,23 @@ class TestC0Search:
         res = chaoscert.c0_search(static_profile, EPS)
         assert res.c0 is None
         assert res.reason is not None
+
+    def test_no_certified_momentum(self, member, monkeypatch):
+        # every verdict refused: c_max, then 40 halvings, then the report
+        profile, _, _ = member
+        monkeypatch.setattr(chaoscert, "certify",
+                            lambda *args, **kwargs: SimpleNamespace(certified=False))
+        res = chaoscert.c0_search(profile, EPS)
+        assert res.c0 is None
+        assert len(res.tested) == 41 and not any(good for _, good in res.tested)
+        assert res.tested[-1][0] == res.tested[0][0] * 0.5 ** 40
+        assert res.reason == f"no certified momentum found down to {res.tested[-1][0]}"
+        assert res.monotone_observed
+
+    def test_monotone_means_no_success_above_a_failure(self):
+        assert chaoscert._monotone([(0.4, False), (0.1, True), (0.2, True)])
+        assert chaoscert._monotone([])
+        assert not chaoscert._monotone([(0.4, True), (0.1, True), (0.2, False)])
 
 
 class TestLyapunov:

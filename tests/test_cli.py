@@ -4,7 +4,8 @@ import os
 
 import pytest
 
-from breathing_billiard import chaoscert, cli
+from breathing_billiard import aubry, chaoscert, cli
+from breathing_billiard.errors import ConvergenceError
 
 CONST = '{"mean": 1, "harmonics": []}'
 MEMBER = '{"mean": 9000, "harmonics": [[1, 0.05]]}'
@@ -162,6 +163,41 @@ class TestOrbitCommands:
         res = read_json(out)["result"]
         assert res["q"] == 2 and res["p"] == 5
 
+    @pytest.mark.parametrize("command, header, columns", [
+        (["orbit", "--p", "3", "--q", "2", "--sigma", "4.0"], "n,t,K", ("times", "Ks")),
+        (["hull", "--omega", "2.5", "--denom-cap", "8", "--sigma", "8.0"], "xi,phi,eta",
+         ("xs", "phi", "eta")),
+    ], ids=["orbit", "hull"])
+    def test_csv_matches_json(self, tmp_path, command, header, columns):
+        out, csv_path = tmp_path / "res.json", tmp_path / "res.csv"
+        code = run_cli(command + ["--profile", CONST, "--c", "0.0", "--starts", "4",
+                                  "--seed", "7", "--csv", str(csv_path), "--out", str(out)])
+        assert code == 0
+        lines = csv_path.read_text().strip().splitlines()
+        config = json.loads(lines[0][len("# config:"):])
+        assert config == read_json(out)["config"] and "csv" not in config
+        assert lines[1] == header
+        rows = [line.split(",") for line in lines[2:]]
+        res = read_json(out)["result"]
+        assert len(rows) == res["q"] == 2
+        # the last len(columns) CSV columns are the JSON series, written by repr
+        for j, key in enumerate(columns, start=len(rows[0]) - len(columns)):
+            assert [float(r[j]) for r in rows] == res[key]
+
+    def test_convergence_failure_exit(self, monkeypatch, capsys):
+        def no_start_converged(*args, **kwargs):
+            raise ConvergenceError("no start converged below residual 1e-08",
+                                   {"starts": 4, "best_residual": 0.5})
+
+        monkeypatch.setattr(aubry, "periodic_orbit", no_start_converged)
+        code = run_cli(["orbit", "--profile", CONST, "--c", "0.0", "--sigma", "4.0",
+                        "--p", "3", "--q", "2", "--starts", "4", "--seed", "7"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("convergence failure: no start converged below residual "
+                                "1e-08 {'starts': 4, 'best_residual': 0.5}\n")
+
 
 class TestCertifyCommands:
     def test_certify_json(self, tmp_path):
@@ -265,14 +301,16 @@ class TestCertifyCommands:
 
 MAP = ["map", "--profile", CONST, "--c", "0.0", "--sigma", "4.0"]
 FLIGHT = ["flight", "--profile", CONST, "--c", "0.1"]
+BREATHING = '{"mean": 754, "harmonics": [[1, 0.05]]}'
 PORTRAIT = ["portrait", "--profile", CONST, "--c", "0.05", "--sigma", "4.0",
             "--k-hi", "3.0", "--n", "5", "--csv", os.devnull]
 
 
 class TestRejectedInput:
     # each used to end in a traceback (or, for a NaN flight time, a
-    # fractional frequency or an infinite mean, in exit code 0 with
-    # truncated or non-finite output) instead of exit code 1
+    # fractional frequency, an infinite mean, a NaN flight momentum or a NaN
+    # min_window, in exit code 0 with truncated, non-finite or unasked-for
+    # output) instead of exit code 1
     @pytest.mark.parametrize("argv", [
         ["certify", "--profile", MEMBER, "--c", "1.0", "--omega-grid", "0"],
         ["certify", "--profile", MEMBER, "--c", "1.0", "--k-samples", "0"],
@@ -308,6 +346,9 @@ class TestRejectedInput:
          "--c", "0", "--t0", "0", "--t1", "1"],
         ["classify", "--profile", '{"mean": 754, "harmonics": [[1, NaN]]}'],
         ["classify", "--profile", '{"mean": 754, "harmonics": [[1' + "0" * 400 + ', 0.05]]}'],
+        ["flight", "--profile", BREATHING, "--c", "nan", "--t0", "0", "--t1", "1"],
+        ["flight", "--profile", BREATHING, "--c", "0", "--t0", "0", "--t1", "inf"],
+        ["find-member", "--k", "1", "--delta", "0.05", "--min-window", "nan"],
     ], ids=["certify-omega-grid-0", "certify-k-samples-0", "certify-k-samples-1",
             "c0-omega-grid-0", "hull-denom-cap-0", "orbit-starts-0", "lyapunov-seeds-neg",
             "orbit-seed-neg", "hull-seed-neg", "lyapunov-table-seed-neg",
@@ -315,7 +356,8 @@ class TestRejectedInput:
             "map-inverse-t0-nan", "map-t0-inf", "map-K-nan", "simulate-t0-nan",
             "lyapunov-t0-nan", "flight-t0-nan", "flight-dt-nan", "map-K-near-edge",
             "profile-fractional-frequency", "profile-infinite-mean",
-            "profile-nan-amplitude", "profile-huge-frequency"])
+            "profile-nan-amplitude", "profile-huge-frequency", "flight-c-nan",
+            "flight-t1-inf", "find-member-min-window-nan"])
     def test_precondition_exit(self, argv, capsys):
         assert run_cli(argv) == 1
         assert capsys.readouterr().err.startswith("error: ")

@@ -53,6 +53,21 @@ class TestValidateWindow:
         with pytest.raises(PreconditionError):
             flight.validate_window(1.0, 1.0, 0.1, static_profile, EPS)
 
+    @pytest.mark.parametrize("build", [
+        lambda p, t0, t1, c: flight.validate_window(t0, t1, c, p, EPS),
+        flight.make_segment,
+    ], ids=["validate_window", "make_segment"])
+    def test_non_finite_arguments_named(self, small_profile, static_profile, build):
+        # a NaN momentum used to pass the window check as "no momentum
+        # limit"; an infinite time reached sin(inf), or on a constant
+        # profile gave an infinite flight
+        with pytest.raises(PreconditionError, match="angular momentum c"):
+            build(small_profile, 0.1, 0.9, math.nan)
+        for profile in (small_profile, static_profile):
+            for t0, t1 in ((0.0, math.inf), (-math.inf, 0.0)):
+                with pytest.raises(PreconditionError, match="finite"):
+                    build(profile, t0, t1, 0.0)
+
 
 class TestFlightCoeffs:
     def test_static_diameter(self, static_profile):

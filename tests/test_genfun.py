@@ -28,6 +28,12 @@ class TestContext:
         with pytest.raises(PreconditionError):
             genfun.make_context(small_profile, 100.0, EPS)
 
+    def test_rejects_nan_momentum(self, small_profile):
+        # NaN passed both momentum bounds and failed later as a
+        # "degenerate discriminant nan"
+        with pytest.raises(PreconditionError, match="angular momentum c"):
+            genfun.make_context(small_profile, math.nan, EPS)
+
     def test_constant_needs_working_sigma(self, static_profile):
         with pytest.raises(PreconditionError):
             genfun.make_context(static_profile, 0.0, EPS)

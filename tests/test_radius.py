@@ -239,3 +239,9 @@ class TestFindMember:
             radius.find_member(5, 0.5, EPS)
         with pytest.raises(PreconditionError, match="single-harmonic"):
             radius.find_member(1, 0.05, 0.95)
+
+    @pytest.mark.parametrize("min_window", [math.nan, math.inf])
+    def test_min_window_must_be_finite(self, min_window):
+        # a NaN width compared false and so was ignored without a word
+        with pytest.raises(PreconditionError, match="min_window"):
+            radius.find_member(1, 0.05, EPS, min_window=min_window)

@@ -12,7 +12,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_sources_parse_as_python_310():
-    paths = sorted(p for top in ("src", "tests", "perfbench")
+    paths = sorted(p for top in ("src", "tests", "perfbench", "tools")
                    for p in (ROOT / top).rglob("*.py"))
     assert paths
     for path in paths:
