@@ -1,8 +1,8 @@
 """Byte-identity check of the command line between two source trees.
 
-    python3 tools/cli_identity.py OLD_SRC NEW_SRC [NAME ...]
+    python3 tools/cli_identity.py OLD_SRC NEW_SRC
 
-Runs every config of CONFIGS (or only the named ones) as
+Runs every config of CONFIGS as
 `python3 -m breathing_billiard.cli ...` with PYTHONPATH=OLD_SRC and then
 PYTHONPATH=NEW_SRC, each run in a fresh temporary directory, and compares
 the exit code, stdout, stderr and every file the run wrote there (the
@@ -137,24 +137,18 @@ def compare(old: tuple, new: tuple) -> list[str]:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) < 2:
+    if len(argv) != 2:
         sys.stderr.write(__doc__)
         return 64
-    old_src, new_src, names = argv[0], argv[1], set(argv[2:])
-    unknown = names - {name for name, _ in CONFIGS}
-    if unknown:
-        sys.stderr.write(f"unknown config names: {sorted(unknown)}\n")
-        return 64
+    old_src, new_src = argv
     differing = 0
     for name, config in CONFIGS:
-        if names and name not in names:
-            continue
         old, new = run(old_src, config), run(new_src, config)
         diffs = compare(old, new)
         differing += bool(diffs)
         status = "DIFFERS in " + ", ".join(diffs) if diffs else "identical"
         print(f"{name}: exit {old[0]} -> {new[0]}, {status}")
-    print(f"{differing} of {len(names) or len(CONFIGS)} configs differ")
+    print(f"{differing} of {len(CONFIGS)} configs differ")
     return 1 if differing else 0
 
 
