@@ -90,35 +90,36 @@ def bisect_root(f: Callable[[float], float], a: float, b: float) -> float:
     return 0.5 * (a + b)
 
 
-def solve_monotone(f: Callable[[float], float],
-                   fprime: Callable[[float], float],
+def solve_monotone(fdf: Callable[[float], tuple],
                    lo: float, hi: float, decreasing: bool, noise: float,
-                   guess: float | None = None) -> tuple[float, bool]:
+                   guess: float | None = None) -> tuple[float, bool, tuple]:
     """Root of a strictly monotone f on the bracket [lo, hi].
 
+    fdf(x) returns a tuple whose first two entries are f(x) and f'(x); one
+    call per iterate, and any further entries ride along for the caller.
     Safeguarded Newton from guess when it lies in the bracket, else from
     the midpoint.  decreasing is the known direction of monotonicity, so no
     end of the bracket is evaluated: the sign of f at each iterate shrinks
     the bracket, and a Newton step that leaves it becomes a bisection.  The
     best iterate is returned once |f| stops improving within the rounding
     floor 4 |f'| ulp(x) + noise, noise being the evaluation noise of f.
-    Returns (root, reached the floor); a bracket without a root collapses
-    to rounding width at one end and reports False.
+    Returns (root, reached the floor, fdf(root)); a bracket without a root
+    collapses to rounding width at one end and reports False.
     """
     x = guess if guess is not None and lo <= guess <= hi else 0.5 * (lo + hi)
-    best_x, best_f = x, math.inf
+    best_x, best_f, best_v = x, math.inf, None
     for _ in range(_MAX_ITER):
-        fx = f(x)
+        v = fdf(x)
+        fx, d = v[0], v[1]
         if fx == 0.0:
-            return x, True
+            return x, True, v
         stalled = abs(fx) >= best_f
         if not stalled:
-            best_x, best_f = x, abs(fx)
+            best_x, best_f, best_v = x, abs(fx), v
         if (fx > 0.0) == decreasing:
             lo = x
         else:
             hi = x
-        d = fprime(x)
         x_new = x - fx / d if d else math.nan
         if not lo <= x_new <= hi:
             # bisect, unless the bracket is down to rounding width
@@ -127,7 +128,7 @@ def solve_monotone(f: Callable[[float], float],
         if stalled or x_new == x:
             at_floor = best_f <= 4.0 * abs(d) * _ULP * max(1.0, abs(best_x)) + noise
             if at_floor or x_new == x:
-                return best_x, at_floor
+                return best_x, at_floor, best_v
         x = x_new
     raise ConvergenceError("monotone solve did not converge",
                            {"lo": lo, "hi": hi, "residual": best_f})

@@ -5,7 +5,8 @@ the action variable.  The forward map solves d1 h(t0, .) = K0 for the next
 bounce time (unique root: d1 h is strictly decreasing in its second slot and
 blows up as the gap closes) and sets K1 = -d2 h(t0, t1); the backward map
 solves -d2 h(., t1) = K1 the same way.  Both directions, warm or cold, are
-one bracketed Newton solve (_search.solve_monotone).  The map is defined
+one bracketed Newton solve (_search.solve_monotone) that calls the fused
+kernel genfun.grad_twist once per iterate.  The map is defined
 for K above the cutoff sigma_star = max_t d1 h(t, t + sigma); images may
 leave that domain.  Orbit is the one loop that iterates the map: it checks
 the domain before every step and reports why an orbit stopped.
@@ -19,7 +20,7 @@ from functools import lru_cache
 
 from ._search import circle_sup, solve_monotone
 from .errors import DomainError, PreconditionError
-from .genfun import GenFunContext, grad_h, hess_h
+from .genfun import GenFunContext, grad_h, grad_twist, hess_h
 
 _EDGE = 1e-9  # relative inset of the root bracket at the strip edges
 _SIGMA_STAR_GRID = 512  # sampling grid of the domain cutoff
@@ -66,46 +67,51 @@ _STRIP_TEXT = {1: ("window exhaustion: d1 h(t0, t0+sigma)", "K0", "(t0, t0+sigma
                -1: ("no preimage bracket: -d2 h(t1-sigma, t1)", "K1", "(t1-sigma, t1)")}
 
 
-def _strip_root(ctx: GenFunContext, f, fprime, anchor: float, direction: int,
-                target: float, guess: float | None = None) -> float:
+def _strip_root(ctx: GenFunContext, fdf, anchor: float, direction: int,
+                target: float, guess: float | None = None) -> tuple[float, tuple]:
     """Root of f on the strip from anchor + direction * sigma * _EDGE to
-    anchor + direction * sigma.
+    anchor + direction * sigma, and fdf at the root.
 
-    f is the defining equation of one map direction, offset by its target
-    action: it falls away from the anchor, from positive where the gap
-    closes.  The far edge is evaluated only to word the error when there is
-    no root: a target that needs a flight longer than sigma, or one whose
-    root lies within sigma * _EDGE of the anchor.
+    fdf(x) = (f, f', d1 h, d2 h), f being the defining equation of one map
+    direction offset by its target action: it falls away from the anchor,
+    from positive where the gap closes.  The far edge is evaluated only to
+    word the error when there is no root: a target that needs a flight
+    longer than sigma, or one whose root lies within sigma * _EDGE of the
+    anchor.
     """
     near = anchor + direction * (ctx.sigma * _EDGE)
     far = anchor + direction * ctx.sigma
     lo, hi = (near, far) if direction > 0 else (far, near)
     noise = 16.0 * 2.3e-16 * max(1.0, abs(target))  # of f: 16 ulp of the action
-    root, found = solve_monotone(f, fprime, lo, hi, direction > 0, noise, guess)
+    root, found, value = solve_monotone(fdf, lo, hi, direction > 0, noise, guess)
     if found:
-        return root
+        return root, value
     edge, name, strip = _STRIP_TEXT[direction]
-    f_far = f(far)
+    f_far = fdf(far)[0]
     if f_far >= 0.0:
         raise DomainError(f"{edge} = {f_far + target} >= {name} = {target}")
     raise DomainError(f"no bracket for {name} = {target} in {strip}")
 
 
 def _solve_forward_time(ctx: GenFunContext, t0: float, K0: float,
-                        guess: float | None = None) -> float:
-    """Unique t1 in (t0, t0 + sigma) with d1 h(t0, t1) = K0, for t0 in [0, 1).
+                        guess: float | None = None) -> tuple[float, float]:
+    """(t1, K1) of one forward step from t0 in [0, 1): the unique t1 in
+    (t0, t0 + sigma) with d1 h(t0, t1) = K0, and its image action.
 
     A guess (the warm start of an orbit) only moves the first iterate: warm
-    and cold starts run the same solve.
+    and cold starts run the same solve.  The profile is evaluated at t0 once
+    and at each iterate once; K1 comes from the converged iterate.
     """
+    e0 = ctx.profile.eval(t0)
 
-    def f(t1):
-        return grad_h(ctx, t0, t1)[0] - K0
+    def fdf(t1):
+        d1, d2, d12 = grad_twist(ctx, t0, e0, t1, ctx.profile.eval(t1))
+        return d1 - K0, d12, d1, d2
 
-    def fprime(t1):
-        return hess_h(ctx, t0, t1)[1]
-
-    return _strip_root(ctx, f, fprime, t0, 1, K0, guess=guess)
+    t1, (_, _, d1, d2) = _strip_root(ctx, fdf, t0, 1, K0, guess=guess)
+    # increment form of K1 = -d2 h: identical up to the root residual of
+    # d1 h = K0, but conserves K bitwise on time-independent profiles
+    return t1, K0 - (d1 + d2)
 
 
 def forward(ctx: GenFunContext, s: CylinderState,
@@ -123,18 +129,9 @@ def forward(ctx: GenFunContext, s: CylinderState,
         raise DomainError(f"state below map domain: K = {s.K} <= sigma_star = {s_star}")
     # work on the fundamental domain so the degree-one lift is exact
     shift = math.floor(s.t)
-    t1, k1 = _step(ctx, s.t - shift, s.K, None if t1_guess is None else t1_guess - shift)
+    t1, k1 = _solve_forward_time(ctx, s.t - shift, s.K,
+                                 None if t1_guess is None else t1_guess - shift)
     return CylinderState(t=t1 + shift, K=k1)
-
-
-def _step(ctx: GenFunContext, t0: float, K0: float,
-          guess: float | None) -> tuple[float, float]:
-    """(t1, K1) of one forward step from t0 in [0, 1)."""
-    t1 = _solve_forward_time(ctx, t0, K0, guess=guess)
-    d1, d2 = grad_h(ctx, t0, t1)
-    # increment form of K1 = -d2 h: identical up to the root residual of
-    # d1 h = K0, but conserves K bitwise on time-independent profiles
-    return t1, K0 - (d1 + d2)
 
 
 class Orbit:
@@ -173,7 +170,7 @@ class Orbit:
                                f"sigma_star = {s_star}")
                 return
             try:
-                t1, K1 = _step(ctx, frac, K, guess)
+                t1, K1 = _solve_forward_time(ctx, frac, K, guess)
             except DomainError as exc:
                 self.reason = f"forward step failed at bounce {i}: {exc}"
                 return
@@ -194,15 +191,13 @@ def backward(ctx: GenFunContext, s: CylinderState) -> CylinderState:
         inner = backward(ctx, CylinderState(s.t - shift, s.K))
         return CylinderState(inner.t + shift, inner.K)
     t1, k1 = s.t, s.K
+    e1 = ctx.profile.eval(t1)
 
-    def f(t0):
-        return -grad_h(ctx, t0, t1)[1] - k1
+    def fdf(t0):
+        d1, d2, d12 = grad_twist(ctx, t0, ctx.profile.eval(t0), t1, e1)
+        return -d2 - k1, -d12, d1, d2
 
-    def fprime(t0):
-        return -hess_h(ctx, t0, t1)[1]
-
-    t0 = _strip_root(ctx, f, fprime, t1, -1, k1)
-    d1, d2 = grad_h(ctx, t0, t1)
+    t0, (_, _, d1, d2) = _strip_root(ctx, fdf, t1, -1, k1)
     return CylinderState(t=t0, K=k1 + (d1 + d2))
 
 

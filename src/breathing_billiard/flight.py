@@ -100,6 +100,8 @@ def validate_window(t0: float, t1: float, c: float, profile: RadiusProfile,
                     eps: float, b: ProfileBounds | None = None) -> WindowReport:
     """Check the three sufficient conditions for the flight to exist."""
     _check_arguments(t0, t1, c)
+    if c < 0:
+        raise PreconditionError("angular momentum must be >= 0")
     if b is None:
         b = bounds(profile, eps)
     tau = t1 - t0

@@ -72,14 +72,19 @@ def make_context(profile: RadiusProfile, c: float, eps: float,
     return GenFunContext(profile=profile, c=c, eps=eps, bounds=bounds, sigma=sigma)
 
 
-def _core(ctx: GenFunContext, t0: float, t1: float):
-    """Shared endpoint data: tau, radii/derivatives, discriminant root."""
+def _core(ctx: GenFunContext, t0: float, e0, t1: float, e1):
+    """Shared flight data: tau, radii/derivatives, discriminant root.
+
+    e0 and e1 are the profile triples ctx.profile.eval(t0) and
+    ctx.profile.eval(t1), so a caller that holds one endpoint fixed
+    evaluates it once.
+    """
     tau = t1 - t0
     # the closed upper edge tolerates the rounding of t0 + sigma - t0
     if not (0.0 < tau <= ctx.sigma * (1.0 + 1e-12)):
         raise DomainError(f"(t0, t1) outside strip: tau = {tau}, sigma = {ctx.sigma}")
-    r0, dr0, ddr0 = ctx.profile.eval(t0)
-    r1, dr1, ddr1 = ctx.profile.eval(t1)
+    r0, dr0, ddr0 = e0
+    r1, dr1, ddr1 = e1
     disc = r0 * r0 * r1 * r1 - ctx.c * ctx.c * tau * tau
     # cannot fail under the context momentum bound; a failure means the
     # context was built with an out-of-contract sigma/c pair
@@ -90,7 +95,8 @@ def _core(ctx: GenFunContext, t0: float, t1: float):
 
 def h(ctx: GenFunContext, t0: float, t1: float) -> float:
     """Action value of the flight (t0, t1)."""
-    tau, r0, _, _, r1, _, _, s = _core(ctx, t0, t1)
+    tau, r0, _, _, r1, _, _, s = _core(ctx, t0, ctx.profile.eval(t0),
+                                       t1, ctx.profile.eval(t1))
     a = (r0 * r0 + r1 * r1 + 2.0 * s) / (tau * tau)
     return 0.5 * tau * a + ctx.c * math.atan(ctx.c * tau / s)
 
@@ -102,7 +108,8 @@ def grad_h(ctx: GenFunContext, t0: float, t1: float) -> tuple[float, float]:
     d2 h = -c^2/(2 R1^2) - u1^2/2 + Rdot1 * u1   with u1 = (R1^2+S)/(R1 tau);
     u0 = -rdot(t0+) and u1 = +rdot(t1-) of the connecting flight.
     """
-    tau, r0, dr0, _, r1, dr1, _, s = _core(ctx, t0, t1)
+    tau, r0, dr0, _, r1, dr1, _, s = _core(ctx, t0, ctx.profile.eval(t0),
+                                           t1, ctx.profile.eval(t1))
     c2 = ctx.c * ctx.c
     u0 = (r0 * r0 + s) / (r0 * tau)
     u1 = (r1 * r1 + s) / (r1 * tau)
@@ -113,7 +120,8 @@ def grad_h(ctx: GenFunContext, t0: float, t1: float) -> tuple[float, float]:
 
 def hess_h(ctx: GenFunContext, t0: float, t1: float) -> tuple[float, float, float]:
     """(d11 h, d12 h, d22 h) in closed form; d12 h < 0 on the whole strip."""
-    tau, r0, dr0, ddr0, r1, dr1, ddr1, s = _core(ctx, t0, t1)
+    tau, r0, dr0, ddr0, r1, dr1, ddr1, s = _core(ctx, t0, ctx.profile.eval(t0),
+                                                 t1, ctx.profile.eval(t1))
     c2 = ctx.c * ctx.c
     tau2 = tau * tau
     u0 = (r0 * r0 + s) / (r0 * tau)
@@ -130,3 +138,20 @@ def hess_h(ctx: GenFunContext, t0: float, t1: float) -> tuple[float, float, floa
                - (r1 * r1 + s) * (dr1 * tau + r1)) / (r1 * r1 * tau2)
     d22 = c2 * dr1 / (r1 ** 3) + (dr1 - u1) * du1_dt1 + ddr1 * u1
     return d11, d12, d22
+
+
+def grad_twist(ctx: GenFunContext, t0: float, e0, t1: float, e1) -> tuple[float, float, float]:
+    """(d1 h, d2 h, d12 h) from evaluated endpoints (e = ctx.profile.eval(t)).
+
+    The kernel of the map solves: f and f' of either direction in one call.
+    The expressions are those of grad_h and hess_h, so the values are
+    bit-identical to theirs.
+    """
+    tau, r0, dr0, _, r1, dr1, _, s = _core(ctx, t0, e0, t1, e1)
+    c2 = ctx.c * ctx.c
+    u0 = (r0 * r0 + s) / (r0 * tau)
+    u1 = (r1 * r1 + s) / (r1 * tau)
+    d1 = 0.5 * c2 / (r0 * r0) + 0.5 * u0 * u0 + dr0 * u0
+    d2 = -0.5 * c2 / (r1 * r1) - 0.5 * u1 * u1 + dr1 * u1
+    d12 = (u0 + dr0) * (r0 * (r1 * dr1 * tau - s - r1 * r1) / (tau * tau * s))
+    return d1, d2, d12

@@ -6,6 +6,7 @@ import pytest
 from breathing_billiard import _search, bmap, flight, genfun
 from breathing_billiard.bmap import CylinderState
 from breathing_billiard.errors import DomainError
+from breathing_billiard.radius import RadiusProfile
 
 EPS = 0.5
 
@@ -20,17 +21,17 @@ def domain_states(ctx, count, seed, k_factor=(1.2, 4.0)):
 
 class TestSolveMonotone:
     @staticmethod
-    def recorded(f, calls):
+    def recorded(fdf, calls):
         def g(x):
             calls.append(x)
-            return f(x)
+            return fdf(x)
         return g
 
     def test_guess_outside_bracket_starts_at_midpoint(self):
         calls = []
-        root, found = _search.solve_monotone(self.recorded(lambda x: x ** 3 - 2.0, calls),
-                                             lambda x: 3.0 * x * x, 0.0, 4.0,
-                                             decreasing=False, noise=0.0, guess=10.0)
+        root, found, _ = _search.solve_monotone(
+            self.recorded(lambda x: (x ** 3 - 2.0, 3.0 * x * x), calls), 0.0, 4.0,
+            decreasing=False, noise=0.0, guess=10.0)
         assert calls[0] == 2.0
         assert found and root == pytest.approx(2.0 ** (1 / 3), rel=4e-16)
 
@@ -38,19 +39,67 @@ class TestSolveMonotone:
     def test_no_root_is_not_found(self, decreasing, end):
         # f > 0 on the whole bracket [0, 1]: it collapses onto the end nearest the root
         slope = -1.0 if decreasing else 1.0
-        root, found = _search.solve_monotone(lambda x: 1.5 + slope * (x - 0.5),
-                                             lambda x: slope, 0.0, 1.0,
-                                             decreasing=decreasing, noise=1e-15)
+        root, found, _ = _search.solve_monotone(lambda x: (1.5 + slope * (x - 0.5), slope),
+                                                0.0, 1.0, decreasing=decreasing, noise=1e-15)
         assert not found and root == pytest.approx(end, abs=1e-15)
 
     def test_returns_at_the_floor(self):
         calls = []
-        root, found = _search.solve_monotone(self.recorded(lambda x: 1.0 / x - 0.3, calls),
-                                             lambda x: -1.0 / (x * x), 0.1, 10.0,
-                                             decreasing=True, noise=1e-16, guess=3.0)
+        root, found, value = _search.solve_monotone(
+            self.recorded(lambda x: (1.0 / x - 0.3, -1.0 / (x * x), "extra"), calls),
+            0.1, 10.0, decreasing=True, noise=1e-16, guess=3.0)
         assert found and abs(root - 10.0 / 3.0) <= 2 * math.ulp(10.0 / 3.0)
         # Newton's quadratic convergence, then one evaluation that does not improve
         assert len(calls) <= 8
+        # the value at the returned root is the tuple the solve already held
+        assert value == (1.0 / root - 0.3, -1.0 / (root * root), "extra")
+
+
+class TestFusedSolve:
+    """Each map solve calls the fused kernel once per iterate, evaluates the
+    fixed endpoint once, and takes the image action from the converged
+    iterate: no grad_h or hess_h call."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"eval": 0, "kernel": 0}
+        profile_eval, kernel = RadiusProfile.eval, genfun.grad_twist
+
+        def counted_eval(self, t):
+            counts["eval"] += 1
+            return profile_eval(self, t)
+
+        def counted_kernel(*args):
+            counts["kernel"] += 1
+            return kernel(*args)
+
+        def refused(*args):
+            raise AssertionError("a map solve called grad_h or hess_h")
+
+        monkeypatch.setattr(RadiusProfile, "eval", counted_eval)
+        monkeypatch.setattr(bmap, "grad_twist", counted_kernel)
+        for module in (genfun, bmap):
+            monkeypatch.setattr(module, "grad_h", refused)
+            monkeypatch.setattr(module, "hess_h", refused)
+        return counts
+
+    def test_one_profile_eval_per_iterate(self, member_ctx, request):
+        grad_h = genfun.grad_h  # the path the solves replaced: oracle of the image actions
+        states = domain_states(member_ctx, 20, seed=7)
+        cold = [bmap._solve_forward_time(member_ctx, s.t, s.K)[0] for s in states]
+        counts = request.getfixturevalue("counts")
+        for s, t1 in zip(states, cold):
+            # a warm step, started a little off the root
+            counts.update(eval=0, kernel=0)
+            t1, K1 = bmap._solve_forward_time(member_ctx, s.t, s.K, t1 + 1e-3)
+            assert counts["kernel"] >= 1 and counts["eval"] == counts["kernel"] + 1
+            assert K1 == s.K - sum(grad_h(member_ctx, s.t, t1))
+            # a backward step from the image, on the fundamental domain
+            t1 -= math.floor(t1)
+            counts.update(eval=0, kernel=0)
+            back = bmap.backward(member_ctx, CylinderState(t1, K1))
+            assert counts["kernel"] >= 1 and counts["eval"] == counts["kernel"] + 1
+            assert back.K == K1 + sum(grad_h(member_ctx, back.t, t1))
 
 
 class TestSigmaStar:

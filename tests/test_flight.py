@@ -53,6 +53,12 @@ class TestValidateWindow:
         with pytest.raises(PreconditionError):
             flight.validate_window(1.0, 1.0, 0.1, static_profile, EPS)
 
+    def test_negative_momentum_rejected(self):
+        # a finite negative c used to pass as "no momentum limit"
+        profile = radius.RadiusProfile(754.0, ((1, 0.05),))
+        with pytest.raises(PreconditionError, match="angular momentum must be >= 0"):
+            flight.validate_window(0.0, 1.0, -5.0, profile, EPS)
+
     @pytest.mark.parametrize("build", [
         lambda p, t0, t1, c: flight.validate_window(t0, t1, c, p, EPS),
         flight.make_segment,

@@ -76,8 +76,8 @@ def test_solves_reach_the_rounding_floor(profile, c_share, t, k_factor):
 def test_warm_step_agrees_with_cold(profile, c_share, t, k_factor, shift):
     ctx = _context(profile, c_share)
     s = _state(ctx, t, k_factor)
-    t1, K1 = bmap._step(ctx, s.t, s.K, None)
-    warm_t1, warm_K1 = bmap._step(ctx, s.t, s.K, t1 + shift * (t1 - s.t))
+    t1, K1 = bmap._solve_forward_time(ctx, s.t, s.K, None)
+    warm_t1, warm_K1 = bmap._solve_forward_time(ctx, s.t, s.K, t1 + shift * (t1 - s.t))
     assert abs(warm_t1 - t1) <= 4 * math.ulp(t1)
     assert abs(warm_K1 - K1) <= 1e-12 * K1
 
@@ -113,3 +113,13 @@ def test_core_conserves_K_bitwise_on_constant_profiles(mean, sigma, c_share, t, 
         assert K == s0.K and K1 == s0.K
     assert orbit.steps == 200 and orbit.reason is None
     assert orbit.K == s0.K
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(profile=profiles(), c_share=st.floats(0.0, 0.99), t0=st.floats(-3.0, 3.0),
+       gap=st.floats(1e-6, 1.0))
+def test_fused_kernel_is_bit_identical_to_grad_and_hess(profile, c_share, t0, gap):
+    ctx = _context(profile, c_share)
+    t1 = t0 + gap * ctx.sigma
+    fused = genfun.grad_twist(ctx, t0, profile.eval(t0), t1, profile.eval(t1))
+    assert fused == (*genfun.grad_h(ctx, t0, t1), genfun.hess_h(ctx, t0, t1)[1])
