@@ -1,6 +1,7 @@
-"""Scalar search helpers: golden-section refinement, sup-norms on the circle,
-bisection for sign changes, and the one Newton solve for monotone functions
-that serves every map step, warm or cold, forward or backward."""
+"""Search helpers: golden-section refinement, sup-norms on the circle from
+a sampled grid, bisection for sign changes, and the one Newton solve for
+monotone functions that serves every map step, warm or cold, forward or
+backward."""
 
 from __future__ import annotations
 
@@ -44,29 +45,41 @@ def golden_max(f: Callable[[float], float], a: float, b: float,
     return d, fd
 
 
-def circle_sup(f: Callable[[float], float], grid_n: int = 4096) -> tuple[float, float]:
+def circle_sup(f: Callable[[float], float], vals) -> tuple[float, float]:
     """Supremum of a smooth 1-periodic function over one period.
 
-    Dense sampling locates every local maximum up to grid resolution;
-    golden-section refinement then pins each candidate.  A grid point is a
-    candidate when it rises above its left neighbour and does not fall to
-    its right one, so a plateau is refined once and a constant function not
-    at all.  Returns (argmax in [0,1), sup).
+    vals holds f sampled at t = i/n, i < n (n >= 3); it locates every local
+    maximum up to grid resolution, and golden-section refinement of f then
+    pins each candidate.  A grid point is a candidate when it rises above
+    its left neighbour and does not fall to its right one, so a plateau is
+    refined once and a constant function not at all.  The winner is the
+    first maximum in grid order, with grid point 0 ahead of its own
+    refinement; a winning grid point is re-evaluated with f, so the value
+    returned is always one of f's own.  vals may therefore come from a
+    vectorised evaluation that rounds differently from f.
+    Returns (argmax in [0,1), sup).
     """
-    if grid_n < 3:
-        raise PreconditionError(f"grid_n must be >= 3, got {grid_n}")
-    step = 1.0 / grid_n
-    vals = [f(i * step) for i in range(grid_n)]
-    best_t, best_v = 0.0, vals[0]
-    for i in range(grid_n):
-        v = vals[i]
-        if v > vals[i - 1] and v >= vals[(i + 1) % grid_n]:
-            t, fv = golden_max(f, (i - 1) * step, (i + 1) * step, _SUP_XTOL)
-            if fv > best_v:
-                best_t, best_v = t % 1.0, fv
-        elif v > best_v:
-            best_t, best_v = i * step, v
-    return best_t, best_v
+    # numpy is loaded by the package already; a module-level import would
+    # load it before the library's own modules, which raises peak memory
+    import numpy as np
+
+    n = len(vals)
+    if n < 3:
+        raise PreconditionError(f"circle_sup needs >= 3 grid values, got {n}")
+    step = 1.0 / n
+    vals = np.asarray(vals, dtype=float)
+    items = vals.copy()  # grid values, candidates replaced by their refinement
+    refined = {}
+    for i in np.flatnonzero((vals > np.roll(vals, 1)) & (vals >= np.roll(vals, -1))).tolist():
+        t, fv = golden_max(f, (i - 1) * step, (i + 1) * step, _SUP_XTOL)
+        refined[i] = (t % 1.0, fv)
+        items[i] = fv
+    best = int(np.argmax(items))
+    if not items[best] > vals[0]:
+        best = 0
+    elif best in refined:
+        return refined[best]
+    return best * step, f(best * step)
 
 
 def bisect_root(f: Callable[[float], float], a: float, b: float) -> float:

@@ -58,7 +58,11 @@ class MapJacobian:
 @lru_cache(maxsize=128)
 def sigma_star(ctx: GenFunContext) -> float:
     """Lower action cutoff of the map domain: max over t of d1 h(t, t+sigma)."""
-    _, value = circle_sup(lambda t: grad_h(ctx, t, t + ctx.sigma)[0], _SIGMA_STAR_GRID)
+    def d1h(t):
+        return grad_h(ctx, t, t + ctx.sigma)[0]
+
+    step = 1.0 / _SIGMA_STAR_GRID
+    _, value = circle_sup(d1h, [d1h(i * step) for i in range(_SIGMA_STAR_GRID)])
     return value
 
 

@@ -93,10 +93,19 @@ def _core(ctx: GenFunContext, t0: float, e0, t1: float, e1):
     return tau, r0, dr0, ddr0, r1, dr1, ddr1, math.sqrt(disc)
 
 
+def _infinite_time(t0: float, t1: float) -> DomainError:
+    # math.sin raises ValueError only on an infinite argument; a NaN time
+    # passes through eval and _core rejects it
+    return DomainError(f"(t0, t1) = ({t0}, {t1}) outside strip: infinite time")
+
+
 def h(ctx: GenFunContext, t0: float, t1: float) -> float:
     """Action value of the flight (t0, t1)."""
-    tau, r0, _, _, r1, _, _, s = _core(ctx, t0, ctx.profile.eval(t0),
-                                       t1, ctx.profile.eval(t1))
+    try:
+        tau, r0, _, _, r1, _, _, s = _core(ctx, t0, ctx.profile.eval(t0),
+                                           t1, ctx.profile.eval(t1))
+    except ValueError as exc:
+        raise _infinite_time(t0, t1) from exc
     a = (r0 * r0 + r1 * r1 + 2.0 * s) / (tau * tau)
     return 0.5 * tau * a + ctx.c * math.atan(ctx.c * tau / s)
 
@@ -108,8 +117,11 @@ def grad_h(ctx: GenFunContext, t0: float, t1: float) -> tuple[float, float]:
     d2 h = -c^2/(2 R1^2) - u1^2/2 + Rdot1 * u1   with u1 = (R1^2+S)/(R1 tau);
     u0 = -rdot(t0+) and u1 = +rdot(t1-) of the connecting flight.
     """
-    tau, r0, dr0, _, r1, dr1, _, s = _core(ctx, t0, ctx.profile.eval(t0),
-                                           t1, ctx.profile.eval(t1))
+    try:
+        tau, r0, dr0, _, r1, dr1, _, s = _core(ctx, t0, ctx.profile.eval(t0),
+                                               t1, ctx.profile.eval(t1))
+    except ValueError as exc:
+        raise _infinite_time(t0, t1) from exc
     c2 = ctx.c * ctx.c
     u0 = (r0 * r0 + s) / (r0 * tau)
     u1 = (r1 * r1 + s) / (r1 * tau)
@@ -120,8 +132,11 @@ def grad_h(ctx: GenFunContext, t0: float, t1: float) -> tuple[float, float]:
 
 def hess_h(ctx: GenFunContext, t0: float, t1: float) -> tuple[float, float, float]:
     """(d11 h, d12 h, d22 h) in closed form; d12 h < 0 on the whole strip."""
-    tau, r0, dr0, ddr0, r1, dr1, ddr1, s = _core(ctx, t0, ctx.profile.eval(t0),
-                                                 t1, ctx.profile.eval(t1))
+    try:
+        tau, r0, dr0, ddr0, r1, dr1, ddr1, s = _core(ctx, t0, ctx.profile.eval(t0),
+                                                     t1, ctx.profile.eval(t1))
+    except ValueError as exc:
+        raise _infinite_time(t0, t1) from exc
     c2 = ctx.c * ctx.c
     tau2 = tau * tau
     u0 = (r0 * r0 + s) / (r0 * tau)

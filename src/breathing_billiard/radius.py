@@ -26,6 +26,7 @@ TWO_PI = 2.0 * math.pi
 _MEAN_GRID_FACTOR = 1.25  # geometric scan step of find_member
 _MEAN_REL_TOL = 1e-3  # find_member refines the mean to 3 significant digits
 _STATIONARY_SAMPLES = 1024  # sign-change grid of stationary_points
+_NEAR_ZERO = 1e-12  # |Rdot| below this times sum |d| 2 pi k is checked in scalar
 
 
 @dataclass(frozen=True)
@@ -172,21 +173,46 @@ def alpha_constant(eps: float) -> float:
     return math.sqrt(1.0 + math.sqrt(1.0 - eps * eps))
 
 
+def _grid(profile: RadiusProfile, n: int):
+    """(R, Rdot, Rddot) at t = i/n, i < n, as numpy arrays.
+
+    The expressions are those of RadiusProfile.eval, so only np.sin and
+    np.cos may round differently from the scalar methods.
+    """
+    import numpy as np  # see _search.circle_sup
+
+    t = np.arange(n) * (1.0 / n)
+    r = np.full(n, float(profile.mean))
+    dr = np.zeros(n)
+    ddr = np.zeros(n)
+    for k, d in profile.harmonics:
+        w = TWO_PI * k
+        a = w * t
+        s = np.sin(a)
+        r += d * s
+        dr += d * w * np.cos(a)
+        ddr -= d * w * w * s
+    return r, dr, ddr
+
+
 def bounds(profile: RadiusProfile, eps: float, grid_n: int = 4096) -> ProfileBounds:
     """Sup-norms by dense sampling plus golden-section refinement.
 
-    grid_n >= 256 points on one period; each bracketed local extremum is
-    refined to ~1e-13 in the argument, i.e. ~1e-10 relative in the value.
+    grid_n >= 256 points on one period, sampled with numpy; each bracketed
+    local extremum is refined with the scalar profile methods to ~1e-13 in
+    the argument, i.e. ~1e-10 relative in the value.
     """
     if grid_n < 256:
         raise PreconditionError(f"grid_n must be >= 256, got {grid_n}")
     if not (0.0 < eps < 1.0):
         raise PreconditionError(f"eps must lie in (0,1), got {eps}")
-    _, r_max = circle_sup(profile.radius, grid_n)
-    _, neg_min = circle_sup(lambda t: -profile.radius(t), grid_n)
+    r, dr, ddr = _grid(profile, grid_n)
+    _, r_max = circle_sup(profile.radius, r)
+    _, neg_min = circle_sup(lambda t: -profile.radius(t), -r)
     r_min = -neg_min
-    _, dr_norm = circle_sup(lambda t: abs(profile.d_radius(t)), grid_n)
-    _, dd2_norm = circle_sup(lambda t: abs(profile.dd_radius_sq(t)), grid_n)
+    _, dr_norm = circle_sup(lambda t: abs(profile.d_radius(t)), abs(dr))
+    _, dd2_norm = circle_sup(lambda t: abs(profile.dd_radius_sq(t)),
+                             abs(2.0 * (dr * dr + r * ddr)))
     return ProfileBounds(profile=profile, eps=eps, r_min=r_min, r_max=r_max,
                          dR_norm=dr_norm, ddR2_norm=dd2_norm,
                          sigma=min(sigma_limits(eps, r_min, dr_norm, dd2_norm)))
@@ -206,19 +232,26 @@ def sigma_limits(eps: float, r_min: float, dR_norm: float,
 def stationary_points(profile: RadiusProfile) -> list[tuple[float, float]]:
     """All roots of Rdot in [0,1), each paired with Rddot there.
 
-    Sign-change bracketing on 1024 points followed by bisection to
-    1e-12; tangential (double) roots are outside the contract.
+    Sign-change bracketing on 1024 numpy-sampled points, each bracket
+    confirmed with the scalar d_radius, followed by bisection to 1e-12;
+    tangential (double) roots are outside the contract.
     """
     if profile.is_constant:
         raise PreconditionError("constant profile: every point is stationary")
+    import numpy as np  # see _search.circle_sup
+
     f = profile.d_radius
     n = _STATIONARY_SAMPLES
     step = 1.0 / n
-    vals = [f(i * step) for i in range(n)]
+    _, vals, _ = _grid(profile, n)
+    # numpy picks the brackets; a value within rounding of 0 may carry the
+    # wrong sign, so those brackets go to the scalar test as well
+    near0 = abs(vals) <= _NEAR_ZERO * sum(abs(d) * TWO_PI * k for k, d in profile.harmonics)
+    picked = (vals * np.roll(vals, -1) < 0) | near0 | np.roll(near0, -1)
     roots = []
-    for i in range(n):
+    for i in np.flatnonzero(picked).tolist():
         a = i * step
-        fa, fb = vals[i], vals[(i + 1) % n]
+        fa, fb = f(a), f(((i + 1) % n) * step)
         if fa == 0.0:
             roots.append(a)
         elif fa * fb < 0:

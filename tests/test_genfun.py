@@ -57,6 +57,13 @@ class TestContext:
         with pytest.raises(DomainError):
             genfun.h(static_ctx, 1.0, 1.0)
 
+    def test_infinite_time_is_a_domain_error(self):
+        ctx = genfun.make_context(RadiusProfile(2.0, ((1, 0.02),)), 0.0, EPS)
+        for kernel in (genfun.h, genfun.grad_h, genfun.hess_h):
+            for t0, t1 in ((0.0, math.inf), (-math.inf, 0.0), (math.inf, math.inf)):
+                with pytest.raises(DomainError):
+                    kernel(ctx, t0, t1)
+
     def test_negative_discriminant_is_a_domain_error(self):
         # bounds claiming r_min = 1 for a profile whose minimum is 0.5 admit
         # c = 0.5 on a unit strip; the discriminant R0^2 R1^2 - c^2 tau^2 is

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -104,6 +105,10 @@ class TestBounds:
             radius.bounds(RadiusProfile(1.0), EPS, grid_n=100)
 
 
+def _samples(f, n):
+    return [f(i * (1.0 / n)) for i in range(n)]
+
+
 class TestCircleSup:
     def test_constant_function_is_not_refined(self):
         calls = []
@@ -112,8 +117,8 @@ class TestCircleSup:
             calls.append(t)
             return 2.5
 
-        assert _search.circle_sup(f, 64) == (0.0, 2.5)
-        assert len(calls) == 64  # the grid only, no golden-section search
+        assert _search.circle_sup(f, [2.5] * 64) == (0.0, 2.5)
+        assert calls == [0.0]  # the winning grid point only, no golden-section search
 
     def test_plateau_refined_once(self, monkeypatch):
         refined = []
@@ -123,10 +128,81 @@ class TestCircleSup:
             refined.append((a, b))
             return golden_max(f, a, b, xtol)
 
+        def f(t):
+            return min(math.sin(2 * math.pi * t), 0.5)
+
         monkeypatch.setattr(_search, "golden_max", spy)
-        t, v = _search.circle_sup(lambda t: min(math.sin(2 * math.pi * t), 0.5), 64)
+        t, v = _search.circle_sup(f, _samples(f, 64))
         assert len(refined) == 1
         assert v == 0.5 and 1 / 12 <= t <= 5 / 12
+
+    def test_too_few_values_rejected(self):
+        with pytest.raises(PreconditionError):
+            _search.circle_sup(math.sin, [0.0, 1.0])
+
+    def test_value_comes_from_f_not_the_grid(self):
+        # grid values that round differently pick the bracket only: a
+        # winning grid point is re-evaluated, a candidate refined with f
+        def f(t):
+            return math.cos(2 * math.pi * t)
+
+        vals = [v + 1e-15 for v in _samples(f, 64)]
+        assert _search.circle_sup(f, vals) == _search.circle_sup(f, _samples(f, 64))
+        assert _search.circle_sup(lambda t: 2.5, [2.5 + 1e-12] * 64) == (0.0, 2.5)
+
+
+def _family_members(count, seed):
+    """Seeded members of both sine families: k in {1, 2, 3, 5, 8}, amplitudes
+    inside and just outside delta_window, means spanning the R_tilde
+    threshold, eps in {0.3, 0.5, 0.9}."""
+    rng = random.Random(seed)
+    for j in range(count):
+        k = (1, 2, 3, 5, 8)[j % 5]
+        lo, hi = radius.delta_window(k)
+        delta = (lo * (hi / lo) ** rng.random(), 0.9 * lo, 1.1 * hi)[j // 5 % 3]
+        mean = max(3.0 * delta, 10.0 ** rng.uniform(-0.5, 4.0))
+        yield radius.family_profile(k, delta, mean), (0.3, 0.5, 0.9)[j // 15 % 3]
+
+
+def _scalar_grid(profile, n):
+    # the oracle grid: the scalar profile methods at t = i/n
+    return tuple(np.array(col) for col in zip(*_samples(profile.eval, n)))
+
+
+class TestNumpyGridMatchesScalarOracle:
+    """The numpy grids may only choose which brackets get refined: every
+    result equals the one computed from scalar-built grids, bit for bit."""
+
+    def test_family_members(self, monkeypatch):
+        members = list(_family_members(210, seed=11))
+        numpy_run = [(radius.classify(p, eps), radius.stationary_points(p))
+                     for p, eps in members]
+        monkeypatch.setattr(radius, "_grid", _scalar_grid)
+        scalar_run = [(radius.classify(p, eps), radius.stationary_points(p))
+                      for p, eps in members]
+        assert {v.klass for v, _ in numpy_run} == {"none", "R", "R_tilde"}
+        assert [i for i, (a, b) in enumerate(zip(numpy_run, scalar_run)) if a != b] == []
+
+    def test_sign_near_zero_is_decided_in_scalar(self, monkeypatch):
+        # Rdot is ~1e-17 at the grid points t = 1/4 and 3/4; a grid that
+        # rounds those values to the other sign must not lose either root
+        p = RadiusProfile(1.0, ((1, 0.05),))
+        expected = radius.stationary_points(p)
+
+        def flipped(profile, n):
+            r, dr, ddr = _scalar_grid(profile, n)
+            return r, np.where(np.abs(dr) < 1e-15, -dr, dr), ddr
+
+        monkeypatch.setattr(radius, "_grid", flipped)
+        assert radius.stationary_points(p) == expected
+        assert [round(t, 9) for t, _ in expected] == [0.25, 0.75]
+
+    def test_coarse_grid_and_constant_profile(self, monkeypatch):
+        cases = [(p, eps, 256) for p, eps in _family_members(20, seed=12)]
+        cases.append((RadiusProfile(3.0), EPS, 4096))
+        numpy_run = [radius.bounds(p, eps, n) for p, eps, n in cases]
+        monkeypatch.setattr(radius, "_grid", _scalar_grid)
+        assert [radius.bounds(p, eps, n) for p, eps, n in cases] == numpy_run
 
 
 class TestStationaryPoints:
