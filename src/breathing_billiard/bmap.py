@@ -6,7 +6,10 @@ bounce time (unique root: d1 h is strictly decreasing in its second slot and
 blows up as the gap closes) and sets K1 = -d2 h(t0, t1); the backward map
 solves -d2 h(., t1) = K1 the same way.  Both directions, warm or cold, are
 one bracketed Newton solve (_search.solve_monotone) that calls the fused
-kernel genfun.grad_twist once per iterate.  The map is defined
+kernel genfun.grad_twist once per iterate.  Its first iterate comes from
+the flight relation A tau^2 - 2 I tau = R(t + s tau)^2 - R(t)^2 of the
+impact map (_chord_start): a few profile radii put it within about 1e-7 of
+the root, and a warm-start guess seeds that relation.  The map is defined
 for K above the cutoff sigma_star = max_t d1 h(t, t + sigma); images may
 leave that domain.  Orbit is the one loop that iterates the map: it checks
 the domain before every step and reports why an orbit stopped.
@@ -20,11 +23,12 @@ from functools import lru_cache
 
 from ._search import circle_sup, solve_monotone
 from .errors import DomainError, PreconditionError
-from .genfun import GenFunContext, grad_h, grad_twist, hess_h
+from .genfun import GenFunContext, d1h_edge_grid, grad_h, grad_twist, hess_h
 
 _EDGE = 1e-9  # relative inset of the root bracket at the strip edges
 _SIGMA_STAR_GRID = 512  # sampling grid of the domain cutoff
 _IMPACT_SCAN_N = 4096  # bracketing scan of laederich_map over the window
+_CHORD_STEPS = 2  # profile radii of a cold first iterate; a warm one takes one more
 
 
 @dataclass(frozen=True)
@@ -57,13 +61,52 @@ class MapJacobian:
 
 @lru_cache(maxsize=128)
 def sigma_star(ctx: GenFunContext) -> float:
-    """Lower action cutoff of the map domain: max over t of d1 h(t, t+sigma)."""
+    """Lower action cutoff of the map domain: max over t of d1 h(t, t+sigma).
+
+    The scan is one numpy grid; circle_sup refines it with grad_h, so the
+    value is one of grad_h's own.
+    """
     def d1h(t):
         return grad_h(ctx, t, t + ctx.sigma)[0]
 
-    step = 1.0 / _SIGMA_STAR_GRID
-    _, value = circle_sup(d1h, [d1h(i * step) for i in range(_SIGMA_STAR_GRID)])
+    _, value = circle_sup(d1h, d1h_edge_grid(ctx, _SIGMA_STAR_GRID))
     return value
+
+
+def _chord_start(ctx: GenFunContext, anchor: float, e, K: float, direction: int,
+                 guess: float | None) -> float | None:
+    """First Newton iterate of the map solve from the state (anchor, K).
+
+    e = ctx.profile.eval(anchor).  The state's impact variable I = R (sqrt(
+    Rdot^2 + 2K - c^2/R^2) - s Rdot), s = direction, is the root of the
+    action quadratic (rdot_plus_from_action; s = -1 takes the incoming
+    velocity, so the flight runs back in time).  The straight flight meets
+    the boundary at the time tau of  A tau^2 - 2 I tau = R_far^2 - R^2,
+    A = (c^2 + I^2)/R^2, R_far = R(anchor + s tau): a fixed point, iterated
+    _CHORD_STEPS times from R_far = R, or from R(guess) when there is a
+    guess.  Returns anchor + s tau, or the guess unchanged where a square
+    root would not be real; solve_monotone starts at the bracket midpoint
+    from a first iterate outside its bracket.
+    """
+    r, dr, _ = e
+    c2, r2 = ctx.c * ctx.c, r * r
+    rad = dr * dr + 2.0 * K - c2 / r2
+    if not rad > 0.0:
+        return guess
+    impact = r * (math.sqrt(rad) - direction * dr)
+    i2 = impact * impact
+    a = (c2 + i2) / r2
+    if not a > 0.0:
+        return guess
+    r_far = r if guess is None else ctx.profile.radius(guess)
+    for i in range(_CHORD_STEPS + 1):
+        if i:
+            r_far = ctx.profile.radius(x)
+        disc = i2 + a * (r_far * r_far - r2)
+        if not disc > 0.0:
+            return guess
+        x = anchor + direction * ((impact + math.sqrt(disc)) / a)
+    return x
 
 
 # (far-edge text, action name, strip) of the forward (+1) and backward (-1) solves
@@ -102,9 +145,12 @@ def _solve_forward_time(ctx: GenFunContext, t0: float, K0: float,
     """(t1, K1) of one forward step from t0 in [0, 1): the unique t1 in
     (t0, t0 + sigma) with d1 h(t0, t1) = K0, and its image action.
 
-    A guess (the warm start of an orbit) only moves the first iterate: warm
-    and cold starts run the same solve.  The profile is evaluated at t0 once
-    and at each iterate once; K1 comes from the converged iterate.
+    The first iterate comes from the flight relation (_chord_start); a
+    guess (the warm start of an orbit) only seeds that relation's far
+    radius, so warm and cold starts run the same solve.  The profile is
+    evaluated at t0 once, _CHORD_STEPS (+1 with a guess) times for the
+    first iterate and at each iterate once; K1 comes from the converged
+    iterate.
     """
     e0 = ctx.profile.eval(t0)
 
@@ -112,7 +158,8 @@ def _solve_forward_time(ctx: GenFunContext, t0: float, K0: float,
         d1, d2, d12 = grad_twist(ctx, t0, e0, t1, ctx.profile.eval(t1))
         return d1 - K0, d12, d1, d2
 
-    t1, (_, _, d1, d2) = _strip_root(ctx, fdf, t0, 1, K0, guess=guess)
+    start = _chord_start(ctx, t0, e0, K0, 1, guess)
+    t1, (_, _, d1, d2) = _strip_root(ctx, fdf, t0, 1, K0, guess=start)
     # increment form of K1 = -d2 h: identical up to the root residual of
     # d1 h = K0, but conserves K bitwise on time-independent profiles
     return t1, K0 - (d1 + d2)
@@ -201,7 +248,8 @@ def backward(ctx: GenFunContext, s: CylinderState) -> CylinderState:
         d1, d2, d12 = grad_twist(ctx, t0, ctx.profile.eval(t0), t1, e1)
         return -d2 - k1, -d12, d1, d2
 
-    t0, (_, _, d1, d2) = _strip_root(ctx, fdf, t1, -1, k1)
+    start = _chord_start(ctx, t1, e1, k1, -1, None)
+    t0, (_, _, d1, d2) = _strip_root(ctx, fdf, t1, -1, k1, guess=start)
     return CylinderState(t=t0, K=k1 + (d1 + d2))
 
 

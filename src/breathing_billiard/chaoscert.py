@@ -275,7 +275,9 @@ def certify(profile: RadiusProfile, eps: float, c: float,
 def c0_search(profile: RadiusProfile, eps: float, iters: int = 20,
               omega_grid: int = DEFAULT_OMEGA_GRID,
               k_samples: int = DEFAULT_K_SAMPLES) -> C0SearchResult:
-    """Largest certified momentum by bisection on (0, eps r_min^2 / sigma).
+    """Largest certified momentum: c_max = eps r_min^2 / sigma, then halvings
+    down to a certified lo, then bisection between lo and the last refused
+    momentum (2 lo, or c_max itself after one halving).
 
     Monotonicity of the verdict in c is plausible but unproven; the result
     reports whether the tested verdicts happened to be monotone instead of
@@ -304,7 +306,8 @@ def c0_search(profile: RadiusProfile, eps: float, iters: int = 20,
     lo = None
     c_try = hi
     for _ in range(40):
-        c_try *= 0.5
+        # the bisection keeps the last refused momentum as its upper end
+        hi, c_try = c_try, 0.5 * c_try
         if ok(c_try):
             lo = c_try
             break

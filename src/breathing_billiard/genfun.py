@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, PreconditionError
-from .radius import ProfileBounds, RadiusProfile, bounds as profile_bounds
+from .radius import ProfileBounds, RadiusProfile, _grid, bounds as profile_bounds
 
 _C_SLACK = 1.0 + 1e-9  # tolerate the closed end of the admissible c range
 
@@ -128,6 +128,28 @@ def grad_h(ctx: GenFunContext, t0: float, t1: float) -> tuple[float, float]:
     d1 = 0.5 * c2 / (r0 * r0) + 0.5 * u0 * u0 + dr0 * u0
     d2 = -0.5 * c2 / (r1 * r1) - 0.5 * u1 * u1 + dr1 * u1
     return d1, d2
+
+
+def d1h_edge_grid(ctx: GenFunContext, n: int):
+    """d1 h(t, t + sigma) at t = i/n, i < n, as a numpy array.
+
+    The times and expressions are those of grad_h(ctx, t, t + ctx.sigma),
+    on radius._grid arrays, so only np.sin and np.cos may round
+    differently.  A discriminant that is not positive at some grid point
+    raises DomainError, as _core does, instead of turning into a NaN.
+    """
+    import numpy as np  # see _search.circle_sup
+
+    t0 = np.arange(n) * (1.0 / n)
+    tau = (t0 + ctx.sigma) - t0
+    r0, dr0, _ = _grid(ctx.profile, n)
+    r1, _, _ = _grid(ctx.profile, n, ctx.sigma)
+    c2 = ctx.c * ctx.c
+    disc = r0 * r0 * r1 * r1 - c2 * tau * tau
+    if not (disc > 0.0).all():
+        raise DomainError(f"degenerate discriminant {disc.min()} inside the strip")
+    u0 = (r0 * r0 + np.sqrt(disc)) / (r0 * tau)
+    return 0.5 * c2 / (r0 * r0) + 0.5 * u0 * u0 + dr0 * u0
 
 
 def hess_h(ctx: GenFunContext, t0: float, t1: float) -> tuple[float, float, float]:

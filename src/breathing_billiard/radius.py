@@ -173,15 +173,16 @@ def alpha_constant(eps: float) -> float:
     return math.sqrt(1.0 + math.sqrt(1.0 - eps * eps))
 
 
-def _grid(profile: RadiusProfile, n: int):
-    """(R, Rdot, Rddot) at t = i/n, i < n, as numpy arrays.
+def _grid(profile: RadiusProfile, n: int, shift: float = 0.0):
+    """(R, Rdot, Rddot) at t = i/n + shift, i < n, as numpy arrays.
 
-    The expressions are those of RadiusProfile.eval, so only np.sin and
-    np.cos may round differently from the scalar methods.
+    The times round as the scalar i * (1/n) + shift does, and the
+    expressions are those of RadiusProfile.eval, so only np.sin and np.cos
+    may round differently from the scalar methods.
     """
     import numpy as np  # see _search.circle_sup
 
-    t = np.arange(n) * (1.0 / n)
+    t = np.arange(n) * (1.0 / n) + shift
     r = np.full(n, float(profile.mean))
     dr = np.zeros(n)
     ddr = np.zeros(n)

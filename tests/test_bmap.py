@@ -1,9 +1,11 @@
+import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from breathing_billiard import _search, bmap, flight, genfun
+from breathing_billiard import _search, bmap, chaoscert, flight, genfun, radius
 from breathing_billiard.bmap import CylinderState
 from breathing_billiard.errors import DomainError
 from breathing_billiard.radius import RadiusProfile
@@ -57,17 +59,23 @@ class TestSolveMonotone:
 
 class TestFusedSolve:
     """Each map solve calls the fused kernel once per iterate, evaluates the
-    fixed endpoint once, and takes the image action from the converged
-    iterate: no grad_h or hess_h call."""
+    fixed endpoint once, takes its first iterate from a fixed number of
+    profile radii, and takes the image action from the converged iterate:
+    no grad_h or hess_h call."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        counts = {"eval": 0, "kernel": 0}
-        profile_eval, kernel = RadiusProfile.eval, genfun.grad_twist
+        counts = {"eval": 0, "kernel": 0, "radius": 0}
+        profile_eval, profile_radius = RadiusProfile.eval, RadiusProfile.radius
+        kernel = genfun.grad_twist
 
         def counted_eval(self, t):
             counts["eval"] += 1
             return profile_eval(self, t)
+
+        def counted_radius(self, t):
+            counts["radius"] += 1
+            return profile_radius(self, t)
 
         def counted_kernel(*args):
             counts["kernel"] += 1
@@ -77,6 +85,7 @@ class TestFusedSolve:
             raise AssertionError("a map solve called grad_h or hess_h")
 
         monkeypatch.setattr(RadiusProfile, "eval", counted_eval)
+        monkeypatch.setattr(RadiusProfile, "radius", counted_radius)
         monkeypatch.setattr(bmap, "grad_twist", counted_kernel)
         for module in (genfun, bmap):
             monkeypatch.setattr(module, "grad_h", refused)
@@ -89,20 +98,137 @@ class TestFusedSolve:
         cold = [bmap._solve_forward_time(member_ctx, s.t, s.K)[0] for s in states]
         counts = request.getfixturevalue("counts")
         for s, t1 in zip(states, cold):
-            # a warm step, started a little off the root
-            counts.update(eval=0, kernel=0)
+            # a warm step, started a little off the root: the guess costs
+            # one more radius than a cold first iterate
+            counts.update(eval=0, kernel=0, radius=0)
             t1, K1 = bmap._solve_forward_time(member_ctx, s.t, s.K, t1 + 1e-3)
             assert counts["kernel"] >= 1 and counts["eval"] == counts["kernel"] + 1
+            assert counts["radius"] == bmap._CHORD_STEPS + 1
             assert K1 == s.K - sum(grad_h(member_ctx, s.t, t1))
             # a backward step from the image, on the fundamental domain
             t1 -= math.floor(t1)
-            counts.update(eval=0, kernel=0)
+            counts.update(eval=0, kernel=0, radius=0)
             back = bmap.backward(member_ctx, CylinderState(t1, K1))
             assert counts["kernel"] >= 1 and counts["eval"] == counts["kernel"] + 1
+            assert counts["radius"] == bmap._CHORD_STEPS
             assert back.K == K1 + sum(grad_h(member_ctx, back.t, t1))
+
+    def test_static_solves_start_on_the_root(self, static_ctx, request):
+        # R = 1, c = 0: the chord relation is the exact flight, so the first
+        # iterate is the flight time 2 / sqrt(2K) up to rounding, and the
+        # solve stops once Newton's next step does not improve |f| (at the
+        # midpoint it took 4 to 25 kernel calls)
+        counts = request.getfixturevalue("counts")
+        rng = np.random.default_rng(13)
+        calls = []
+        for _ in range(200):
+            t, K = float(rng.uniform(0.0, 1.0)), float(0.2 * 10.0 ** rng.uniform(0.0, 3.0))
+            flight_time = 2.0 / math.sqrt(2.0 * K)
+            e = static_ctx.profile.eval(t)
+            for direction in (1, -1):
+                start = bmap._chord_start(static_ctx, t, e, K, direction, None)
+                assert abs(start - (t + direction * flight_time)) <= 4 * math.ulp(1.0 + t)
+            counts.update(kernel=0)
+            t1, _ = bmap._solve_forward_time(static_ctx, t, K)
+            calls.append(counts["kernel"])
+            counts.update(kernel=0)
+            t0 = bmap.backward(static_ctx, CylinderState(t, K)).t
+            calls.append(counts["kernel"])
+            assert t1 - t == pytest.approx(flight_time) and t - t0 == pytest.approx(flight_time)
+        assert max(calls) <= 4 and sum(calls) / len(calls) <= 2.0
+
+    def test_certificate_solves_take_few_iterates(self, member, monkeypatch):
+        # the member's certificate at c = 1: 646 cold solves, 8 kernel calls
+        # each from the bracket midpoint
+        profile, _, verdict = member
+        counts = {"kernel": 0, "solves": 0}
+        kernel, a_exact = genfun.grad_twist, chaoscert.a_exact
+
+        def counted_kernel(*args):
+            counts["kernel"] += 1
+            return kernel(*args)
+
+        def counted_a_exact(*args):
+            counts["solves"] += 2
+            return a_exact(*args)
+
+        monkeypatch.setattr(bmap, "grad_twist", counted_kernel)
+        monkeypatch.setattr(chaoscert, "a_exact", counted_a_exact)
+        assert chaoscert.certify(profile, EPS, 1.0, verdict=verdict).certified
+        assert counts["solves"] == 646
+        assert counts["kernel"] / counts["solves"] <= 5.0
+
+
+class TestChordStart:
+    def test_degenerate_flight_keeps_the_guess(self, member_ctx):
+        # K far below the cutoff: no real radial velocity at t = 0.25
+        e = member_ctx.profile.eval(0.25)
+        for direction in (1, -1):
+            assert bmap._chord_start(member_ctx, 0.25, e, -1e6, direction, None) is None
+            assert bmap._chord_start(member_ctx, 0.25, e, -1e6, direction, 3.0) == 3.0
+        # K = 0 at c = 0 where the boundary recedes: the incoming velocity is
+        # 0, so A = 0 and the chord relation has no flight time
+        ctx = dataclasses.replace(member_ctx, c=0.0)
+        assert bmap._chord_start(ctx, 0.5, ctx.profile.eval(0.5), 0.0, -1, None) is None
+        with pytest.raises(DomainError, match="no preimage"):
+            bmap.backward(ctx, CylinderState(0.5, 0.0))
+
+    def test_lands_near_the_impact_map_time(self, member_ctx):
+        # the chord relation is laederich_map's: its fixed point is the
+        # impact-map bounce time
+        for s in domain_states(member_ctx, 50, seed=12):
+            e = member_ctx.profile.eval(s.t)
+            t1 = bmap._chord_start(member_ctx, s.t, e, s.K, 1, None)
+            i0 = bmap.action_to_impact(member_ctx, s.t, s.K)
+            assert t1 == pytest.approx(bmap.laederich_map(member_ctx, s.t, i0)[0], abs=1e-6)
+
+
+def _scalar_sigma_star(ctx):
+    # the oracle: sigma_star's 512-point scan built from scalar grad_h calls
+    def d1h(t):
+        return genfun.grad_h(ctx, t, t + ctx.sigma)[0]
+
+    step = 1.0 / bmap._SIGMA_STAR_GRID
+    return _search.circle_sup(d1h, [d1h(i * step) for i in range(bmap._SIGMA_STAR_GRID)])[1]
+
+
+def _sigma_star_cases(count, seed):
+    """Contexts of seeded family members (k in {1, 2, 3, 5, 8}, amplitudes
+    across delta_window, means from 1 to 1e4) at c = 0, a random share of
+    c_max and c just below c_max."""
+    rng = np.random.default_rng(seed)
+    for j in range(count):
+        k = (1, 2, 3, 5, 8)[j % 5]
+        lo, hi = radius.delta_window(k)
+        delta = float(lo * (hi / lo) ** rng.uniform(0.0, 1.0))
+        mean = max(3.0 * delta, float(10.0 ** rng.uniform(0.0, 4.0)))
+        ctx = genfun.make_context(radius.family_profile(k, delta, mean), 0.0, EPS)
+        c_max = EPS * ctx.bounds.r_min ** 2 / ctx.sigma
+        for c in (0.0, float(rng.uniform(0.0, c_max)), c_max * (1.0 - 1e-12)):
+            yield dataclasses.replace(ctx, c=c)
 
 
 class TestSigmaStar:
+    def test_numpy_scan_matches_scalar_oracle(self, static_profile):
+        # the numpy grid only picks the brackets: sigma_star equals the
+        # value from a scalar-built grid bit for bit
+        cases = list(_sigma_star_cases(70, seed=14))
+        cases += [genfun.make_context(static_profile, c, EPS, sigma=sigma)
+                  for sigma, c in [(10.0, 0.0), (10.0, 0.05), (4.0, 0.1), (4.0, 0.125)]]
+        assert len(cases) >= 200
+        numpy_run = [bmap.sigma_star.__wrapped__(ctx) for ctx in cases]
+        assert [i for i, (ctx, value) in enumerate(zip(cases, numpy_run))
+                if value != _scalar_sigma_star(ctx)] == []
+
+    def test_degenerate_discriminant_raises(self, member_ctx):
+        # a momentum far beyond the context bound: the discriminant of the
+        # strip edge is negative on every grid point, as in the scalar kernel
+        ctx = SimpleNamespace(profile=member_ctx.profile, c=1e6, sigma=member_ctx.sigma)
+        with pytest.raises(DomainError, match="discriminant"):
+            genfun.d1h_edge_grid(ctx, bmap._SIGMA_STAR_GRID)
+        with pytest.raises(DomainError, match="discriminant"):
+            genfun.grad_h(ctx, 0.0, ctx.sigma)
+
     def test_static(self, static_profile):
         # constant R = M, c = 0: d1 h(t, t+sigma) = 2 M^2 / sigma^2
         ctx = genfun.make_context(static_profile, 0.0, EPS, sigma=10.0)

@@ -363,6 +363,21 @@ class TestC0Search:
         assert res.reason == f"no certified momentum found down to {res.tested[-1][0]}"
         assert res.monotone_observed
 
+    def test_bisection_stays_below_the_last_refusal(self, member, monkeypatch):
+        # verdicts certified below 0.2 c_max: c_max, 0.5 and 0.25 c_max are
+        # refused before 0.125 c_max certifies, so the bisection runs on
+        # (lo, 2 lo) and never tests a momentum the halving refused
+        profile, _, verdict = member
+        c_max = EPS * verdict.bounds.r_min ** 2 / verdict.bounds.sigma
+        monkeypatch.setattr(chaoscert, "certify", lambda profile, eps, c, **kwargs:
+                            SimpleNamespace(certified=c < 0.2 * c_max))
+        res = chaoscert.c0_search(profile, EPS, iters=4)
+        assert [good for _, good in res.tested[:4]] == [False, False, False, True]
+        lo = res.tested[3][0]
+        assert all(lo < c < 2.0 * lo for c, _ in res.tested[4:])
+        assert len(res.tested) == 8 and res.c0 == pytest.approx(0.2 * c_max, rel=0.2)
+        assert res.monotone_observed
+
     def test_monotone_means_no_success_above_a_failure(self):
         assert chaoscert._monotone([(0.4, False), (0.1, True), (0.2, True)])
         assert chaoscert._monotone([])

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from breathing_billiard import bmap, chaoscert, simulate
@@ -11,8 +12,26 @@ from breathing_billiard.errors import DomainError, PreconditionError
 # criterion-10 orbit of the member: stays in the map domain for 1e5 steps,
 # over which its float lift grows to ~3.1e6
 ACCEPTANCE = CylinderState(0.4379, 1195.08)
-# a state in the member's certified band whose orbit leaves the map domain
-EXITING = CylinderState(0.6974534998820221, 1101.4570803045265)
+EPS = 0.5
+EXIT_STEPS = 3000
+
+
+@pytest.fixture(scope="module")
+def exiting(member, member_ctx):
+    """The first seeded state of the member's certified band (at c = 1)
+    whose orbit leaves the map domain within EXIT_STEPS steps.  A search,
+    since after how many steps a chaotic orbit exits depends on rounding."""
+    profile, _, verdict = member
+    k_lo, k_hi = chaoscert.certify(profile, EPS, member_ctx.c, verdict=verdict).k_range
+    rng = np.random.default_rng(0)
+    for _ in range(100):
+        s = CylinderState(float(rng.uniform(0.0, 1.0)), float(rng.uniform(k_lo, k_hi)))
+        orbit = bmap.Orbit(member_ctx, s, EXIT_STEPS)
+        for _ in orbit:
+            pass
+        if orbit.reason is not None:
+            return s
+    pytest.fail(f"no orbit of 100 band states left the map domain in {EXIT_STEPS} steps")
 
 
 class TestOrbit:
@@ -59,15 +78,15 @@ class TestClients:
         flights = [(t - math.floor(t), t1 - math.floor(t)) for t, t1 in seen]
         assert simulate.el_defect(member_ctx, flights) <= 1e-11
 
-    def test_lyapunov_and_simulate_stop_together(self, member_ctx):
-        est = chaoscert.lyapunov(member_ctx, EXITING, 3000)
-        run = simulate.run(member_ctx, EXITING, 3000)
+    def test_lyapunov_and_simulate_stop_together(self, member_ctx, exiting):
+        est = chaoscert.lyapunov(member_ctx, exiting, EXIT_STEPS)
+        run = simulate.run(member_ctx, exiting, EXIT_STEPS)
         assert not est.completed and not run.completed
         assert est.steps == len(run.records) - 1
         assert est.reason == run.reason
         assert est.reason.startswith("left map domain")
 
-    def test_table_rows_carry_reason(self, member_ctx):
-        rows = chaoscert.lyapunov_table(member_ctx, EXITING.K, EXITING.K + 1.0,
+    def test_table_rows_carry_reason(self, member_ctx, exiting):
+        rows = chaoscert.lyapunov_table(member_ctx, exiting.K, exiting.K + 1.0,
                                         seeds=2, n=50, seed=0)
         assert all("reason" in r and (r["reason"] is None) == r["completed"] for r in rows)

@@ -9,6 +9,7 @@ the same verdict on every run.
 import dataclasses
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from breathing_billiard import bmap, genfun
@@ -123,3 +124,31 @@ def test_fused_kernel_is_bit_identical_to_grad_and_hess(profile, c_share, t0, ga
     t1 = t0 + gap * ctx.sigma
     fused = genfun.grad_twist(ctx, t0, profile.eval(t0), t1, profile.eval(t1))
     assert fused == (*genfun.grad_h(ctx, t0, t1), genfun.hess_h(ctx, t0, t1)[1])
+
+
+def _midpoint_start(ctx, anchor, e, K, direction, guess):
+    return guess
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(c_share=st.floats(0.0, 0.99), t=st.floats(0.0, 1.0, exclude_max=True),
+       k_factor=st.floats(1.001, 4.0))
+def test_chord_start_finds_the_midpoint_root(member, c_share, t, k_factor):
+    # the first iterate only moves where Newton starts: the roots agree with
+    # those of the bracket-midpoint start to 4 ulp of the time, and the
+    # image actions are grad_h's at the root
+    profile, _, verdict = member
+    ctx = genfun.make_context(profile, 0.0, EPS, bounds=verdict.bounds)
+    ctx = dataclasses.replace(ctx, c=c_share * EPS * ctx.bounds.r_min ** 2 / ctx.sigma)
+    s = _state(ctx, t, k_factor)
+    t1, K1 = bmap._solve_forward_time(ctx, s.t, s.K)
+    image = CylinderState(t1 - math.floor(t1), K1)
+    back = bmap.backward(ctx, image)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bmap, "_chord_start", _midpoint_start)
+        mid_t1, _ = bmap._solve_forward_time(ctx, s.t, s.K)
+        mid_t0 = bmap.backward(ctx, image).t
+    assert abs(t1 - mid_t1) <= 4 * math.ulp(max(1.0, abs(mid_t1)))
+    assert abs(back.t - mid_t0) <= 4 * math.ulp(max(1.0, abs(mid_t0)))
+    assert K1 == s.K - sum(genfun.grad_h(ctx, s.t, t1))
+    assert back.K == K1 + sum(genfun.grad_h(ctx, back.t, image.t))
