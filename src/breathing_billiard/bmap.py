@@ -5,14 +5,17 @@ the action variable.  The forward map solves d1 h(t0, .) = K0 for the next
 bounce time (unique root: d1 h is strictly decreasing in its second slot and
 blows up as the gap closes) and sets K1 = -d2 h(t0, t1); the backward map
 solves -d2 h(., t1) = K1 the same way.  Both directions, warm or cold, are
-one bracketed Newton solve (_search.solve_monotone) that calls the fused
-kernel genfun.grad_twist once per iterate.  Its first iterate comes from
-the flight relation A tau^2 - 2 I tau = R(t + s tau)^2 - R(t)^2 of the
-impact map (_chord_start): a few profile radii put it within about 1e-7 of
-the root, and a warm-start guess seeds that relation.  The map is defined
-for K above the cutoff sigma_star = max_t d1 h(t, t + sigma); images may
-leave that domain.  Orbit is the one loop that iterates the map: it checks
-the domain before every step and reports why an orbit stopped.
+the one function _solve: a bracketed Newton solve (_search.solve_monotone)
+on the fundamental domain that calls the fused kernel genfun.grad_twist
+once per iterate; forward and backward only reduce the lift with one floor.
+Its first iterate comes from the flight relation
+A tau^2 - 2 I tau = R(t + s tau)^2 - R(t)^2 of the impact map
+(_chord_start): a few profile radii put it within about 1e-7 of the root.
+The map is defined for K above the cutoff sigma_star = max_t d1 h(t,
+t + sigma); images may leave that domain, and _check_domain is the one
+check of it.  Orbit is the one loop that iterates the map and the only one
+that warm-starts: its guess seeds the flight relation.  It checks the
+domain before every step and reports why an orbit stopped.
 """
 
 from __future__ import annotations
@@ -114,59 +117,61 @@ _STRIP_TEXT = {1: ("window exhaustion: d1 h(t0, t0+sigma)", "K0", "(t0, t0+sigma
                -1: ("no preimage bracket: -d2 h(t1-sigma, t1)", "K1", "(t1-sigma, t1)")}
 
 
-def _strip_root(ctx: GenFunContext, fdf, anchor: float, direction: int,
-                target: float, guess: float | None = None) -> tuple[float, tuple]:
-    """Root of f on the strip from anchor + direction * sigma * _EDGE to
-    anchor + direction * sigma, and fdf at the root.
+def _solve(ctx: GenFunContext, anchor: float, K: float, direction: int,
+           guess: float | None = None) -> tuple[float, float]:
+    """(time, action) of one map step from (anchor, K), anchor in [0, 1].
 
-    fdf(x) = (f, f', d1 h, d2 h), f being the defining equation of one map
-    direction offset by its target action: it falls away from the anchor,
-    from positive where the gap closes.  The far edge is evaluated only to
-    word the error when there is no root: a target that needs a flight
-    longer than sigma, or one whose root lies within sigma * _EDGE of the
-    anchor.
+    direction +1 solves d1 h(anchor, x) = K for x in (anchor, anchor +
+    sigma), -1 solves -d2 h(x, anchor) = K for x in (anchor - sigma,
+    anchor).  Either f = (left side) - K falls away from the anchor, so one
+    bracketed Newton solve serves both, inset by sigma * _EDGE at the anchor
+    and started from the flight relation (_chord_start), which a guess (an
+    orbit's warm start) only seeds.  The profile is evaluated at the anchor
+    once and at each iterate once.  The far edge is evaluated only to word
+    the error when there is no root.  The image action is in increment form,
+    K -+ (d1 h + d2 h): equal to -d2 h or d1 h up to the root residual, but
+    it conserves K bitwise on time-independent profiles.
     """
+    e = ctx.profile.eval(anchor)
+    if direction > 0:
+        def fdf(x):
+            d1, d2, d12 = grad_twist(ctx, anchor, e, x, ctx.profile.eval(x))
+            return d1 - K, d12, d1, d2
+    else:
+        def fdf(x):
+            d1, d2, d12 = grad_twist(ctx, x, ctx.profile.eval(x), anchor, e)
+            return -d2 - K, -d12, d1, d2
+
     near = anchor + direction * (ctx.sigma * _EDGE)
     far = anchor + direction * ctx.sigma
     lo, hi = (near, far) if direction > 0 else (far, near)
-    noise = 16.0 * 2.3e-16 * max(1.0, abs(target))  # of f: 16 ulp of the action
-    root, found, value = solve_monotone(fdf, lo, hi, direction > 0, noise, guess)
-    if found:
-        return root, value
-    edge, name, strip = _STRIP_TEXT[direction]
-    f_far = fdf(far)[0]
-    if f_far >= 0.0:
-        raise DomainError(f"{edge} = {f_far + target} >= {name} = {target}")
-    raise DomainError(f"no bracket for {name} = {target} in {strip}")
+    noise = 16.0 * 2.3e-16 * max(1.0, abs(K))  # of f: 16 ulp of the action
+    start = _chord_start(ctx, anchor, e, K, direction, guess)
+    x, found, (_, _, d1, d2) = solve_monotone(fdf, lo, hi, direction > 0, noise, start)
+    if not found:
+        edge, name, strip = _STRIP_TEXT[direction]
+        f_far = fdf(far)[0]
+        if f_far >= 0.0:
+            raise DomainError(f"{edge} = {f_far + K} >= {name} = {K}")
+        raise DomainError(f"no bracket for {name} = {K} in {strip}")
+    return x, K - direction * (d1 + d2)
 
 
 def _solve_forward_time(ctx: GenFunContext, t0: float, K0: float,
                         guess: float | None = None) -> tuple[float, float]:
-    """(t1, K1) of one forward step from t0 in [0, 1): the unique t1 in
-    (t0, t0 + sigma) with d1 h(t0, t1) = K0, and its image action.
-
-    The first iterate comes from the flight relation (_chord_start); a
-    guess (the warm start of an orbit) only seeds that relation's far
-    radius, so warm and cold starts run the same solve.  The profile is
-    evaluated at t0 once, _CHORD_STEPS (+1 with a guess) times for the
-    first iterate and at each iterate once; K1 comes from the converged
-    iterate.
-    """
-    e0 = ctx.profile.eval(t0)
-
-    def fdf(t1):
-        d1, d2, d12 = grad_twist(ctx, t0, e0, t1, ctx.profile.eval(t1))
-        return d1 - K0, d12, d1, d2
-
-    start = _chord_start(ctx, t0, e0, K0, 1, guess)
-    t1, (_, _, d1, d2) = _strip_root(ctx, fdf, t0, 1, K0, guess=start)
-    # increment form of K1 = -d2 h: identical up to the root residual of
-    # d1 h = K0, but conserves K bitwise on time-independent profiles
-    return t1, K0 - (d1 + d2)
+    """(t1, K1) of one forward step from t0 in [0, 1); see _solve."""
+    return _solve(ctx, t0, K0, 1, guess)
 
 
-def forward(ctx: GenFunContext, s: CylinderState,
-            t1_guess: float | None = None) -> CylinderState:
+def _check_domain(ctx: GenFunContext, K: float, state: str = "state") -> float:
+    """sigma_star(ctx), after raising DomainError unless K lies above it."""
+    s_star = sigma_star(ctx)
+    if K <= s_star:
+        raise DomainError(f"{state} below map domain: K = {K} <= sigma_star = {s_star}")
+    return s_star
+
+
+def forward(ctx: GenFunContext, s: CylinderState) -> CylinderState:
     """One forward step.  Requires s.K > sigma_star(ctx).
 
     The step is solved on the fundamental domain t0 in [0, 1):
@@ -175,13 +180,9 @@ def forward(ctx: GenFunContext, s: CylinderState,
     image K may fall at or below sigma_star: the map domain is one-sided,
     so iterability of the image is the caller's check.
     """
-    s_star = sigma_star(ctx)
-    if s.K <= s_star:
-        raise DomainError(f"state below map domain: K = {s.K} <= sigma_star = {s_star}")
-    # work on the fundamental domain so the degree-one lift is exact
+    _check_domain(ctx, s.K)
     shift = math.floor(s.t)
-    t1, k1 = _solve_forward_time(ctx, s.t - shift, s.K,
-                                 None if t1_guess is None else t1_guess - shift)
+    t1, k1 = _solve_forward_time(ctx, s.t - shift, s.K)
     return CylinderState(t=t1 + shift, K=k1)
 
 
@@ -201,9 +202,7 @@ class Orbit:
     def __init__(self, ctx: GenFunContext, s0: CylinderState, n: int):
         if n < 1:
             raise PreconditionError(f"need n >= 1 bounces, got {n}")
-        self.s_star = sigma_star(ctx)
-        if s0.K <= self.s_star:
-            raise DomainError(f"initial state below map domain: K = {s0.K} <= {self.s_star}")
+        self.s_star = _check_domain(ctx, s0.K, "initial state")
         self.ctx, self.n = ctx, n
         self.wind = math.floor(s0.t)
         self.frac = s0.t - self.wind
@@ -238,19 +237,8 @@ class Orbit:
 def backward(ctx: GenFunContext, s: CylinderState) -> CylinderState:
     """Preimage under the map: solves -d2 h(t0, t1) = K1 for t0 in (t1-sigma, t1)."""
     shift = math.floor(s.t)
-    if shift != 0:
-        inner = backward(ctx, CylinderState(s.t - shift, s.K))
-        return CylinderState(inner.t + shift, inner.K)
-    t1, k1 = s.t, s.K
-    e1 = ctx.profile.eval(t1)
-
-    def fdf(t0):
-        d1, d2, d12 = grad_twist(ctx, t0, ctx.profile.eval(t0), t1, e1)
-        return -d2 - k1, -d12, d1, d2
-
-    start = _chord_start(ctx, t1, e1, k1, -1, None)
-    t0, (_, _, d1, d2) = _strip_root(ctx, fdf, t1, -1, k1, guess=start)
-    return CylinderState(t=t0, K=k1 + (d1 + d2))
+    t0, k0 = _solve(ctx, s.t - shift, s.K, -1)
+    return CylinderState(t=t0 + shift, K=k0)
 
 
 def radial_velocity(ctx: GenFunContext, t: float, K: float) -> tuple[float, float]:
@@ -260,9 +248,7 @@ def radial_velocity(ctx: GenFunContext, t: float, K: float) -> tuple[float, floa
     of the action quadratic (rdot_plus_from_action); the incoming one
     follows from the elastic reflection law rdot(-) = -rdot(+) + 2 Rdot(t).
     """
-    s_star = sigma_star(ctx)
-    if K <= s_star:
-        raise DomainError(f"state below map domain: K = {K} <= sigma_star = {s_star}")
+    _check_domain(ctx, K)
     rdot_plus = rdot_plus_from_action(ctx, t, K)
     return rdot_plus, -rdot_plus + 2.0 * ctx.profile.d_radius(t)
 

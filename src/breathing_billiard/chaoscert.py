@@ -213,9 +213,8 @@ def certify(profile: RadiusProfile, eps: float, c: float,
     t_bar, ddr = verdict.witnesses[0]
     cert.t_witness, cert.ddR_witness = t_bar, ddr
     b = verdict.bounds
-    c_max = eps * b.r_min ** 2 / b.sigma
-    if not (0.0 < c < c_max):
-        cert.reason = f"momentum c = {c} outside (0, {c_max})"
+    if not (0.0 < c < b.c_max):
+        cert.reason = f"momentum c = {c} outside (0, {b.c_max})"
         return cert
 
     w_lo, w_hi = cert.omega_window = xi_interval(profile, eps, verdict)
@@ -289,8 +288,7 @@ def c0_search(profile: RadiusProfile, eps: float, iters: int = 20,
         return C0SearchResult(c0=None, c_max=math.nan, tested=[],
                               monotone_observed=True,
                               reason=f"profile class is {verdict.klass}, needs R_tilde")
-    b = verdict.bounds
-    c_max = eps * b.r_min ** 2 / b.sigma
+    c_max = verdict.bounds.c_max
     tested: list[tuple[float, bool]] = []
 
     def ok(c):

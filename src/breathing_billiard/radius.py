@@ -137,6 +137,11 @@ class ProfileBounds:
         if not self.sigma > 0:
             raise PreconditionError("sigma must be positive")
 
+    @property
+    def c_max(self) -> float:
+        """Admissible angular momentum bound eps r_min^2 / sigma."""
+        return self.eps * self.r_min ** 2 / self.sigma
+
     def check(self, profile: RadiusProfile, eps: float) -> None:
         """Raise PreconditionError unless these are the bounds of profile at eps."""
         if self.profile != profile:

@@ -88,19 +88,17 @@ def test_criterion_03_static_circle_regression(static_profile, capsys):
     for c in (0.0, 0.1):
         ctx = genfun.make_context(static_profile, c, EPS, sigma=4.0)
         m = static_profile.mean
-        s = CylinderState(0.0, 2.0)
-        guess = None
         worst_k = 0.0
         worst_tau = 0.0
-        for _ in range(10_000):
-            s_next = bmap.forward(ctx, s, t1_guess=guess)
-            worst_k = max(worst_k, abs(s_next.K - 2.0))
+        # Orbit warm-starts every step from the previous gap
+        orbit = bmap.Orbit(ctx, CylinderState(0.0, 2.0), 10_000)
+        for _, frac, K, t1, K1 in orbit:
+            worst_k = max(worst_k, abs(K1 - 2.0))
             # chord geometry: perpendicular distance c/speed, speed sqrt(2K)
-            speed = math.sqrt(2.0 * s.K)
+            speed = math.sqrt(2.0 * K)
             tau_ref = 2.0 * math.sqrt(m * m - (c / speed) ** 2) / speed
-            worst_tau = max(worst_tau, abs((s_next.t - s.t) - tau_ref))
-            guess = s_next.t + (s_next.t - s.t)
-            s = s_next
+            worst_tau = max(worst_tau, abs((t1 - frac) - tau_ref))
+        assert orbit.steps == 10_000
         assert worst_k < 1e-12
         assert worst_tau < 1e-10
     announce(capsys, 3, f"K drift {worst_k:.1e}, chord-law gap {worst_tau:.1e} over 1e4 steps")

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -312,8 +313,52 @@ class TestBackward:
 
     def test_no_bracket_raises(self, member_ctx):
         s_star = bmap.sigma_star(member_ctx)
-        with pytest.raises(DomainError):
-            bmap.backward(member_ctx, CylinderState(0.0, 0.5 * s_star))
+        K = 0.5 * s_star
+        with pytest.raises(DomainError, match=r"^no preimage bracket: -d2 h\(t1-sigma, t1\) = "
+                                              rf"\S+ >= K1 = {re.escape(str(K))}$"):
+            bmap.backward(member_ctx, CylinderState(0.0, K))
+
+    def test_degree_one_lift(self, member_ctx):
+        # dyadic fractions make t + n exact, so the lift commutes bitwise
+        rng = np.random.default_rng(9)
+        for s in domain_states(member_ctx, 20, seed=9):
+            t = math.floor(s.t * 1024.0) / 1024.0
+            base = bmap.backward(member_ctx, CylinderState(t, s.K))
+            for n in (1, 7, -3, 1234, 100_000, int(rng.integers(1, 100_000))):
+                lifted = bmap.backward(member_ctx, CylinderState(t + n, s.K))
+                assert lifted.t == base.t + n
+                assert lifted.K == base.K
+
+
+class TestSolveTexts:
+    """The DomainError texts of the one map solve and of the domain check."""
+
+    def test_window_exhaustion(self, member_ctx):
+        # forward checks the domain first, so the solve's own text is reached
+        # only below sigma_star, where d1 h(t0, t0+sigma) exceeds K0
+        K = 0.5 * bmap.sigma_star(member_ctx)
+        with pytest.raises(DomainError, match=r"^window exhaustion: d1 h\(t0, t0\+sigma\) = "
+                                              rf"\S+ >= K0 = {re.escape(str(K))}$"):
+            bmap._solve_forward_time(member_ctx, 0.3, K)
+
+    @pytest.mark.parametrize("step, text", [
+        (bmap.forward, r"^no bracket for K0 = 1e\+22 in \(t0, t0\+sigma\)$"),
+        (bmap.backward, r"^no bracket for K1 = 1e\+22 in \(t1-sigma, t1\)$")])
+    def test_no_bracket_for_huge_action(self, member_ctx, step, text):
+        # the root lies within sigma * _EDGE of the anchor
+        with pytest.raises(DomainError, match=text):
+            step(member_ctx, CylinderState(0.3, 1e22))
+
+    @pytest.mark.parametrize("call, state", [
+        (lambda ctx, K: bmap.forward(ctx, CylinderState(0.3, K)), "state"),
+        (lambda ctx, K: bmap.Orbit(ctx, CylinderState(0.3, K), 5), "initial state"),
+        (lambda ctx, K: bmap.radial_velocity(ctx, 0.3, K), "state")])
+    def test_below_map_domain(self, member_ctx, call, state):
+        s_star = bmap.sigma_star(member_ctx)
+        K = 0.999 * s_star
+        text = f"{state} below map domain: K = {K} <= sigma_star = {s_star}"
+        with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
+            call(member_ctx, K)
 
 
 class TestRadialVelocity:

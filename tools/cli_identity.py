@@ -114,6 +114,14 @@ CONFIGS = [
                         "--K", "1100", "--n", "3"]),
     ("find-member-min-window-nan", ["find-member", "--k", "1", "--delta", "0.05",
                                     "--min-window", "nan"]),
+    # the one map solve: the inverse from a lifted time and with no preimage,
+    # and the domain check of an orbit's initial state
+    ("map-member-inverse-lifted", ["map", "--profile", MEMBER, "--c", "1", "--t0", "1234.3",
+                                   "--K", "1100", "--inverse"]),
+    ("map-inverse-no-preimage", ["map", "--profile", MEMBER, "--c", "1", "--t0", "0.3",
+                                 "--K", "500", "--inverse"]),
+    ("simulate-below-domain", ["simulate", "--profile", MEMBER, "--c", "1", "--t0", "0.3",
+                               "--K", "500", "--n", "3"]),
 ]
 
 
