@@ -16,7 +16,10 @@ time moves by more than 1e-3; a damped global Newton solve on the
 stationarity system, with least-squares steps because the Hessian is
 singular on orbit families, polishes it to machine precision.  Every
 converged configuration is labelled from its point of smallest t mod 1, so
-the reported orbit does not depend on which start found it.
+an isolated minimum is reported the same whichever start found it.  Where
+minimal orbits form a continuous family (every translate of one on a
+constant profile), each start settles on its own member: the action is the
+same, but the reported phase depends on the starts and so on the seed.
 """
 
 from __future__ import annotations
@@ -169,6 +172,13 @@ def _newton_polish(ctx, ts, p, g_lo, g_hi):
     return ts, best
 
 
+def _check_window(omega, sigma):
+    """Raise PreconditionError unless 1 < omega < sigma - 1."""
+    if not (1.0 < omega < sigma - 1.0):
+        raise PreconditionError(
+            f"rotation number {omega} outside (1, sigma-1) = (1, {sigma - 1})")
+
+
 def _descend(ctx, p, ts0, g_lo, g_hi):
     """One start of the multi-start descent: coarse sweeps, then the polish."""
     ts = list(ts0)
@@ -188,6 +198,10 @@ def periodic_orbit(ctx: GenFunContext, p: int, q: int,
     polished by least-squares Newton; each converged orbit is labelled from
     its point of smallest t mod 1, with times[0] in [0, 1).  Actions within
     1e-13 relative count as tied, and a tie goes to the smaller times[0].
+    An isolated minimum is therefore reported whichever start found it; on
+    a continuous family of minimal orbits only the action is, and times[0]
+    depends on seed (R = 1 at c = 0, sigma = 8, (5, 2), starts=4: seeds 0-3
+    give times[0] = 1.4e-5, 0.128, 0.065 and 0.021, all with action 1.6).
     The starts are rigid rotations t_j = (k + phase)/starts + j omega,
     k < starts, run one after another (workers must be 1); phase is 0 for
     seed 0 and one uniform draw of default_rng(seed) otherwise.
@@ -213,9 +227,7 @@ def periodic_orbit(ctx: GenFunContext, p: int, q: int,
     if not sigma > 2:
         raise PreconditionError(f"needs sigma > 2, got {sigma}")
     omega = p / q
-    if not (1.0 < omega < sigma - 1.0):
-        raise PreconditionError(
-            f"rotation number {omega} outside (1, sigma-1) = (1, {sigma - 1})")
+    _check_window(omega, sigma)
     g_lo, g_hi = omega - 1.0, omega + 1.0
 
     phase = float(np.random.default_rng(seed).uniform()) if seed else 0.0
@@ -288,9 +300,7 @@ def hull_samples(ctx: GenFunContext, omega: float, denom_cap: int = 64,
     """
     sigma = ctx.sigma
     # checked before convergents, whose math.floor fails on a NaN omega
-    if not (1.0 < omega < sigma - 1.0):
-        raise PreconditionError(
-            f"rotation number {omega} outside (1, sigma-1) = (1, {sigma - 1})")
+    _check_window(omega, sigma)
     cands = [(pp, qq) for pp, qq in convergents(omega, denom_cap)
              if 1.0 < pp / qq < sigma - 1.0]
     if not cands:

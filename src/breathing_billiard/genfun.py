@@ -111,23 +111,12 @@ def h(ctx: GenFunContext, t0: float, t1: float) -> float:
 
 
 def grad_h(ctx: GenFunContext, t0: float, t1: float) -> tuple[float, float]:
-    """(d1 h, d2 h).
-
-    d1 h =  c^2/(2 R0^2) + u0^2/2 + Rdot0 * u0   with u0 = (R0^2+S)/(R0 tau),
-    d2 h = -c^2/(2 R1^2) - u1^2/2 + Rdot1 * u1   with u1 = (R1^2+S)/(R1 tau);
-    u0 = -rdot(t0+) and u1 = +rdot(t1-) of the connecting flight.
-    """
+    """(d1 h, d2 h), the first two entries of grad_twist."""
     try:
-        tau, r0, dr0, _, r1, dr1, _, s = _core(ctx, t0, ctx.profile.eval(t0),
-                                               t1, ctx.profile.eval(t1))
+        e0, e1 = ctx.profile.eval(t0), ctx.profile.eval(t1)
     except ValueError as exc:
         raise _infinite_time(t0, t1) from exc
-    c2 = ctx.c * ctx.c
-    u0 = (r0 * r0 + s) / (r0 * tau)
-    u1 = (r1 * r1 + s) / (r1 * tau)
-    d1 = 0.5 * c2 / (r0 * r0) + 0.5 * u0 * u0 + dr0 * u0
-    d2 = -0.5 * c2 / (r1 * r1) - 0.5 * u1 * u1 + dr1 * u1
-    return d1, d2
+    return grad_twist(ctx, t0, e0, t1, e1)[:2]
 
 
 def d1h_edge_grid(ctx: GenFunContext, n: int):
@@ -180,9 +169,11 @@ def hess_h(ctx: GenFunContext, t0: float, t1: float) -> tuple[float, float, floa
 def grad_twist(ctx: GenFunContext, t0: float, e0, t1: float, e1) -> tuple[float, float, float]:
     """(d1 h, d2 h, d12 h) from evaluated endpoints (e = ctx.profile.eval(t)).
 
+    d1 h =  c^2/(2 R0^2) + u0^2/2 + Rdot0 * u0   with u0 = (R0^2+S)/(R0 tau),
+    d2 h = -c^2/(2 R1^2) - u1^2/2 + Rdot1 * u1   with u1 = (R1^2+S)/(R1 tau);
+    u0 = -rdot(t0+) and u1 = +rdot(t1-) of the connecting flight.
     The kernel of the map solves: f and f' of either direction in one call.
-    The expressions are those of grad_h and hess_h, so the values are
-    bit-identical to theirs.
+    d12 h is hess_h's expression, so its value is bit-identical to hess_h's.
     """
     tau, r0, dr0, _, r1, dr1, _, s = _core(ctx, t0, e0, t1, e1)
     c2 = ctx.c * ctx.c

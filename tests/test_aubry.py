@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from breathing_billiard import aubry, bmap, simulate
+from breathing_billiard import aubry, bmap, genfun, simulate
 from breathing_billiard.bmap import CylinderState
 from breathing_billiard.errors import DomainError, PreconditionError
 
@@ -103,6 +103,16 @@ class TestPeriodicOrbit:
         for orbit in orbits:
             assert orbit.times[0] == min(t % 1.0 for t in orbit.times)
             assert orbit.times == pytest.approx(orbits[0].times, abs=1e-12)
+
+    def test_orbit_family_pins_the_action_not_the_phase(self, static_profile):
+        # on a constant profile every translate of a minimal orbit is one, so
+        # each seed reports its own phase; only the action is pinned
+        ctx = genfun.make_context(static_profile, 0.0, 0.5, sigma=8.0)
+        orbits = [aubry.periodic_orbit(ctx, 5, 2, starts=4, seed=s) for s in range(4)]
+        actions = [orbit.action for orbit in orbits]
+        assert max(actions) - min(actions) <= aubry._TIE_RTOL * abs(min(actions))
+        for orbit in orbits:
+            assert orbit.gaps() == pytest.approx([2.5, 2.5], abs=1e-12)
 
     @pytest.mark.parametrize("p, q", [(445, 14), (571, 18), (664, 21), (667, 21)])
     def test_seeds_agree_on_the_minimum(self, member_ctx, p, q):
