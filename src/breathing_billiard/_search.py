@@ -1,20 +1,19 @@
 """Search helpers: golden-section refinement, sup-norms on the circle from
-a sampled grid, bisection for sign changes, and the one Newton solve for
-monotone functions that serves every map step, warm or cold, forward or
-backward."""
+a sampled grid, and the one bracketed Newton solve for monotone functions
+that serves every map step, warm or cold, forward or backward, and every
+stationary point of a profile."""
 
 from __future__ import annotations
 
 import math
 from typing import Callable
 
-from .errors import ConvergenceError, DomainError, PreconditionError
+from .errors import ConvergenceError, PreconditionError
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
 _SUP_XTOL = 1e-13  # argument tolerance of circle_sup's refinement
-_BISECT_XTOL = 1e-12
-_MAX_ITER = 200  # iteration budget of bisect_root and solve_monotone
+_MAX_ITER = 200  # iteration budget of solve_monotone
 _ULP = 2.3e-16  # unit roundoff with a little headroom
 
 
@@ -80,27 +79,6 @@ def circle_sup(f: Callable[[float], float], vals) -> tuple[float, float]:
     elif best in refined:
         return refined[best]
     return best * step, f(best * step)
-
-
-def bisect_root(f: Callable[[float], float], a: float, b: float) -> float:
-    """Plain bisection for a sign change bracketed by [a, b], to 1e-12."""
-    fa, fb = f(a), f(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0:
-        raise DomainError(f"no sign change on [{a}, {b}]")
-    for _ in range(_MAX_ITER):
-        m = 0.5 * (a + b)
-        fm = f(m)
-        if fm == 0.0 or (b - a) < _BISECT_XTOL:
-            return m
-        if fa * fm < 0:
-            b, fb = m, fm
-        else:
-            a, fa = m, fm
-    return 0.5 * (a + b)
 
 
 def solve_monotone(fdf: Callable[[float], tuple],

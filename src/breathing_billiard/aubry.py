@@ -199,9 +199,8 @@ def periodic_orbit(ctx: GenFunContext, p: int, q: int,
     its point of smallest t mod 1, with times[0] in [0, 1).  Actions within
     1e-13 relative count as tied, and a tie goes to the smaller times[0].
     An isolated minimum is therefore reported whichever start found it; on
-    a continuous family of minimal orbits only the action is, and times[0]
-    depends on seed (R = 1 at c = 0, sigma = 8, (5, 2), starts=4: seeds 0-3
-    give times[0] = 1.4e-5, 0.128, 0.065 and 0.021, all with action 1.6).
+    a continuous family of minimal orbits (a constant profile) only the
+    action is, and times[0] depends on seed.
     The starts are rigid rotations t_j = (k + phase)/starts + j omega,
     k < starts, run one after another (workers must be 1); phase is 0 for
     seed 0 and one uniform draw of default_rng(seed) otherwise.

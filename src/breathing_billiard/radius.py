@@ -19,7 +19,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from ._search import bisect_root, circle_sup
+from ._search import circle_sup, solve_monotone
 from .errors import ConvergenceError, PreconditionError
 
 TWO_PI = 2.0 * math.pi
@@ -239,8 +239,10 @@ def stationary_points(profile: RadiusProfile) -> list[tuple[float, float]]:
     """All roots of Rdot in [0,1), each paired with Rddot there.
 
     Sign-change bracketing on 1024 numpy-sampled points, each bracket
-    confirmed with the scalar d_radius, followed by bisection to 1e-12;
-    tangential (double) roots are outside the contract.
+    confirmed with the scalar d_radius, then solved by the safeguarded
+    Newton of _search.solve_monotone (f = Rdot, f' = Rddot) down to the
+    rounding floor of Rdot; tangential (double) roots are outside the
+    contract.
     """
     if profile.is_constant:
         raise PreconditionError("constant profile: every point is stationary")
@@ -250,10 +252,12 @@ def stationary_points(profile: RadiusProfile) -> list[tuple[float, float]]:
     n = _STATIONARY_SAMPLES
     step = 1.0 / n
     _, vals, _ = _grid(profile, n)
+    scale = sum(abs(d) * TWO_PI * k for k, d in profile.harmonics)
     # numpy picks the brackets; a value within rounding of 0 may carry the
     # wrong sign, so those brackets go to the scalar test as well
-    near0 = abs(vals) <= _NEAR_ZERO * sum(abs(d) * TWO_PI * k for k, d in profile.harmonics)
+    near0 = abs(vals) <= _NEAR_ZERO * scale
     picked = (vals * np.roll(vals, -1) < 0) | near0 | np.roll(near0, -1)
+    noise = 16.0 * 2.3e-16 * scale  # of Rdot: 16 ulp of its scale
     roots = []
     for i in np.flatnonzero(picked).tolist():
         a = i * step
@@ -261,7 +265,8 @@ def stationary_points(profile: RadiusProfile) -> list[tuple[float, float]]:
         if fa == 0.0:
             roots.append(a)
         elif fa * fb < 0:
-            roots.append(bisect_root(f, a, a + step))
+            roots.append(solve_monotone(lambda x: profile.eval(x)[1:], a, a + step,
+                                        fa > 0.0, noise)[0])
     return [(t, profile.dd_radius(t)) for t in roots]
 
 

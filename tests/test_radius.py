@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from breathing_billiard import _search, radius
 from breathing_billiard.errors import PreconditionError
@@ -151,13 +152,13 @@ class TestCircleSup:
         assert _search.circle_sup(lambda t: 2.5, [2.5 + 1e-12] * 64) == (0.0, 2.5)
 
 
-def _family_members(count, seed):
-    """Seeded members of both sine families: k in {1, 2, 3, 5, 8}, amplitudes
+def _family_members(count, seed, ks=(1, 2, 3, 5, 8)):
+    """Seeded members of both sine families: k cycling over ks, amplitudes
     inside and just outside delta_window, means spanning the R_tilde
     threshold, eps in {0.3, 0.5, 0.9}."""
     rng = random.Random(seed)
     for j in range(count):
-        k = (1, 2, 3, 5, 8)[j % 5]
+        k = ks[j % len(ks)]
         lo, hi = radius.delta_window(k)
         delta = (lo * (hi / lo) ** rng.random(), 0.9 * lo, 1.1 * hi)[j // 5 % 3]
         mean = max(3.0 * delta, 10.0 ** rng.uniform(-0.5, 4.0))
@@ -223,6 +224,27 @@ class TestStationaryPoints:
     def test_constant_rejected(self):
         with pytest.raises(PreconditionError):
             radius.stationary_points(RadiusProfile(1.0))
+
+    def test_roots_reach_the_rounding_floor(self):
+        # |Rdot| within the floor of the Newton solve: 4 |Rddot| ulp(t) plus
+        # 16 ulp of sum |d| 2 pi k; bisection to 1e-12 left ~|Rddot| 5e-13
+        ulp = 2.3e-16
+        for p, _ in _family_members(100, seed=13, ks=(1, 5, 6, 7, 8)):
+            noise = 16 * ulp * sum(abs(d) * 2 * math.pi * k for k, d in p.harmonics)
+            for t, ddr in radius.stationary_points(p):
+                assert abs(p.d_radius(t)) <= 4 * abs(ddr) * ulp * max(1.0, abs(t)) + noise
+
+    def test_roots_match_brentq(self):
+        # oracle: brentq to 1e-15 on every scalar sign change of the grid
+        n = radius._STATIONARY_SAMPLES
+        step = 1.0 / n
+        for p, _ in _family_members(100, seed=14, ks=(1, 5, 6, 7, 8)):
+            f = p.d_radius
+            vals = [f(i * step) for i in range(n + 1)]
+            expected = [brentq(f, i * step, (i + 1) * step, xtol=1e-15)
+                        for i in range(n) if vals[i] * vals[i + 1] < 0]
+            got = [t for t, _ in radius.stationary_points(p)]
+            assert got == pytest.approx(expected, rel=0, abs=1e-12)
 
 
 class TestClassify:

@@ -34,6 +34,8 @@ CLAMPED = '{"mean": 225.0811595675279, "harmonics": [[5, 0.01], [1, 0.01]]}'
 CONFIGS = [
     ("classify-member", ["classify", "--profile", REF]),
     ("classify-constant", ["classify", "--profile", CONST, "--eps", "0.3"]),
+    # a multi-root profile: every witness time and the strongest one's margins
+    ("classify-two-harmonic", ["classify", "--profile", TWO]),
     ("find-member", ["find-member", "--k", "1", "--delta", "0.05", "--min-window", "1.0"]),
     ("flight-csv", ["flight", "--profile", REF, "--c", "1", "--t0", "0.1", "--t1", "50",
                     "--dt", "1.0", "--csv", "flight.csv"]),
