@@ -296,7 +296,8 @@ def laederich_map(ctx: GenFunContext, t0: float, I0: float) -> tuple[float, floa
 
     Solves  A tau^2 - 2 I0 tau = R(t1)^2 - R(t0)^2  with A = (c^2+I0^2)/R0^2
     for the next bounce time, then I1 = -I0 - 2 R1 Rdot(t1) + A tau.  Used
-    solely as a cross-check of the generating-function map.
+    solely as a cross-check of the generating-function map; it needs scipy,
+    which only the test extra installs.
     """
     from scipy.optimize import brentq
 

@@ -17,7 +17,8 @@ certificate implies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +33,7 @@ DEFAULT_OMEGA_GRID = 33
 DEFAULT_K_SAMPLES = 257
 
 
-@dataclass(frozen=True)
-class KBand:
+class KBand(NamedTuple):
     """Action band forced on invariant curves of rotation number omega."""
 
     omega: float
@@ -62,25 +62,8 @@ class ChaosCertificate:
     a_max: float = math.nan
 
     def to_dict(self) -> dict:
-        return {
-            "tool_version": VERSION,
-            "profile": {"mean": self.profile.mean,
-                        "harmonics": [[k, d] for k, d in self.profile.harmonics]},
-            "profile_literal": self.profile.to_json(),
-            "eps": self.eps,
-            "c": self.c,
-            "t_witness": self.t_witness,
-            "ddR_witness": self.ddR_witness,
-            "omega_window": list(self.omega_window),
-            "bands": [[b.omega, b.k_lo, b.k_hi] for b in self.bands],
-            "k_range": list(self.k_range),
-            "widen_margin": self.widen_margin,
-            "a_grid": [[k, a] for k, a in self.a_grid],
-            "a_max": self.a_max,
-            "certified": self.certified,
-            "reason": self.reason,
-            "margins": self.margins,
-        }
+        return {**asdict(self), "tool_version": VERSION,
+                "profile_literal": self.profile.to_json()}
 
 
 @dataclass(frozen=True)
@@ -151,10 +134,11 @@ def a_exact(ctx: GenFunContext, t_bar: float, K: float) -> float:
 
 
 def alpha_limit(profile: RadiusProfile, t_bar: float, K: float,
-                r_min: float | None = None) -> tuple[float, float]:
+                r_min: float) -> tuple[float, float]:
     """Zero-momentum limit of the diagnostic at a stationary witness.
 
-    Returns (limit value, upper bound 2 sqrt(2K) (Rddot + K / r_min)).
+    Returns (limit value, upper bound 2 sqrt(2K) (Rddot + K / r_min)), where
+    r_min is the profile's minimum radius (ProfileBounds.r_min).
     The limit uses the c -> 0 neighbour spacings t +- (R(t) + R(nbr)) /
     sqrt(2K), solved by fixed point; the neighbour radii are the radii at
     those bounce times.
@@ -164,8 +148,6 @@ def alpha_limit(profile: RadiusProfile, t_bar: float, K: float,
         raise PreconditionError(f"t_bar = {t_bar} is not stationary: Rdot = {dr_t}")
     if K <= 0:
         raise PreconditionError(f"need K > 0, got {K}")
-    if r_min is None:
-        r_min = profile.mean - sum(abs(d) for _, d in profile.harmonics)
     speed = math.sqrt(2.0 * K)
     upper = 2.0 * speed * (ddr_t + K / r_min)
 
@@ -325,14 +307,8 @@ def c0_search(profile: RadiusProfile, eps: float, iters: int = 20,
 
 
 def _monotone(tested):
-    by_c = sorted(tested)
-    seen_false = False
-    for _, good in by_c:
-        if not good:
-            seen_false = True
-        elif seen_false:
-            return False
-    return True
+    verdicts = [good for _, good in sorted(tested)]
+    return verdicts == sorted(verdicts, reverse=True)
 
 
 def lyapunov(ctx: GenFunContext, s0: CylinderState, n: int) -> LyapunovEstimate:

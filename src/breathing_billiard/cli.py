@@ -108,9 +108,9 @@ def _cmd_find_member(args):
 
 def _cmd_flight(args):
     profile = _profile(args)
-    report = flight.validate_window(args.t0, args.t1, args.c, profile, args.eps)
+    window = flight.validate_window(args.t0, args.t1, args.c, profile, args.eps)
     seg = flight.make_segment(profile, args.t0, args.t1, args.c)
-    result = {"window": report.as_dict(),
+    result = {"window": window,
               "A": seg.A, "B": seg.B, "dtheta": seg.dtheta,
               "energy": seg.energy, "chord_length": seg.chord_length}
     if args.csv:

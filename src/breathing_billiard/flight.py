@@ -51,64 +51,38 @@ class FlightSegment:
         return self.duration * self.speed
 
 
-@dataclass(frozen=True)
-class WindowReport:
-    """Per-condition validity of a candidate flight window."""
-
-    tau: float
-    momentum_limit: float   # eps * r_min^2 / c
-    slope_limit: float      # r_min / (2 ||Rdot||)
-    curvature_limit: float  # 2 sqrt(1+sqrt(1-eps^2)) r_min / sqrt(||(R^2)''||)
-
-    @property
-    def momentum_ok(self) -> bool:
-        return 0.0 < self.tau < self.momentum_limit
-
-    @property
-    def slope_ok(self) -> bool:
-        return 0.0 < self.tau < self.slope_limit
-
-    @property
-    def curvature_ok(self) -> bool:
-        return 0.0 < self.tau < self.curvature_limit
-
-    @property
-    def ok(self) -> bool:
-        return self.momentum_ok and self.slope_ok and self.curvature_ok
-
-    def as_dict(self) -> dict:
-        return {
-            "tau": self.tau,
-            "momentum": {"limit": self.momentum_limit, "ok": self.momentum_ok},
-            "slope": {"limit": self.slope_limit, "ok": self.slope_ok},
-            "curvature": {"limit": self.curvature_limit, "ok": self.curvature_ok},
-            "ok": self.ok,
-        }
-
-
 def _check_arguments(t0: float, t1: float, c: float) -> None:
-    """Finite times t0 < t1 and a momentum c that is a number."""
+    """Finite times t0 < t1 and a momentum c >= 0."""
     if not t1 > t0:
         raise PreconditionError(f"need t1 > t0, got {t0}, {t1}")
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise PreconditionError(f"flight times must be finite, got {t0}, {t1}")
     if math.isnan(c):
         raise PreconditionError(f"angular momentum c must be a number, got {c}")
+    if c < 0:
+        raise PreconditionError("angular momentum must be >= 0")
 
 
 def validate_window(t0: float, t1: float, c: float, profile: RadiusProfile,
-                    eps: float, b: ProfileBounds | None = None) -> WindowReport:
-    """Check the three sufficient conditions for the flight to exist."""
+                    eps: float, b: ProfileBounds | None = None) -> dict:
+    """Check the three sufficient conditions for the flight to exist.
+
+    Each condition is 0 < tau < limit with tau = t1 - t0, for the limits
+    momentum eps r_min^2 / c (inf at c = 0), slope r_min / (2 ||Rdot||) and
+    curvature 2 sqrt(1 + sqrt(1 - eps^2)) r_min / sqrt(||(R^2)''||).
+    Returns {"tau", "momentum", "slope", "curvature", "ok"}, with each
+    condition as {"limit", "ok"} and "ok" true when all three hold.
+    """
     _check_arguments(t0, t1, c)
-    if c < 0:
-        raise PreconditionError("angular momentum must be >= 0")
     if b is None:
         b = bounds(profile, eps)
     tau = t1 - t0
     momentum = eps * b.r_min ** 2 / c if c > 0 else math.inf
-    slope, curvature = sigma_limits(eps, b.r_min, b.dR_norm, b.ddR2_norm)
-    return WindowReport(tau=tau, momentum_limit=momentum,
-                        slope_limit=slope, curvature_limit=curvature)
+    limits = (momentum, *sigma_limits(eps, b.r_min, b.dR_norm, b.ddR2_norm))
+    conditions = {name: {"limit": limit, "ok": 0.0 < tau < limit}
+                  for name, limit in zip(("momentum", "slope", "curvature"), limits)}
+    return {"tau": tau, **conditions,
+            "ok": all(cond["ok"] for cond in conditions.values())}
 
 
 def make_segment(profile: RadiusProfile, t0: float, t1: float, c: float,
@@ -128,8 +102,6 @@ def make_segment(profile: RadiusProfile, t0: float, t1: float, c: float,
     if disc <= 0.0:
         raise DomainError(
             f"window violation: R0^2 R1^2 - c^2 tau^2 = {disc} <= 0 for tau = {tau}")
-    if c < 0:
-        raise PreconditionError("angular momentum must be >= 0")
     s = math.sqrt(disc)
     a = (r0 * r0 + r1 * r1 + 2.0 * s) / (tau * tau)
     b_off = -(t0 + (r0 * r0 + s) / (tau * a))

@@ -128,7 +128,8 @@ class TestAExact:
         for c in (1e-1, 1e-3):
             ctx = genfun.make_context(profile, c, EPS)
             a_val = chaoscert.a_exact(ctx, t_bar, k_mid)
-            lim, _ = chaoscert.alpha_limit(profile, t_bar, k_mid)
+            lim, _ = chaoscert.alpha_limit(profile, t_bar, k_mid,
+                                           r_min=verdict.bounds.r_min)
             gaps.append(abs(a_val - lim))
         assert gaps[1] < gaps[0]
 
@@ -145,7 +146,8 @@ class TestAlphaLimit:
     def test_small_action_sign_matches_curvature(self, member):
         profile, _, verdict = member
         t_bar, ddr = verdict.witnesses[0]
-        lim, upper = chaoscert.alpha_limit(profile, t_bar, 1e-6)
+        lim, upper = chaoscert.alpha_limit(profile, t_bar, 1e-6,
+                                           r_min=verdict.bounds.r_min)
         assert (upper < 0) == (ddr < 0)
         assert (lim < 0) == (ddr < 0)
 
@@ -177,9 +179,9 @@ class TestAlphaLimit:
             assert lim <= upper + 1e-12
 
     def test_non_stationary_rejected(self, member):
-        profile, _, _ = member
+        profile, _, verdict = member
         with pytest.raises(PreconditionError):
-            chaoscert.alpha_limit(profile, 0.1, 1000.0)
+            chaoscert.alpha_limit(profile, 0.1, 1000.0, r_min=verdict.bounds.r_min)
 
 
 class TestCertify:
@@ -382,6 +384,8 @@ class TestC0Search:
         assert chaoscert._monotone([(0.4, False), (0.1, True), (0.2, True)])
         assert chaoscert._monotone([])
         assert not chaoscert._monotone([(0.4, True), (0.1, True), (0.2, False)])
+        # a tie at one momentum: a failure and a success at the same c
+        assert not chaoscert._monotone([(0.2, True), (0.2, False)])
 
 
 class TestLyapunov:

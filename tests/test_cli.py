@@ -1,6 +1,9 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -380,3 +383,33 @@ class TestDeterminism:
         assert payload["config"]["eps"] == 0.5
         # output locations stay out of the config so reruns are byte-identical
         assert "out" not in payload["config"]
+
+
+class TestWithoutScipy:
+    # scipy is a test-only dependency: the commands must run without it
+    COMMANDS = [
+        ["certify", "--profile", MEMBER, "--c", "1", "--omega-grid", "7",
+         "--k-samples", "33"],
+        ["c0", "--profile", MEMBER, "--iters", "3", "--omega-grid", "5", "--k-samples", "17"],
+        ["map", "--profile", MEMBER, "--c", "1", "--t0", "0.2", "--K", "13500"],
+        ["simulate", "--profile", MEMBER, "--c", "1", "--t0", "0.2", "--K", "13500",
+         "--n", "50"],
+        ["orbit", "--profile", MEMBER, "--c", "1", "--p", "219", "--q", "2",
+         "--starts", "4", "--seed", "0"],
+        ["flight", "--profile", MEMBER, "--c", "1", "--t0", "0.1", "--t1", "50"],
+    ]
+
+    def test_commands_do_not_import_scipy(self, tmp_path):
+        runs = [argv + ["--out", str(tmp_path / f"{i}.json")]
+                for i, argv in enumerate(self.COMMANDS)]
+        script = ("import json, sys\n"
+                  "from breathing_billiard import cli\n"
+                  "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+                  "print(json.dumps([codes, 'scipy' in sys.modules]))\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, check=True)
+        codes, scipy_loaded = json.loads(proc.stdout)
+        assert codes == [0] * len(self.COMMANDS)
+        assert not scipy_loaded

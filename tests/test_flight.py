@@ -20,7 +20,7 @@ def random_valid_windows(profile, c, eps, count, seed):
         t0 = float(rng.uniform(0, 1))
         tau = float(rng.uniform(0.05, 0.98)) * limit
         rep = flight.validate_window(t0, t0 + tau, c, profile, eps, b)
-        if rep.ok:
+        if rep["ok"]:
             out.append((t0, t0 + tau))
     return out
 
@@ -28,26 +28,26 @@ def random_valid_windows(profile, c, eps, count, seed):
 class TestValidateWindow:
     def test_static_momentum_condition(self, static_profile):
         rep = flight.validate_window(0.0, 3.0, 0.1, static_profile, EPS)
-        assert rep.momentum_limit == pytest.approx(5.0)
-        assert rep.slope_limit == math.inf
-        assert rep.curvature_limit == math.inf
-        assert rep.ok
+        assert rep["momentum"]["limit"] == pytest.approx(5.0)
+        assert rep["slope"]["limit"] == math.inf
+        assert rep["curvature"]["limit"] == math.inf
+        assert rep["ok"]
         rep = flight.validate_window(0.0, 5.5, 0.1, static_profile, EPS)
-        assert not rep.momentum_ok and not rep.ok
+        assert not rep["momentum"]["ok"] and not rep["ok"]
 
     def test_reference_long_window_fails(self, reference_profile):
         rep = flight.validate_window(0.0, 200.0, 1.0, reference_profile, EPS)
-        assert not rep.ok
-        assert not rep.curvature_ok  # the sigma-defining condition
+        assert not rep["ok"]
+        assert not rep["curvature"]["ok"]  # the sigma-defining condition
 
     def test_limits_define_sigma(self, reference_profile):
         b = radius.bounds(reference_profile, EPS)
         rep = flight.validate_window(0.0, 1.0, 1.0, reference_profile, EPS, b)
-        assert min(rep.slope_limit, rep.curvature_limit) == b.sigma
+        assert min(rep["slope"]["limit"], rep["curvature"]["limit"]) == b.sigma
 
     def test_short_window_passes(self, reference_profile):
         rep = flight.validate_window(0.0, 1e-3, 1.0, reference_profile, EPS)
-        assert rep.ok
+        assert rep["ok"]
 
     def test_ordering_required(self, static_profile):
         with pytest.raises(PreconditionError):
@@ -73,6 +73,19 @@ class TestValidateWindow:
             for t0, t1 in ((0.0, math.inf), (-math.inf, 0.0)):
                 with pytest.raises(PreconditionError, match="finite"):
                     build(profile, t0, t1, 0.0)
+
+    @pytest.mark.parametrize("build", [
+        lambda p, t0, t1, c: flight.validate_window(t0, t1, c, p, EPS),
+        flight.make_segment,
+    ], ids=["validate_window", "make_segment"])
+    def test_negative_momentum_rejected_before_the_window(self, reference_profile,
+                                                          build):
+        # the sign of c is checked before the window, so a degenerate window
+        # (c^2 tau^2 > R0^2 R1^2) does not turn a bad momentum into DomainError
+        for t1, c in ((1.0, -1.0), (300.0, -1e6)):
+            with pytest.raises(PreconditionError,
+                               match="angular momentum must be >= 0"):
+                build(reference_profile, 0.0, t1, c)
 
 
 class TestFlightCoeffs:
@@ -100,11 +113,13 @@ class TestFlightCoeffs:
             flight.make_segment(static_profile, 0.0, 11.0, 0.1)
 
     def test_check_order(self, static_profile):
-        # ordering first, then the window, then the momentum sign
+        # ordering first, then the momentum sign, then the window
         with pytest.raises(PreconditionError, match="t1 > t0"):
             flight.make_segment(static_profile, 1.0, 1.0, -1.0)
-        with pytest.raises(DomainError, match="window violation"):
+        with pytest.raises(PreconditionError, match="angular momentum"):
             flight.make_segment(static_profile, 0.0, 11.0, -1.0)
+        with pytest.raises(DomainError, match="window violation"):
+            flight.make_segment(static_profile, 0.0, 11.0, 0.1)
         with pytest.raises(PreconditionError, match="angular momentum"):
             flight.make_segment(static_profile, 0.0, 1.0, -0.1)
 
@@ -227,7 +242,7 @@ class TestGeometry:
             t2 = t1 + float(rng.uniform(0.1, 0.95)) * limit
             r1 = flight.validate_window(t0, t1, 0.3, small_profile, EPS, b)
             r2 = flight.validate_window(t1, t2, 0.3, small_profile, EPS, b)
-            if not (r1.ok and r2.ok):
+            if not (r1["ok"] and r2["ok"]):
                 continue
             seg_a = flight.make_segment(small_profile, t0, t1, 0.3)
             _, v_in, _ = flight.flight_state(seg_a, t1)

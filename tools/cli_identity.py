@@ -39,6 +39,9 @@ CONFIGS = [
     ("find-member", ["find-member", "--k", "1", "--delta", "0.05", "--min-window", "1.0"]),
     ("flight-csv", ["flight", "--profile", REF, "--c", "1", "--t0", "0.1", "--t1", "50",
                     "--dt", "1.0", "--csv", "flight.csv"]),
+    # the curvature limit (130.4) fails: the report reads ok: false
+    ("flight-window-fails", ["flight", "--profile", REF, "--c", "1", "--t0", "0",
+                             "--t1", "200"]),
     ("flight-constant", ["flight", "--profile", CONST, "--c", "0.1", "--t0", "0",
                          "--t1", "1"]),
     ("map-ref", ["map", "--profile", REF, "--c", "1", "--t0", "0.2", "--K", "13500"]),
