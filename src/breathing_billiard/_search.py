@@ -8,6 +8,8 @@ from __future__ import annotations
 import math
 from typing import Callable
 
+import numpy as np
+
 from .errors import ConvergenceError, PreconditionError
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
@@ -58,10 +60,6 @@ def circle_sup(f: Callable[[float], float], vals) -> tuple[float, float]:
     vectorised evaluation that rounds differently from f.
     Returns (argmax in [0,1), sup).
     """
-    # numpy is loaded by the package already; a module-level import would
-    # load it before the library's own modules, which raises peak memory
-    import numpy as np
-
     n = len(vals)
     if n < 3:
         raise PreconditionError(f"circle_sup needs >= 3 grid values, got {n}")

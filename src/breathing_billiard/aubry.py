@@ -113,8 +113,6 @@ def _sweep(ctx, ts, p, g_lo, g_hi):
         t_prev, t_next = _neighbours(ts, p, j)
         lo = max(t_prev + g_lo, t_next - g_hi)
         hi = min(t_prev + g_hi, t_next - g_lo)
-        if hi <= lo:
-            continue
         pad = 1e-12 * (1.0 + abs(lo) + abs(hi))
         lo, hi = lo + pad, hi - pad
         if hi <= lo:

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ._search import circle_sup, solve_monotone
+from ._search import _ULP, circle_sup, solve_monotone
 from .errors import DomainError, PreconditionError
 from .genfun import GenFunContext, d1h_edge_grid, grad_h, grad_twist, hess_h
 
@@ -145,7 +145,7 @@ def _solve(ctx: GenFunContext, anchor: float, K: float, direction: int,
     near = anchor + direction * (ctx.sigma * _EDGE)
     far = anchor + direction * ctx.sigma
     lo, hi = (near, far) if direction > 0 else (far, near)
-    noise = 16.0 * 2.3e-16 * max(1.0, abs(K))  # of f: 16 ulp of the action
+    noise = 16.0 * _ULP * max(1.0, abs(K))  # of f: 16 ulp of the action
     start = _chord_start(ctx, anchor, e, K, direction, guess)
     x, found, (_, _, d1, d2) = solve_monotone(fdf, lo, hi, direction > 0, noise, start)
     if not found:

@@ -27,7 +27,7 @@ from ._version import VERSION
 from .bmap import CylinderState
 from .errors import DomainError, PreconditionError
 from .genfun import GenFunContext, hess_h, make_context
-from .radius import ClassVerdict, RadiusProfile, classify
+from .radius import ClassVerdict, ProfileBounds, RadiusProfile, classify
 
 DEFAULT_OMEGA_GRID = 33
 DEFAULT_K_SAMPLES = 257
@@ -133,23 +133,23 @@ def a_exact(ctx: GenFunContext, t_bar: float, K: float) -> float:
     return d11 + d22
 
 
-def alpha_limit(profile: RadiusProfile, t_bar: float, K: float,
-                r_min: float) -> tuple[float, float]:
+def alpha_limit(bounds: ProfileBounds, t_bar: float, K: float) -> tuple[float, float]:
     """Zero-momentum limit of the diagnostic at a stationary witness.
 
-    Returns (limit value, upper bound 2 sqrt(2K) (Rddot + K / r_min)), where
-    r_min is the profile's minimum radius (ProfileBounds.r_min).
+    Returns (limit value, upper bound 2 sqrt(2K) (Rddot + K / r_min)), for
+    the profile and r_min that bounds carries.
     The limit uses the c -> 0 neighbour spacings t +- (R(t) + R(nbr)) /
     sqrt(2K), solved by fixed point; the neighbour radii are the radii at
     those bounce times.
     """
+    profile = bounds.profile
     r_t, dr_t, ddr_t = profile.eval(t_bar)
     if abs(dr_t) > 1e-8 * max(1.0, abs(profile.mean)):
         raise PreconditionError(f"t_bar = {t_bar} is not stationary: Rdot = {dr_t}")
     if K <= 0:
         raise PreconditionError(f"need K > 0, got {K}")
     speed = math.sqrt(2.0 * K)
-    upper = 2.0 * speed * (ddr_t + K / r_min)
+    upper = 2.0 * speed * (ddr_t + K / bounds.r_min)
 
     t_next = t_bar + 2.0 * r_t / speed
     t_prev = t_bar - 2.0 * r_t / speed
@@ -221,7 +221,7 @@ def certify(profile: RadiusProfile, eps: float, c: float,
         for band in bands:
             for k_val in (band.k_lo, band.k_hi):
                 a_val = a_exact(ctx, t_bar, k_val)
-                lim, _ = alpha_limit(profile, t_bar, k_val, r_min=b.r_min)
+                lim, _ = alpha_limit(b, t_bar, k_val)
                 gap = max(gap, abs(a_val - lim))
     except DomainError as exc:
         cert.reason = f"diagnostic left the map domain on the band grid: {exc}"

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .radius import ProfileBounds, RadiusProfile, bounds, sigma_limits
+from .radius import RadiusProfile, bounds, sigma_limits
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ def _check_arguments(t0: float, t1: float, c: float) -> None:
 
 
 def validate_window(t0: float, t1: float, c: float, profile: RadiusProfile,
-                    eps: float, b: ProfileBounds | None = None) -> dict:
+                    eps: float) -> dict:
     """Check the three sufficient conditions for the flight to exist.
 
     Each condition is 0 < tau < limit with tau = t1 - t0, for the limits
@@ -74,8 +74,7 @@ def validate_window(t0: float, t1: float, c: float, profile: RadiusProfile,
     condition as {"limit", "ok"} and "ok" true when all three hold.
     """
     _check_arguments(t0, t1, c)
-    if b is None:
-        b = bounds(profile, eps)
+    b = bounds(profile, eps)
     tau = t1 - t0
     momentum = eps * b.r_min ** 2 / c if c > 0 else math.inf
     limits = (momentum, *sigma_limits(eps, b.r_min, b.dR_norm, b.ddR2_norm))

@@ -16,7 +16,9 @@ oracles in the test suite guard the transcriptions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import DomainError, PreconditionError
 from .radius import ProfileBounds, RadiusProfile, _grid, bounds as profile_bounds
@@ -26,21 +28,23 @@ _C_SLACK = 1.0 + 1e-9  # tolerate the closed end of the admissible c range
 
 @dataclass(frozen=True)
 class GenFunContext:
-    """Profile + angular momentum + working strip 0 < t1 - t0 <= sigma.
+    """Profile bounds + angular momentum + working strip 0 < t1 - t0 <= sigma.
 
-    sigma defaults to the profile's flight-window constant; for constant
-    profiles (sigma = +inf) a finite working sigma must be supplied.  The
-    admissible momentum range is 0 <= c <= eps * r_min^2 / sigma, which keeps
-    the endpoint discriminant positive on the whole strip.
+    bounds carries the profile and eps; profile is bounds.profile, kept as a
+    plain attribute because every kernel reads it.  sigma defaults to the
+    profile's flight-window constant; for constant profiles (sigma = +inf) a
+    finite working sigma must be supplied.  The admissible momentum range is
+    0 <= c <= eps * r_min^2 / sigma, which keeps the endpoint discriminant
+    positive on the whole strip.
     """
 
-    profile: RadiusProfile
-    c: float
-    eps: float
     bounds: ProfileBounds
+    c: float
     sigma: float
+    profile: RadiusProfile = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "profile", self.bounds.profile)
         if math.isnan(self.c):
             raise PreconditionError(f"angular momentum c must be a number, got {self.c}")
         if self.c < 0:
@@ -48,7 +52,7 @@ class GenFunContext:
         if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise PreconditionError("context needs a finite positive sigma "
                                     "(constant profiles: pass a working sigma)")
-        c_max = self.eps * self.bounds.r_min ** 2 / self.sigma
+        c_max = self.bounds.eps * self.bounds.r_min ** 2 / self.sigma
         if self.c > c_max * _C_SLACK:
             raise PreconditionError(
                 f"momentum too large for the strip: c = {self.c} > "
@@ -69,7 +73,7 @@ def make_context(profile: RadiusProfile, c: float, eps: float,
         bounds.check(profile, eps)
     if sigma is None:
         sigma = bounds.sigma
-    return GenFunContext(profile=profile, c=c, eps=eps, bounds=bounds, sigma=sigma)
+    return GenFunContext(bounds=bounds, c=c, sigma=sigma)
 
 
 def _core(ctx: GenFunContext, t0: float, e0, t1: float, e1):
@@ -127,8 +131,6 @@ def d1h_edge_grid(ctx: GenFunContext, n: int):
     differently.  A discriminant that is not positive at some grid point
     raises DomainError, as _core does, instead of turning into a NaN.
     """
-    import numpy as np  # see _search.circle_sup
-
     t0 = np.arange(n) * (1.0 / n)
     tau = (t0 + ctx.sigma) - t0
     r0, dr0, _ = _grid(ctx.profile, n)

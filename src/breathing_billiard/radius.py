@@ -19,7 +19,9 @@ import json
 import math
 from dataclasses import dataclass
 
-from ._search import circle_sup, solve_monotone
+import numpy as np
+
+from ._search import _ULP, circle_sup, solve_monotone
 from .errors import ConvergenceError, PreconditionError
 
 TWO_PI = 2.0 * math.pi
@@ -185,8 +187,6 @@ def _grid(profile: RadiusProfile, n: int, shift: float = 0.0):
     expressions are those of RadiusProfile.eval, so only np.sin and np.cos
     may round differently from the scalar methods.
     """
-    import numpy as np  # see _search.circle_sup
-
     t = np.arange(n) * (1.0 / n) + shift
     r = np.full(n, float(profile.mean))
     dr = np.zeros(n)
@@ -246,7 +246,6 @@ def stationary_points(profile: RadiusProfile) -> list[tuple[float, float]]:
     """
     if profile.is_constant:
         raise PreconditionError("constant profile: every point is stationary")
-    import numpy as np  # see _search.circle_sup
 
     f = profile.d_radius
     n = _STATIONARY_SAMPLES
@@ -257,7 +256,7 @@ def stationary_points(profile: RadiusProfile) -> list[tuple[float, float]]:
     # wrong sign, so those brackets go to the scalar test as well
     near0 = abs(vals) <= _NEAR_ZERO * scale
     picked = (vals * np.roll(vals, -1) < 0) | near0 | np.roll(near0, -1)
-    noise = 16.0 * 2.3e-16 * scale  # of Rdot: 16 ulp of its scale
+    noise = 16.0 * _ULP * scale  # of Rdot: 16 ulp of its scale
     roots = []
     for i in np.flatnonzero(picked).tolist():
         a = i * step

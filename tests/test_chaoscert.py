@@ -128,8 +128,7 @@ class TestAExact:
         for c in (1e-1, 1e-3):
             ctx = genfun.make_context(profile, c, EPS)
             a_val = chaoscert.a_exact(ctx, t_bar, k_mid)
-            lim, _ = chaoscert.alpha_limit(profile, t_bar, k_mid,
-                                           r_min=verdict.bounds.r_min)
+            lim, _ = chaoscert.alpha_limit(verdict.bounds, t_bar, k_mid)
             gaps.append(abs(a_val - lim))
         assert gaps[1] < gaps[0]
 
@@ -144,44 +143,40 @@ class TestAExact:
 
 class TestAlphaLimit:
     def test_small_action_sign_matches_curvature(self, member):
-        profile, _, verdict = member
+        _, _, verdict = member
         t_bar, ddr = verdict.witnesses[0]
-        lim, upper = chaoscert.alpha_limit(profile, t_bar, 1e-6,
-                                           r_min=verdict.bounds.r_min)
+        lim, upper = chaoscert.alpha_limit(verdict.bounds, t_bar, 1e-6)
         assert (upper < 0) == (ddr < 0)
         assert (lim < 0) == (ddr < 0)
 
     def test_upper_bound_root(self, member):
-        profile, _, verdict = member
+        _, _, verdict = member
         t_bar, ddr = verdict.witnesses[0]
         k_root = -ddr * verdict.bounds.r_min
-        _, upper = chaoscert.alpha_limit(profile, t_bar, k_root,
-                                         r_min=verdict.bounds.r_min)
+        _, upper = chaoscert.alpha_limit(verdict.bounds, t_bar, k_root)
         assert abs(upper) < 1e-9 * max(1.0, k_root)
 
     def test_reference_value_negative(self, reference_profile):
         # 2 sqrt(2*13500) (ddR(1/4) + 13500 / r_min) < 0 for the worked profile
         v = radius.classify(reference_profile, EPS)
         t_bar, _ = v.witnesses[0]
-        lim, upper = chaoscert.alpha_limit(reference_profile, t_bar, 13500.0,
-                                           r_min=v.bounds.r_min)
+        lim, upper = chaoscert.alpha_limit(v.bounds, t_bar, 13500.0)
         expected_upper = 2 * math.sqrt(27000) * (-0.05 * 4 * math.pi**2
                                                  + 13500 / v.bounds.r_min)
         assert upper == pytest.approx(expected_upper, rel=1e-9)
         assert upper < 0 and lim < 0
 
     def test_limit_below_upper_bound(self, member):
-        profile, _, verdict = member
+        _, _, verdict = member
         t_bar, _ = verdict.witnesses[0]
         for k in np.linspace(900, 1300, 9):
-            lim, upper = chaoscert.alpha_limit(profile, t_bar, float(k),
-                                               r_min=verdict.bounds.r_min)
+            lim, upper = chaoscert.alpha_limit(verdict.bounds, t_bar, float(k))
             assert lim <= upper + 1e-12
 
     def test_non_stationary_rejected(self, member):
-        profile, _, verdict = member
+        _, _, verdict = member
         with pytest.raises(PreconditionError):
-            chaoscert.alpha_limit(profile, 0.1, 1000.0, r_min=verdict.bounds.r_min)
+            chaoscert.alpha_limit(verdict.bounds, 0.1, 1000.0)
 
 
 class TestCertify:

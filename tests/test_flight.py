@@ -19,7 +19,7 @@ def random_valid_windows(profile, c, eps, count, seed):
     while len(out) < count:
         t0 = float(rng.uniform(0, 1))
         tau = float(rng.uniform(0.05, 0.98)) * limit
-        rep = flight.validate_window(t0, t0 + tau, c, profile, eps, b)
+        rep = flight.validate_window(t0, t0 + tau, c, profile, eps)
         if rep["ok"]:
             out.append((t0, t0 + tau))
     return out
@@ -42,7 +42,7 @@ class TestValidateWindow:
 
     def test_limits_define_sigma(self, reference_profile):
         b = radius.bounds(reference_profile, EPS)
-        rep = flight.validate_window(0.0, 1.0, 1.0, reference_profile, EPS, b)
+        rep = flight.validate_window(0.0, 1.0, 1.0, reference_profile, EPS)
         assert min(rep["slope"]["limit"], rep["curvature"]["limit"]) == b.sigma
 
     def test_short_window_passes(self, reference_profile):
@@ -240,8 +240,8 @@ class TestGeometry:
             t0 = float(rng.uniform(0, 1))
             t1 = t0 + float(rng.uniform(0.1, 0.95)) * limit
             t2 = t1 + float(rng.uniform(0.1, 0.95)) * limit
-            r1 = flight.validate_window(t0, t1, 0.3, small_profile, EPS, b)
-            r2 = flight.validate_window(t1, t2, 0.3, small_profile, EPS, b)
+            r1 = flight.validate_window(t0, t1, 0.3, small_profile, EPS)
+            r2 = flight.validate_window(t1, t2, 0.3, small_profile, EPS)
             if not (r1["ok"] and r2["ok"]):
                 continue
             seg_a = flight.make_segment(small_profile, t0, t1, 0.3)

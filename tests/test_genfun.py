@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from breathing_billiard import flight, genfun, simulate
+from breathing_billiard import bmap, flight, genfun, radius, simulate
 from breathing_billiard.bmap import CylinderState
 from breathing_billiard.errors import DomainError, PreconditionError
 from breathing_billiard.radius import ProfileBounds, RadiusProfile
@@ -51,6 +52,19 @@ class TestContext:
         with pytest.raises(PreconditionError, match="profile"):
             genfun.make_context(reference_profile, 0.3, EPS, bounds=small_ctx.bounds)
 
+    def test_replaced_bounds_bring_their_profile(self, member_ctx):
+        # the profile is read off the bounds, so replacing them cannot keep
+        # the member's profile (whose sigma_star is about 810.29)
+        assert [f.name for f in dataclasses.fields(member_ctx) if f.init] == [
+            "bounds", "c", "sigma"]
+        q = RadiusProfile(900.0, ((1, 0.05),))
+        ctx = dataclasses.replace(member_ctx, bounds=radius.bounds(q, EPS))
+        assert ctx.profile == q and ctx.profile is ctx.bounds.profile
+        fresh = genfun.make_context(q, 1.0, EPS, sigma=member_ctx.sigma)
+        assert ctx == fresh
+        assert bmap.sigma_star(ctx) == bmap.sigma_star(fresh)
+        assert bmap.sigma_star(ctx) == pytest.approx(1151.466, rel=1e-6)
+
     def test_strip_domain(self, static_ctx):
         with pytest.raises(DomainError):
             genfun.h(static_ctx, 0.0, 5.0)
@@ -71,7 +85,7 @@ class TestContext:
         profile = RadiusProfile(1.0, ((1, 0.5),))
         wrong = ProfileBounds(profile=profile, eps=EPS, r_min=1.0, r_max=1.5,
                               dR_norm=math.pi, ddR2_norm=20.0, sigma=1.0)
-        ctx = genfun.GenFunContext(profile=profile, c=0.5, eps=EPS, bounds=wrong, sigma=1.0)
+        ctx = genfun.GenFunContext(bounds=wrong, c=0.5, sigma=1.0)
         with pytest.raises(DomainError, match="discriminant"):
             genfun.grad_h(ctx, 0.75, 1.75)
 

@@ -127,6 +127,9 @@ CONFIGS = [
                                  "--K", "500", "--inverse"]),
     ("simulate-below-domain", ["simulate", "--profile", MEMBER, "--c", "1", "--t0", "0.3",
                                "--K", "500", "--n", "3"]),
+    # the context's momentum check, whose eps is read off the profile bounds
+    ("map-c-above-cmax", ["map", "--profile", MEMBER, "--c", "1e6", "--t0", "0.3",
+                          "--K", "1100"]),
 ]
 
 
