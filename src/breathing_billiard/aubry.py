@@ -79,17 +79,13 @@ def action(ctx: GenFunContext, times) -> float:
     return sum(h(ctx, ts[i], ts[i + 1]) for i in range(len(ts) - 1))
 
 
-def el_residual(ctx: GenFunContext, times, p: int | None = None) -> float:
-    """Max Euler-Lagrange defect |d2 h(t_{n-1}, t_n) + d1 h(t_n, t_{n+1})|.
-
-    With p given the sequence is treated as (p, q)-periodic (wraparound
-    pairs included); otherwise only interior nodes are checked.
-    """
+def el_residual(ctx: GenFunContext, times, p: int) -> float:
+    """Max Euler-Lagrange defect |d2 h(t_{n-1}, t_n) + d1 h(t_n, t_{n+1})|
+    of the (p, q)-periodic configuration times, wraparound pairs included."""
     ts = list(times)
-    if p is not None:
-        ts = [ts[-1] - p] + ts + [ts[0] + p]
-    if len(ts) < 3:
-        raise PreconditionError("need at least three times (or a periodic wrap)")
+    if not ts:
+        raise PreconditionError("need at least one time")
+    ts = [ts[-1] - p] + ts + [ts[0] + p]
     return el_defect(ctx, zip(ts, ts[1:]))
 
 

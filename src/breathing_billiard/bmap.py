@@ -25,12 +25,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from ._search import _ULP, circle_sup, solve_monotone
-from .errors import DomainError, PreconditionError
+from .errors import ConvergenceError, DomainError, PreconditionError
 from .genfun import GenFunContext, d1h_edge_grid, grad_h, grad_twist, hess_h
 
 _EDGE = 1e-9  # relative inset of the root bracket at the strip edges
 _SIGMA_STAR_GRID = 512  # sampling grid of the domain cutoff
-_IMPACT_SCAN_N = 4096  # bracketing scan of laederich_map over the window
+_IMPACT_MAX_ITER = 64  # flight-time iterates of laederich_map
 _CHORD_STEPS = 2  # profile radii of a cold first iterate; a warm one takes one more
 
 
@@ -296,40 +296,36 @@ def laederich_map(ctx: GenFunContext, t0: float, I0: float) -> tuple[float, floa
 
     Solves  A tau^2 - 2 I0 tau = R(t1)^2 - R(t0)^2  with A = (c^2+I0^2)/R0^2
     for the next bounce time, then I1 = -I0 - 2 R1 Rdot(t1) + A tau.  Used
-    solely as a cross-check of the generating-function map; it needs scipy,
-    which only the test extra installs.
+    solely as a cross-check of the generating-function map, so it shares no
+    code with _solve: tau is iterated as the fixed point tau = (I0 + sqrt(
+    I0^2 + A (R(t0 + tau)^2 - R0^2))) / A from R(t0 + tau) = R0 until an
+    iterate repeats one of the previous two (a fixed point, or a two-cycle
+    at the rounding floor).  As in forward, the step is taken from the
+    anchor t0 - floor(t0).
     """
-    from scipy.optimize import brentq
-
     if I0 <= 0:
         raise PreconditionError(f"impact variable must be positive, got {I0}")
     shift = math.floor(t0)
-    if shift != 0:
-        t1, i1 = laederich_map(ctx, t0 - shift, I0)
-        return t1 + shift, i1
-    r0 = ctx.profile.radius(t0)
-    a = (ctx.c * ctx.c + I0 * I0) / (r0 * r0)
-
-    def g(tau):
-        r1 = ctx.profile.radius(t0 + tau)
-        return a * tau * tau - 2.0 * I0 * tau - (r1 * r1 - r0 * r0)
-
-    sigma = ctx.sigma
-    lo = sigma * 1e-12
-    if g(lo) >= 0.0:
-        raise DomainError("impact-map bracket failed at the short-flight end")
-    step = sigma / _IMPACT_SCAN_N
-    tau_root = None
-    prev = lo
-    for i in range(1, _IMPACT_SCAN_N + 1):
-        tau = i * step
-        if g(tau) > 0.0:
-            tau_root = brentq(g, prev, tau, xtol=1e-13, rtol=8.9e-16)
+    anchor = t0 - shift
+    r0 = ctx.profile.radius(anchor)
+    i2, r02 = I0 * I0, r0 * r0
+    a = (ctx.c * ctx.c + i2) / r02
+    r1, last, before = r0, None, None
+    for _ in range(_IMPACT_MAX_ITER):
+        disc = i2 + a * (r1 * r1 - r02)
+        if not disc >= 0.0:
+            raise DomainError(f"no real flight time from t0 = {t0}: discriminant {disc} < 0")
+        tau = (I0 + math.sqrt(disc)) / a
+        if not tau <= ctx.sigma:
+            raise DomainError("no bounce time found inside the flight window")
+        if tau == last or tau == before:
             break
-        prev = tau
-    if tau_root is None:
-        raise DomainError("no bounce time found inside the flight window")
-    t1 = t0 + tau_root
+        last, before = tau, last
+        r1 = ctx.profile.radius(anchor + tau)
+    else:
+        raise ConvergenceError(f"impact map: no fixed point of the flight time in "
+                               f"{_IMPACT_MAX_ITER} iterates from t0 = {t0}, I0 = {I0}")
+    t1 = anchor + tau
     r1, dr1, _ = ctx.profile.eval(t1)
-    i1 = -I0 - 2.0 * r1 * dr1 + a * tau_root
-    return t1, i1
+    i1 = -I0 - 2.0 * r1 * dr1 + a * tau
+    return t1 + shift, i1

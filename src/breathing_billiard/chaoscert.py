@@ -97,7 +97,11 @@ def xi_interval(profile: RadiusProfile, eps: float,
                 verdict: ClassVerdict | None = None) -> tuple[float, float]:
     """Open rotation-number window attached to the strongest witness,
     intersected with (3, sigma - 1)."""
-    verdict = _verdict(profile, eps, verdict)
+    return _window(_verdict(profile, eps, verdict))
+
+
+def _window(verdict: ClassVerdict) -> tuple[float, float]:
+    """xi_interval of the profile and eps that verdict.bounds carries."""
     if verdict.klass != "R_tilde" or not verdict.witnesses:
         raise PreconditionError("profile is not in class R_tilde")
     if verdict.window is None:
@@ -109,11 +113,10 @@ def xi_interval(profile: RadiusProfile, eps: float,
     return w_lo, w_hi
 
 
-def k_band(profile: RadiusProfile, omega: float, eps: float,
-           verdict: ClassVerdict | None = None) -> KBand:
-    """Forced action band for invariant curves of rotation number omega."""
-    verdict = _verdict(profile, eps, verdict)
-    w_lo, w_hi = xi_interval(profile, eps, verdict)
+def k_band(verdict: ClassVerdict, omega: float) -> KBand:
+    """Forced action band for invariant curves of rotation number omega, on
+    the profile and eps that verdict.bounds carries."""
+    w_lo, w_hi = _window(verdict)
     if not (w_lo < omega < w_hi):
         raise DomainError(f"omega = {omega} outside the window ({w_lo}, {w_hi})")
     b = verdict.bounds
@@ -199,9 +202,9 @@ def certify(profile: RadiusProfile, eps: float, c: float,
         cert.reason = f"momentum c = {c} outside (0, {b.c_max})"
         return cert
 
-    w_lo, w_hi = cert.omega_window = xi_interval(profile, eps, verdict)
+    w_lo, w_hi = cert.omega_window = _window(verdict)
     omegas = np.linspace(w_lo, w_hi, omega_grid + 2)[1:-1]
-    bands = cert.bands = [k_band(profile, float(w), eps, verdict) for w in omegas]
+    bands = cert.bands = [k_band(verdict, float(w)) for w in omegas]
 
     # chain margins of the band construction (positive = holds)
     floor_k = 2.0 * b.r_max ** 2 / b.sigma ** 2

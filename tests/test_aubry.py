@@ -38,10 +38,14 @@ class TestElResidual:
         res = simulate.run(small_ctx, CylinderState(0.0, 30.0), 40)
         assert res.completed
         ts = [r.t for r in res.records]
-        assert aubry.el_residual(small_ctx, ts) < 1e-9
+        assert simulate.el_defect(small_ctx, zip(ts, ts[1:])) < 1e-9
 
     def test_perturbation_breaks_criticality(self, static_ctx):
         assert aubry.el_residual(static_ctx, (0.0, 1.6), p=3) > 1e-3
+
+    def test_empty_times_rejected(self, static_ctx):
+        with pytest.raises(PreconditionError, match="at least one time"):
+            aubry.el_residual(static_ctx, (), p=3)
 
 
 class TestPeriodicOrbit:

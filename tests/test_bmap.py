@@ -8,7 +8,7 @@ import pytest
 
 from breathing_billiard import _search, bmap, chaoscert, flight, genfun, radius
 from breathing_billiard.bmap import CylinderState
-from breathing_billiard.errors import DomainError
+from breathing_billiard.errors import ConvergenceError, DomainError
 from breathing_billiard.radius import RadiusProfile
 
 EPS = 0.5
@@ -244,7 +244,7 @@ class TestSigmaStar:
         from breathing_billiard import chaoscert
         profile, _, verdict = member
         w_lo, w_hi = chaoscert.xi_interval(profile, EPS, verdict)
-        band = chaoscert.k_band(profile, 0.5 * (w_lo + w_hi), EPS, verdict)
+        band = chaoscert.k_band(verdict, 0.5 * (w_lo + w_hi))
         assert bmap.sigma_star(member_ctx) < band.k_lo
 
 
@@ -456,3 +456,44 @@ class TestImpactMap:
             assert t1_impact == pytest.approx(image.t, abs=1e-9)
             k1_from_impact = bmap.impact_to_action(member_ctx, t1_impact, i1)
             assert k1_from_impact == pytest.approx(image.K, abs=1e-9 * max(1.0, image.K))
+
+    def test_degree_one_lift(self, member_ctx):
+        # dyadic fractions make t + n exact, so the lift commutes bitwise
+        rng = np.random.default_rng(13)
+        for s in domain_states(member_ctx, 20, seed=13):
+            t = math.floor(s.t * 1024.0) / 1024.0
+            i0 = bmap.action_to_impact(member_ctx, t, s.K)
+            t1, i1 = bmap.laederich_map(member_ctx, t, i0)
+            for n in (1, 7, -3, 1234, 100_000, int(rng.integers(1, 100_000))):
+                assert bmap.laederich_map(member_ctx, t + n, i0) == (t1 + n, i1)
+
+    def test_fraction_rounding_to_one_solves_from_anchor_one(self, member_ctx, monkeypatch):
+        # t - floor(t) rounds to 1.0 at t = -1e-20: the step is taken from
+        # the anchor 1.0, as forward and backward take it
+        s = CylinderState(-1e-20, 2.0 * bmap.sigma_star(member_ctx))
+        i0 = bmap.action_to_impact(member_ctx, s.t, s.K)
+        image = bmap.forward(member_ctx, s)
+        radii = []
+        radius = RadiusProfile.radius
+
+        def recorded(self, t):
+            radii.append(t)
+            return radius(self, t)
+
+        monkeypatch.setattr(RadiusProfile, "radius", recorded)
+        t1, i1 = bmap.laederich_map(member_ctx, s.t, i0)
+        assert radii[0] == 1.0
+        assert t1 == pytest.approx(image.t, abs=1e-9)
+        assert bmap.impact_to_action(member_ctx, t1, i1) == pytest.approx(
+            image.K, abs=1e-9 * image.K)
+
+    def test_flight_beyond_the_window(self, static_ctx):
+        # R = 1, c = 0: the chord of impact variable 0.25 takes tau = 8 > sigma = 4
+        with pytest.raises(DomainError, match="no bounce time found inside the flight window"):
+            bmap.laederich_map(static_ctx, 0.0, 0.25)
+
+    def test_iteration_cap(self, member_ctx, monkeypatch):
+        monkeypatch.setattr(bmap, "_IMPACT_MAX_ITER", 1)
+        s = domain_states(member_ctx, 1, seed=14)[0]
+        with pytest.raises(ConvergenceError, match="1 iterates"):
+            bmap.laederich_map(member_ctx, s.t, bmap.action_to_impact(member_ctx, s.t, s.K))

@@ -68,7 +68,7 @@ class TestXiInterval:
 class TestKBand:
     def test_reference_values(self, reference_profile):
         v = radius.classify(reference_profile, EPS)
-        band = chaoscert.k_band(reference_profile, 109.0, EPS, v)
+        band = chaoscert.k_band(v, 109.0)
         b = v.bounds
         k_lo_ref = 2 * b.r_min**2 / 110**2 - 2 * b.dR_norm * b.r_max / 110
         k_hi_ref = 2 * b.r_max**2 / 108**2 + 2 * b.dR_norm * b.r_max / 108
@@ -86,7 +86,7 @@ class TestKBand:
             v = radius.classify(prof, EPS)
             w_lo, w_hi = chaoscert.xi_interval(prof, EPS, v)
             w = 0.5 * (w_lo + w_hi)
-            band = chaoscert.k_band(prof, w, EPS, v)
+            band = chaoscert.k_band(v, w)
             assert band.k_lo == pytest.approx(2 * m * m / (w + 1) ** 2, rel=tol)
             assert band.k_hi == pytest.approx(2 * m * m / (w - 1) ** 2, rel=tol)
 
@@ -96,13 +96,13 @@ class TestKBand:
         b = verdict.bounds
         t_bar, ddr = verdict.witnesses[0]
         for w in np.linspace(w_lo, w_hi, 12)[1:-1]:
-            band = chaoscert.k_band(profile, float(w), EPS, verdict)
+            band = chaoscert.k_band(verdict, float(w))
             assert 2 * b.r_max**2 / b.sigma**2 < band.k_lo <= band.k_hi < -ddr * b.r_min
 
     def test_omega_outside_window(self, member):
         profile, _, verdict = member
         with pytest.raises(DomainError):
-            chaoscert.k_band(profile, 2.0, EPS, verdict)
+            chaoscert.k_band(verdict, 2.0)
 
 
 class TestAExact:
@@ -121,8 +121,7 @@ class TestAExact:
         profile, _, verdict = member
         t_bar, _ = verdict.witnesses[0]
         band = chaoscert.k_band(
-            profile, sum(chaoscert.xi_interval(profile, EPS, verdict)) / 2,
-            EPS, verdict)
+            verdict, sum(chaoscert.xi_interval(profile, EPS, verdict)) / 2)
         k_mid = 0.5 * (band.k_lo + band.k_hi)
         gaps = []
         for c in (1e-1, 1e-3):
@@ -136,8 +135,7 @@ class TestAExact:
         profile, _, verdict = member
         t_bar, _ = verdict.witnesses[0]
         band = chaoscert.k_band(
-            profile, sum(chaoscert.xi_interval(profile, EPS, verdict)) / 2,
-            EPS, verdict)
+            verdict, sum(chaoscert.xi_interval(profile, EPS, verdict)) / 2)
         assert chaoscert.a_exact(member_ctx, t_bar, 0.5 * (band.k_lo + band.k_hi)) < 0
 
 
@@ -289,8 +287,6 @@ class TestForeignVerdict:
             chaoscert.certify(own, EPS, 1.0, verdict=other)
         with pytest.raises(PreconditionError, match="profile"):
             chaoscert.xi_interval(own, EPS, other)
-        with pytest.raises(PreconditionError, match="profile"):
-            chaoscert.k_band(own, 31.5, EPS, other)
 
     def test_verdict_at_another_eps_rejected(self, member):
         profile, _, _ = member
@@ -311,6 +307,21 @@ class TestClassifiedOnce:
         bare = chaoscert.certify(profile, EPS, 1.0, omega_grid=7, k_samples=33)
         assert given.certified
         assert given.to_dict() == bare.to_dict()
+
+    def test_given_verdict_is_checked_twice(self, member, monkeypatch):
+        # certify's own check and make_context's; the bands reuse the verdict
+        profile, _, verdict = member
+        checks = []
+        original = radius.ProfileBounds.check
+
+        def counted(self, *args):
+            checks.append(args)
+            return original(self, *args)
+
+        monkeypatch.setattr(radius.ProfileBounds, "check", counted)
+        assert chaoscert.certify(profile, EPS, 1.0, omega_grid=7, k_samples=33,
+                                 verdict=verdict).certified
+        assert len(checks) == 2
 
     def test_bare_certify_bounds_once(self, member, bounds_calls):
         profile, _, _ = member

@@ -413,3 +413,21 @@ class TestWithoutScipy:
         codes, scipy_loaded = json.loads(proc.stdout)
         assert codes == [0] * len(self.COMMANDS)
         assert not scipy_loaded
+
+    def test_impact_map_does_not_import_scipy(self):
+        # the cross-check map of the tests finds its bounce times without scipy
+        script = ("import json, sys\n"
+                  "from breathing_billiard import bmap, genfun\n"
+                  "from breathing_billiard.radius import RadiusProfile\n"
+                  "ctx = genfun.make_context(RadiusProfile.from_json(sys.argv[1]), 1.0, 0.5)\n"
+                  "K = 2.0 * bmap.sigma_star(ctx)\n"
+                  "images = [bmap.laederich_map(ctx, t, bmap.action_to_impact(ctx, t, K))\n"
+                  "          for t in (0.1, 0.4, 0.7)]\n"
+                  "print(json.dumps([images, 'scipy' in sys.modules]))\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script, MEMBER],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, check=True)
+        images, scipy_loaded = json.loads(proc.stdout)
+        assert [t1 > t0 and i1 > 0 for (t1, i1), t0 in zip(images, (0.1, 0.4, 0.7))] == [True] * 3
+        assert not scipy_loaded

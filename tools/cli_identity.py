@@ -37,6 +37,9 @@ CONFIGS = [
     # a multi-root profile: every witness time and the strongest one's margins
     ("classify-two-harmonic", ["classify", "--profile", TWO]),
     ("find-member", ["find-member", "--k", "1", "--delta", "0.05", "--min-window", "1.0"]),
+    # from a mean hint the search walks down: mean 753.7141109579715, not 754.04...
+    ("find-member-hint", ["find-member", "--k", "1", "--delta", "0.05", "--min-window", "1.0",
+                          "--m-hint", "10000"]),
     ("flight-csv", ["flight", "--profile", REF, "--c", "1", "--t0", "0.1", "--t1", "50",
                     "--dt", "1.0", "--csv", "flight.csv"]),
     # the curvature limit (130.4) fails: the report reads ok: false
