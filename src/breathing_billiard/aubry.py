@@ -54,8 +54,7 @@ class MinimalOrbit:
     monotone: bool
 
     def gaps(self) -> list[float]:
-        ts = list(self.times) + [self.times[0] + self.p]
-        return [ts[i + 1] - ts[i] for i in range(self.q)]
+        return [b - a for a, b in _pairs(self.times, self.p)]
 
 
 @dataclass(frozen=True)
@@ -85,28 +84,20 @@ def el_residual(ctx: GenFunContext, times, p: int) -> float:
     ts = list(times)
     if not ts:
         raise PreconditionError("need at least one time")
-    ts = [ts[-1] - p] + ts + [ts[0] + p]
-    return el_defect(ctx, zip(ts, ts[1:]))
-
-
-def _neighbours(ts, p, j):
-    """(t_prev, t_next) of node j in the (p, q)-periodic configuration ts."""
-    q = len(ts)
-    t_prev = ts[j - 1] if j > 0 else ts[q - 1] - p
-    t_next = ts[j + 1] if j < q - 1 else ts[0] + p
-    return t_prev, t_next
+    return el_defect(ctx, [(ts[-1] - p, ts[0]), *_pairs(ts, p)])
 
 
 def _pairs(ts, p):
-    full = list(ts) + [ts[0] + p]
-    return [(full[i], full[i + 1]) for i in range(len(ts))]
+    """Consecutive pairs of the (p, q)-periodic ts, closed by (t_{q-1}, t_0 + p)."""
+    return list(zip(ts, [*ts[1:], ts[0] + p]))
 
 
 def _sweep(ctx, ts, p, g_lo, g_hi):
     """One projected Gauss-Seidel sweep at _SWEEP_XTOL; returns the largest move."""
     moved = 0.0
     for j in range(len(ts)):
-        t_prev, t_next = _neighbours(ts, p, j)
+        t_prev = ts[j - 1] if j else ts[-1] - p
+        t_next = ts[j + 1] if j + 1 < len(ts) else ts[0] + p
         lo = max(t_prev + g_lo, t_next - g_hi)
         hi = min(t_prev + g_hi, t_next - g_lo)
         pad = 1e-12 * (1.0 + abs(lo) + abs(hi))
@@ -173,25 +164,16 @@ def _check_window(omega, sigma):
             f"rotation number {omega} outside (1, sigma-1) = (1, {sigma - 1})")
 
 
-def _descend(ctx, p, ts0, g_lo, g_hi):
-    """One start of the multi-start descent: coarse sweeps, then the polish."""
-    ts = list(ts0)
-    for _ in range(_SWEEP_BUDGET):
-        if _sweep(ctx, ts, p, g_lo, g_hi) <= _SWEEP_STOP:
-            break
-    return _newton_polish(ctx, ts, p, g_lo, g_hi)
-
-
 def periodic_orbit(ctx: GenFunContext, p: int, q: int,
                    starts: int = 16, seed: int = 0,
                    workers: int = 1) -> MinimalOrbit:
     """Lowest-action stationary (p, q)-configuration over multi-start descent.
 
-    Requires 1 < p/q < sigma - 1 (and sigma > 2).  Gaps are confined to the
-    spacing estimate [omega-1, omega+1].  Each start is swept coarsely and
-    polished by least-squares Newton; each converged orbit is labelled from
-    its point of smallest t mod 1, with times[0] in [0, 1).  Actions within
-    1e-13 relative count as tied, and a tie goes to the smaller times[0].
+    Requires 1 < p/q < sigma - 1, which implies sigma > 2.  Gaps are confined
+    to the spacing estimate [omega-1, omega+1].  Each start is swept coarsely
+    and polished by least-squares Newton; each converged orbit is labelled
+    from its point of smallest t mod 1, with times[0] in [0, 1).  Actions
+    within 1e-13 relative count as tied, and a tie goes to the smaller times[0].
     An isolated minimum is therefore reported whichever start found it; on
     a continuous family of minimal orbits (a constant profile) only the
     action is, and times[0] depends on seed.
@@ -216,37 +198,37 @@ def periodic_orbit(ctx: GenFunContext, p: int, q: int,
         raise PreconditionError(f"need starts >= 1 and seed >= 0, got {starts} and {seed}")
     if math.gcd(p, q) != 1:
         raise PreconditionError(f"(p, q) = ({p}, {q}) must be coprime")
-    sigma = ctx.sigma
-    if not sigma > 2:
-        raise PreconditionError(f"needs sigma > 2, got {sigma}")
     omega = p / q
-    _check_window(omega, sigma)
+    _check_window(omega, ctx.sigma)
     g_lo, g_hi = omega - 1.0, omega + 1.0
 
     phase = float(np.random.default_rng(seed).uniform()) if seed else 0.0
-    configs = [[(k + phase) / starts + omega * j for j in range(q)] for k in range(starts)]
-
     converged = []
-    diagnostics = []
-    for ts, residual in (_descend(ctx, p, ts0, g_lo, g_hi) for ts0 in configs):
-        diagnostics.append(residual)
+    best_residual = math.inf
+    for k in range(starts):
+        ts = [(k + phase) / starts + omega * j for j in range(q)]
+        for _ in range(_SWEEP_BUDGET):
+            if _sweep(ctx, ts, p, g_lo, g_hi) <= _SWEEP_STOP:
+                break
+        ts, residual = _newton_polish(ctx, ts, p, g_lo, g_hi)
+        best_residual = min(best_residual, residual)
         if residual <= _RESIDUAL_TOL:
             ts = _canonical(ts, p)
             converged.append((action(ctx, ts + [ts[0] + p]), ts, residual))
     if not converged:
         raise ConvergenceError(
             f"no start converged below residual {_RESIDUAL_TOL}",
-            {"starts": starts, "best_residual": min(diagnostics, default=math.inf)})
+            {"starts": starts, "best_residual": best_residual})
 
     act_min = min(c[0] for c in converged)
     act, ts, residual = min((c for c in converged
                              if c[0] - act_min <= _TIE_RTOL * abs(act_min)),
                             key=lambda c: c[1][0])
-    ks = tuple(float(grad_h(ctx, a, b)[0]) for a, b in _pairs(ts, p))
-    gaps = [b - a for a, b in _pairs(ts, p)]
-    return MinimalOrbit(p=p, q=q, times=tuple(float(t) for t in ts), Ks=ks,
+    pairs = _pairs(ts, p)
+    return MinimalOrbit(p=p, q=q, times=tuple(float(t) for t in ts),
+                        Ks=tuple(float(grad_h(ctx, a, b)[0]) for a, b in pairs),
                         action=float(act), residual=float(residual),
-                        monotone=all(g > 0 for g in gaps))
+                        monotone=all(b > a for a, b in pairs))
 
 
 def _canonical(ts, p):
@@ -261,6 +243,8 @@ def convergents(omega: float, denom_cap: int):
     """Continued-fraction convergents p/q of omega with q <= denom_cap."""
     if denom_cap < 1:
         raise PreconditionError(f"denom_cap must be >= 1, got {denom_cap}")
+    if not math.isfinite(omega):
+        raise PreconditionError(f"omega must be finite, got {omega}")
     out = []
     p_prev, q_prev = 1, 0
     p_cur, q_cur = int(math.floor(omega)), 1
@@ -292,7 +276,7 @@ def hull_samples(ctx: GenFunContext, omega: float, denom_cap: int = 64,
     of the Mather set by periodic minimal orbits, arranged in cyclic order.
     """
     sigma = ctx.sigma
-    # checked before convergents, whose math.floor fails on a NaN omega
+    # checked before convergents, so a NaN omega reports the window
     _check_window(omega, sigma)
     cands = [(pp, qq) for pp, qq in convergents(omega, denom_cap)
              if 1.0 < pp / qq < sigma - 1.0]
@@ -302,15 +286,11 @@ def hull_samples(ctx: GenFunContext, omega: float, denom_cap: int = 64,
     p, q = cands[-1]
     orbit = periodic_orbit(ctx, p, q, starts=starts, seed=seed, workers=workers)
     rot = p / q
-    xs, phi, eta = [], [], []
+    rows = []
     for n in range(q):
         lift = n * rot
         fl = math.floor(lift)
-        xs.append(lift - fl)
-        phi.append(orbit.times[n] - fl)
-        eta.append(orbit.Ks[n])
-    order = sorted(range(q), key=lambda i: xs[i])
-    return HullSample(omega=omega, p=p, q=q,
-                      xs=tuple(xs[i] for i in order),
-                      phi=tuple(phi[i] for i in order),
-                      eta=tuple(eta[i] for i in order))
+        rows.append((lift - fl, orbit.times[n] - fl, orbit.Ks[n]))
+    # the fractions n p/q mod 1 are distinct, so the sort never compares phi
+    xs, phi, eta = zip(*sorted(rows))
+    return HullSample(omega=omega, p=p, q=q, xs=xs, phi=phi, eta=eta)

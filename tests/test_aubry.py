@@ -6,7 +6,7 @@ import pytest
 
 from breathing_billiard import aubry, bmap, genfun, simulate
 from breathing_billiard.bmap import CylinderState
-from breathing_billiard.errors import DomainError, PreconditionError
+from breathing_billiard.errors import ConvergenceError, DomainError, PreconditionError
 
 
 class TestAction:
@@ -150,6 +150,27 @@ class TestPeriodicOrbit:
         assert orbit.residual < 1e-10
         assert orbit.gaps() == pytest.approx([2.0], abs=1e-12)
 
+    def test_positive_q_required(self, static_ctx):
+        with pytest.raises(PreconditionError):
+            aubry.periodic_orbit(static_ctx, 3, 0)
+
+    def test_no_start_converged(self, static_ctx, monkeypatch):
+        # no residual is below a negative tolerance: every start is counted
+        # and the smallest polished residual is reported
+        monkeypatch.setattr(aubry, "_RESIDUAL_TOL", -1.0)
+        with pytest.raises(ConvergenceError) as info:
+            aubry.periodic_orbit(static_ctx, 3, 2, starts=4)
+        assert info.value.diagnostics["starts"] == 4
+        assert 0.0 <= info.value.diagnostics["best_residual"] < 1e-8
+
+    def test_sigma_two_has_an_empty_window(self, static_profile):
+        # sigma = 2 leaves no rotation number in (1, sigma - 1)
+        ctx = genfun.make_context(static_profile, 0.0, 0.5, sigma=2.0)
+        with pytest.raises(PreconditionError):
+            aubry.periodic_orbit(ctx, 3, 2)
+        with pytest.raises(PreconditionError):
+            aubry.hull_samples(ctx, 1.5)
+
 
 class TestConvergents:
     def test_golden_ratio(self):
@@ -160,6 +181,11 @@ class TestConvergents:
     def test_rational_terminates(self):
         convs = aubry.convergents(3.5, denom_cap=10)
         assert convs[-1] == (7, 2)
+
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, omega):
+        with pytest.raises(PreconditionError, match="finite"):
+            aubry.convergents(omega, 5)
 
 
 class TestHullSamples:
@@ -198,6 +224,12 @@ class TestHullSamples:
     def test_window_precondition(self, member_ctx):
         with pytest.raises(PreconditionError):
             aubry.hull_samples(member_ctx, 0.5, denom_cap=8, starts=2, seed=0)
+
+    def test_no_convergent_in_window(self, static_ctx):
+        # with denominators <= 1 the only convergent of 1.001 is 1/1, on the
+        # window's edge
+        with pytest.raises(PreconditionError, match="no convergent"):
+            aubry.hull_samples(static_ctx, 1.001, denom_cap=1)
 
 
 class TestChoiceOfPQ:

@@ -85,6 +85,10 @@ CONFIGS = [
     ("c0", ["c0", "--profile", REF, "--iters", "3", "--omega-grid", "5", "--k-samples", "17"]),
     ("orbit-csv", ["orbit", "--profile", REF, "--c", "1", "--p", "219", "--q", "2",
                    "--starts", "4", "--seed", "0", "--csv", "orbit.csv"]),
+    # no start converges next to an invariant circle (ROADMAP item 1): exit 2
+    # with the start loop's diagnostics; the output changes when that is mended
+    ("orbit-no-convergence", ["orbit", "--profile", MEMBER, "--c", "1", "--p", "565",
+                              "--q", "34", "--starts", "8", "--seed", "0"]),
     ("orbit-out-of-window", ["orbit", "--profile", CONST, "--c", "0", "--sigma", "4",
                              "--p", "1", "--q", "2", "--seed", "0"]),
     ("hull-csv", ["hull", "--profile", REF, "--c", "1", "--omega", "109.61803398875",
