@@ -27,9 +27,10 @@ from functools import lru_cache
 from ._search import _ULP, circle_sup, solve_monotone
 from .errors import ConvergenceError, DomainError, PreconditionError
 from .genfun import GenFunContext, d1h_edge_grid, grad_h, grad_twist, hess_h
+from .radius import grid_size
 
 _EDGE = 1e-9  # relative inset of the root bracket at the strip edges
-_SIGMA_STAR_GRID = 512  # sampling grid of the domain cutoff
+_SIGMA_STAR_FLOOR = 512  # least sampling grid of the domain cutoff
 _IMPACT_MAX_ITER = 64  # flight-time iterates of laederich_map
 _CHORD_STEPS = 2  # profile radii of a cold first iterate; a warm one takes one more
 
@@ -66,13 +67,13 @@ class MapJacobian:
 def sigma_star(ctx: GenFunContext) -> float:
     """Lower action cutoff of the map domain: max over t of d1 h(t, t+sigma).
 
-    The scan is one numpy grid; circle_sup refines it with grad_h, so the
-    value is one of grad_h's own.
+    The scan is one numpy grid of grid_size(profile, 512) points;
+    circle_sup refines it with grad_h, so the value is one of grad_h's own.
     """
     def d1h(t):
         return grad_h(ctx, t, t + ctx.sigma)[0]
 
-    _, value = circle_sup(d1h, d1h_edge_grid(ctx, _SIGMA_STAR_GRID))
+    _, value = circle_sup(d1h, d1h_edge_grid(ctx, grid_size(ctx.profile, _SIGMA_STAR_FLOOR)))
     return value
 
 
@@ -159,7 +160,12 @@ def _solve(ctx: GenFunContext, anchor: float, K: float, direction: int,
 
 def _solve_forward_time(ctx: GenFunContext, t0: float, K0: float,
                         guess: float | None = None) -> tuple[float, float]:
-    """(t1, K1) of one forward step from t0 in [0, 1); see _solve."""
+    """(t1, K1) of one forward step from t0 in [0, 1); see _solve.
+
+    It is a function of its own because the benchmark's tracer
+    (perfbench/tracer.py) wraps it and names each forward solve cold or
+    warm by its guess argument.
+    """
     return _solve(ctx, t0, K0, 1, guess)
 
 

@@ -338,8 +338,8 @@ def lyapunov(ctx: GenFunContext, s0: CylinderState, n: int) -> LyapunovEstimate:
 def lyapunov_table(ctx: GenFunContext, k_lo: float, k_hi: float,
                    seeds: int, n: int, seed: int = 0) -> list[dict]:
     """Lyapunov estimates for `seeds` random states in a K band."""
-    if not (k_lo < k_hi) or seeds < 1 or seed < 0:
-        raise PreconditionError(f"need k_lo < k_hi, seeds >= 1 and seed >= 0, got "
+    if not (-math.inf < k_lo < k_hi < math.inf) or seeds < 1 or seed < 0:
+        raise PreconditionError(f"need finite k_lo < k_hi, seeds >= 1 and seed >= 0, got "
                                 f"({k_lo}, {k_hi}), {seeds} and {seed}")
     rng = np.random.default_rng(seed)
     rows = []

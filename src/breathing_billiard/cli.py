@@ -4,8 +4,8 @@ Subcommands: classify, find-member, flight, map, simulate, orbit, hull,
 certify, c0, lyapunov, portrait.  JSON goes to --out (default stdout) and
 embeds the config that produced it; bulk numeric series go to CSV files
 ('.' decimal, ',' separator, header row, config in a leading comment line).
-Exit codes: 0 success, 1 domain/precondition error, 2 convergence failure,
-64 usage error.
+Exit codes: 0 success, 1 domain/precondition error or an output path that
+cannot be written, 2 convergence failure, 64 usage error.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ def _write_csv(args, path, header, rows):
 # --- subcommand bodies: each returns the "result" of the JSON payload -------
 
 def _cmd_classify(args):
-    v = radius.classify(_profile(args), args.eps, grid_n=args.grid_n)
+    v = radius.classify(_profile(args), args.eps)
     b = v.bounds
     return {"class": v.klass, "degenerate": v.degenerate, "witnesses": v.witnesses,
             "margins": v.margins, "window": v.window,
@@ -95,8 +95,7 @@ def _cmd_classify(args):
 
 
 def _cmd_find_member(args):
-    mean, v = radius.find_member(args.k, args.delta, args.eps,
-                                 M_hint=args.m_hint, min_window=args.min_window)
+    mean, v = radius.find_member(args.k, args.delta, args.eps, min_window=args.min_window)
     return {"mean": mean,
             "profile": radius.family_profile(args.k, args.delta, mean),
             "class": v.klass,
@@ -249,14 +248,12 @@ def build_parser() -> _Parser:
 
     p = add("classify", _cmd_classify, help="class R / R_tilde test")
     add_profile(p, with_c=False)
-    p.add_argument("--grid-n", type=int, default=4096)
 
     p = add("find-member", _cmd_find_member, help="search the sine family for a member")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--eps", type=float, default=0.5,
                    help="window parameter in (0,1); default 0.5")
-    p.add_argument("--m-hint", type=float, default=None)
     p.add_argument("--min-window", type=float, default=None)
 
     p = add("flight", _cmd_flight, help="one inter-bounce flight")
@@ -342,19 +339,20 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         result = args.func(args)
-    except (DomainError, PreconditionError) as exc:
+        text = json.dumps({"config": _config_dict(args), "result": _sanitize(result)},
+                          sort_keys=True, indent=2) + "\n"
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except (DomainError, PreconditionError, OSError) as exc:
+        # OSError: an --out or CSV path that cannot be written
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DOMAIN
     except ConvergenceError as exc:
         sys.stderr.write(f"convergence failure: {exc} {exc.diagnostics}\n")
         return EXIT_CONVERGENCE
-    text = json.dumps({"config": _config_dict(args), "result": _sanitize(result)},
-                      sort_keys=True, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return EXIT_OK
 
 

@@ -21,6 +21,8 @@ import numpy as np
 from .errors import DomainError, PreconditionError
 from .radius import RadiusProfile, bounds, sigma_limits
 
+_MAX_SAMPLE_ROWS = 1_000_000  # most rows of segment_samples: 40 MB
+
 
 @dataclass(frozen=True)
 class FlightSegment:
@@ -128,9 +130,13 @@ def flight_state(seg: FlightSegment, t: float) -> tuple[float, float, float]:
 
 
 def segment_samples(seg: FlightSegment, dt: float) -> np.ndarray:
-    """Rows (t, r, theta, x, y) sampled every dt, endpoints included."""
+    """Rows (t, r, theta, x, y) sampled every dt, endpoints included;
+    at most 1e6 rows, checked before any is built."""
     if not dt > 0:
         raise PreconditionError(f"dt must be positive, got {dt}")
+    if not seg.duration / dt < _MAX_SAMPLE_ROWS:
+        raise PreconditionError(f"dt = {dt} asks for more than {_MAX_SAMPLE_ROWS} samples "
+                                f"of a flight of duration {seg.duration}")
     n = max(1, int(math.ceil(seg.duration / dt)))
     ts = np.linspace(seg.t0, seg.t1, n + 1)
     rows = np.empty((len(ts), 5))

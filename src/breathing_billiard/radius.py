@@ -27,7 +27,10 @@ from .errors import ConvergenceError, PreconditionError
 TWO_PI = 2.0 * math.pi
 _MEAN_GRID_FACTOR = 1.25  # geometric scan step of find_member
 _MEAN_REL_TOL = 1e-3  # find_member refines the mean to 3 significant digits
-_STATIONARY_SAMPLES = 1024  # sign-change grid of stationary_points
+_BOUNDS_FLOOR = 4096  # least sup-norm grid of bounds
+_STATIONARY_FLOOR = 1024  # least sign-change grid of stationary_points
+_SAMPLES_PER_PERIOD = 32  # grid points per period of the top harmonic
+_GRID_CAP = 1 << 20  # most grid points of any profile scan
 _NEAR_ZERO = 1e-12  # |Rdot| below this times sum |d| 2 pi k is checked in scalar
 
 
@@ -53,8 +56,16 @@ class RadiusProfile:
                 raise PreconditionError(f"harmonic amplitude must be finite, got {d}")
             harm.append((int(k_float), d))
         object.__setattr__(self, "harmonics", tuple(harm))
-        if sum(abs(d) for _, d in harm) >= self.mean:
+        amplitude = sum(abs(d) for _, d in harm)
+        if amplitude >= self.mean:
             raise PreconditionError("profile not strictly positive: mean <= sum |amplitudes|")
+        # the flight discriminant takes R0^2 R1^2, and |(R^2)''| <= 4 R |Rddot|
+        r_top = self.mean + amplitude
+        ddr_top = sum(abs(d) * (TWO_PI * k) * (TWO_PI * k) for k, d in harm)
+        if not (math.isfinite(r_top * r_top * r_top * r_top)
+                and math.isfinite(4.0 * r_top * ddr_top)):
+            raise PreconditionError(f"profile too large: R^4 or 4 R |Rddot| overflows, "
+                                    f"with R <= {r_top} and |Rddot| <= {ddr_top}")
 
     @property
     def is_constant(self) -> bool:
@@ -138,6 +149,8 @@ class ProfileBounds:
             raise PreconditionError("bounds require 0 < r_min <= r_max")
         if not self.sigma > 0:
             raise PreconditionError("sigma must be positive")
+        if math.isfinite(self.sigma) and not math.isfinite(self.sigma * self.sigma):
+            raise PreconditionError(f"sigma = {self.sigma} overflows when squared")
 
     @property
     def c_max(self) -> float:
@@ -180,6 +193,15 @@ def alpha_constant(eps: float) -> float:
     return math.sqrt(1.0 + math.sqrt(1.0 - eps * eps))
 
 
+def grid_size(profile: RadiusProfile, floor: int) -> int:
+    """Points on one period for a scan of profile: floor, or 32 per period of
+    its top harmonic.  Past 2^20 points it raises PreconditionError instead."""
+    n = max(floor, _SAMPLES_PER_PERIOD * max((k for k, d in profile.harmonics if d), default=0))
+    if n > _GRID_CAP:
+        raise PreconditionError(f"the top harmonic needs {n} grid points, more than {_GRID_CAP}")
+    return n
+
+
 def _grid(profile: RadiusProfile, n: int, shift: float = 0.0):
     """(R, Rdot, Rddot) at t = i/n + shift, i < n, as numpy arrays.
 
@@ -201,18 +223,16 @@ def _grid(profile: RadiusProfile, n: int, shift: float = 0.0):
     return r, dr, ddr
 
 
-def bounds(profile: RadiusProfile, eps: float, grid_n: int = 4096) -> ProfileBounds:
+def bounds(profile: RadiusProfile, eps: float) -> ProfileBounds:
     """Sup-norms by dense sampling plus golden-section refinement.
 
-    grid_n >= 256 points on one period, sampled with numpy; each bracketed
-    local extremum is refined with the scalar profile methods to ~1e-13 in
-    the argument, i.e. ~1e-10 relative in the value.
+    grid_size(profile, 4096) points on one period, sampled with numpy; each
+    bracketed local extremum is refined with the scalar profile methods to
+    ~1e-13 in the argument, i.e. ~1e-10 relative in the value.
     """
-    if grid_n < 256:
-        raise PreconditionError(f"grid_n must be >= 256, got {grid_n}")
     if not (0.0 < eps < 1.0):
         raise PreconditionError(f"eps must lie in (0,1), got {eps}")
-    r, dr, ddr = _grid(profile, grid_n)
+    r, dr, ddr = _grid(profile, grid_size(profile, _BOUNDS_FLOOR))
     _, r_max = circle_sup(profile.radius, r)
     _, neg_min = circle_sup(lambda t: -profile.radius(t), -r)
     r_min = -neg_min
@@ -238,17 +258,17 @@ def sigma_limits(eps: float, r_min: float, dR_norm: float,
 def stationary_points(profile: RadiusProfile) -> list[tuple[float, float]]:
     """All roots of Rdot in [0,1), each paired with Rddot there.
 
-    Sign-change bracketing on 1024 numpy-sampled points, each bracket
-    confirmed with the scalar d_radius, then solved by the safeguarded
-    Newton of _search.solve_monotone (f = Rdot, f' = Rddot) down to the
-    rounding floor of Rdot; tangential (double) roots are outside the
-    contract.
+    Sign-change bracketing on grid_size(profile, 1024) numpy-sampled
+    points, each bracket confirmed with the scalar d_radius, then solved by
+    the safeguarded Newton of _search.solve_monotone (f = Rdot, f' = Rddot)
+    down to the rounding floor of Rdot; tangential (double) roots are
+    outside the contract.
     """
     if profile.is_constant:
         raise PreconditionError("constant profile: every point is stationary")
 
     f = profile.d_radius
-    n = _STATIONARY_SAMPLES
+    n = grid_size(profile, _STATIONARY_FLOOR)
     step = 1.0 / n
     _, vals, _ = _grid(profile, n)
     scale = sum(abs(d) * TWO_PI * k for k, d in profile.harmonics)
@@ -269,10 +289,10 @@ def stationary_points(profile: RadiusProfile) -> list[tuple[float, float]]:
     return [(t, profile.dd_radius(t)) for t in roots]
 
 
-def classify(profile: RadiusProfile, eps: float, grid_n: int = 4096) -> ClassVerdict:
+def classify(profile: RadiusProfile, eps: float) -> ClassVerdict:
     """Class test: "R" needs sigma > 2 only; "R_tilde" needs sigma > 4 plus a
     stationary point passing the deceleration, window and curvature chain."""
-    b = bounds(profile, eps, grid_n)
+    b = bounds(profile, eps)
     if profile.is_constant:
         margins = {"sigma_gt_2": math.inf, "sigma_gt_4": math.inf}
         return ClassVerdict(klass="R", witnesses=(), margins=margins,
@@ -353,10 +373,9 @@ def family_profile(k: int, delta: float, mean: float) -> RadiusProfile:
 
 
 def find_member(k: int, delta: float, eps: float,
-                M_hint: float | None = None,
                 min_window: float | None = None) -> tuple[float, ClassVerdict]:
-    """Smallest mean M (on a geometric grid, refined to 3 significant digits)
-    whose family profile classifies as R_tilde.
+    """Smallest mean M (on a geometric grid up from max(1, 4 delta), refined
+    to 3 significant digits) whose family profile classifies as R_tilde.
 
     min_window, when given, additionally requires the rotation-number window
     of the strongest witness to be wider than min_window; the certification
@@ -388,31 +407,19 @@ def find_member(k: int, delta: float, eps: float,
             return False, v
         return True, v
 
-    mean = M_hint if M_hint is not None else max(1.0, 4.0 * delta)
+    lo, mean = None, max(1.0, 4.0 * delta)
     ok, verdict = accept(mean)
-    lo = None
-    scans = 0
-    while not ok:
-        lo = mean
-        mean *= _MEAN_GRID_FACTOR
-        scans += 1
-        if scans > 200:
-            raise ConvergenceError("no admissible mean found on the geometric grid",
-                                   {"last_mean": mean, "k": k, "delta": delta})
+    for _ in range(200):
+        if ok:
+            break
+        lo, mean = mean, mean * _MEAN_GRID_FACTOR
         ok, verdict = accept(mean)
-    if lo is None:
-        # hint already passes; walk down to bracket the threshold
-        while True:
-            lower = mean / _MEAN_GRID_FACTOR
-            ok_lower, v_lower = accept(lower)
-            if not ok_lower:
-                lo = lower
-                break
-            mean, verdict = lower, v_lower
-            if mean < 4.0 * delta:
-                return mean, verdict
-    # geometric bisection of (lo fail, mean pass) to 3 significant digits
-    while mean / lo > 1.0 + _MEAN_REL_TOL:
+    if not ok:
+        raise ConvergenceError("no admissible mean found on the geometric grid",
+                               {"last_mean": mean, "k": k, "delta": delta})
+    # a start that passes is the answer; otherwise geometric bisection of
+    # (lo fail, mean pass) to 3 significant digits
+    while lo is not None and mean / lo > 1.0 + _MEAN_REL_TOL:
         mid = math.sqrt(lo * mean)
         ok_mid, v_mid = accept(mid)
         if ok_mid:

@@ -29,6 +29,12 @@ class TestAction:
             aubry.action(static_ctx, (0.0, 5.0))
 
 
+    @pytest.mark.parametrize("times", [[], [0.5]])
+    def test_needs_two_times(self, static_ctx, times):
+        with pytest.raises(PreconditionError, match="need at least two times"):
+            aubry.action(static_ctx, times)
+
+
 class TestElResidual:
     def test_static_equispaced_periodic(self, static_ctx):
         # (p, q) = (3, 2): spacing 1.5, a critical point by symmetry
@@ -125,6 +131,13 @@ class TestPeriodicOrbit:
         actions = [aubry.periodic_orbit(member_ctx, p, q, starts=8, seed=s).action
                    for s in range(3)]
         assert max(actions) - min(actions) <= aubry._TIE_RTOL * abs(min(actions))
+
+    @pytest.mark.parametrize("p, q", [(69, 8), (349, 21)])
+    def test_converges_near_invariant_circles(self, member_ctx, p, q):
+        # the polish's step halving is what converges these: with full
+        # steps only, no start got below residuals 1.3e-5 and 2.2e-4
+        orbit = aubry.periodic_orbit(member_ctx, p, q, starts=8, seed=0)
+        assert orbit.residual <= 1e-8
 
     def test_starts_run_serially(self, static_ctx):
         serial = aubry.periodic_orbit(static_ctx, 3, 2, starts=4, seed=0)

@@ -8,7 +8,7 @@ import pytest
 
 from breathing_billiard import _search, bmap, chaoscert, flight, genfun, radius
 from breathing_billiard.bmap import CylinderState
-from breathing_billiard.errors import ConvergenceError, DomainError
+from breathing_billiard.errors import ConvergenceError, DomainError, PreconditionError
 from breathing_billiard.radius import RadiusProfile
 
 EPS = 0.5
@@ -185,12 +185,12 @@ class TestChordStart:
 
 
 def _scalar_sigma_star(ctx):
-    # the oracle: sigma_star's 512-point scan built from scalar grad_h calls
+    # the oracle: sigma_star's scan built from scalar grad_h calls
     def d1h(t):
         return genfun.grad_h(ctx, t, t + ctx.sigma)[0]
 
-    step = 1.0 / bmap._SIGMA_STAR_GRID
-    return _search.circle_sup(d1h, [d1h(i * step) for i in range(bmap._SIGMA_STAR_GRID)])[1]
+    n = radius.grid_size(ctx.profile, bmap._SIGMA_STAR_FLOOR)
+    return _search.circle_sup(d1h, [d1h(i * (1.0 / n)) for i in range(n)])[1]
 
 
 def _sigma_star_cases(count, seed):
@@ -226,7 +226,7 @@ class TestSigmaStar:
         # strip edge is negative on every grid point, as in the scalar kernel
         ctx = SimpleNamespace(profile=member_ctx.profile, c=1e6, sigma=member_ctx.sigma)
         with pytest.raises(DomainError, match="discriminant"):
-            genfun.d1h_edge_grid(ctx, bmap._SIGMA_STAR_GRID)
+            genfun.d1h_edge_grid(ctx, bmap._SIGMA_STAR_FLOOR)
         with pytest.raises(DomainError, match="discriminant"):
             genfun.grad_h(ctx, 0.0, ctx.sigma)
 
@@ -362,6 +362,11 @@ class TestSolveTexts:
 
 
 class TestRadialVelocity:
+    def test_negative_radicand(self, member_ctx):
+        # 2K below c^2/R^2 - Rdot^2: the action quadratic has no real root
+        with pytest.raises(DomainError, match="no real radial velocity"):
+            bmap.rdot_plus_from_action(member_ctx, 0.3, -1.0)
+
     def test_static_diameter(self, static_ctx):
         plus, minus = bmap.radial_velocity(static_ctx, 0.0, 2.0)
         assert plus == pytest.approx(-2.0, rel=1e-14)
@@ -491,6 +496,11 @@ class TestImpactMap:
         # R = 1, c = 0: the chord of impact variable 0.25 takes tau = 8 > sigma = 4
         with pytest.raises(DomainError, match="no bounce time found inside the flight window"):
             bmap.laederich_map(static_ctx, 0.0, 0.25)
+
+    @pytest.mark.parametrize("i0", [0.0, -1.0])
+    def test_impact_variable_must_be_positive(self, static_ctx, i0):
+        with pytest.raises(PreconditionError, match="impact variable must be positive"):
+            bmap.laederich_map(static_ctx, 0.0, i0)
 
     def test_iteration_cap(self, member_ctx, monkeypatch):
         monkeypatch.setattr(bmap, "_IMPACT_MAX_ITER", 1)

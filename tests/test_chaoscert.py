@@ -176,6 +176,27 @@ class TestAlphaLimit:
         with pytest.raises(PreconditionError):
             chaoscert.alpha_limit(verdict.bounds, 0.1, 1000.0)
 
+    @pytest.mark.parametrize("K", [0.0, -1.0])
+    def test_non_positive_action_rejected(self, member, K):
+        _, _, verdict = member
+        with pytest.raises(PreconditionError, match="need K > 0"):
+            chaoscert.alpha_limit(verdict.bounds, verdict.witnesses[0][0], K)
+
+    def test_is_the_diagnostic_at_zero_momentum(self, member):
+        # a_exact at c = 0 equals the limit to rounding at every band edge of
+        # the member's certificate, so the widening's gap is the diagnostic's
+        # distance from its value at c = 0
+        profile, _, verdict = member
+        b = verdict.bounds
+        t_bar = verdict.witnesses[0][0]
+        ctx0 = genfun.GenFunContext(bounds=b, c=0.0, sigma=b.sigma)
+        bands = chaoscert.certify(profile, EPS, 1.0, verdict=verdict).bands
+        edges = [k for band in bands for k in (band.k_lo, band.k_hi)]
+        assert len(edges) == 2 * chaoscert.DEFAULT_OMEGA_GRID
+        for K in edges:
+            lim, _ = chaoscert.alpha_limit(b, t_bar, K)
+            assert chaoscert.a_exact(ctx0, t_bar, K) == pytest.approx(lim, rel=1e-13, abs=0)
+
 
 class TestCertify:
     def test_constant_not_certified(self, static_profile):
@@ -424,6 +445,12 @@ class TestLyapunov:
                 break
         else:
             pytest.fail("expected at least one truncated orbit near the cutoff")
+
+    @pytest.mark.parametrize("k_lo, k_hi", [(1.0, math.inf), (-math.inf, 3.0)])
+    def test_band_must_be_finite(self, static_ctx_c, k_lo, k_hi):
+        # an infinite band end overflowed in rng.uniform
+        with pytest.raises(PreconditionError, match="finite k_lo < k_hi"):
+            chaoscert.lyapunov_table(static_ctx_c, k_lo, k_hi, seeds=2, n=5)
 
     def test_band_table(self, member, member_ctx):
         profile, _, _ = member

@@ -288,6 +288,19 @@ class TestCertifyCommands:
         assert abs(res["lambda"]) < 1e-2
         assert res["completed"] is True and res["reason"] is None
 
+    def test_portrait_skips_points_below_the_domain(self, tmp_path):
+        # K = 0.05 lies below sigma_star (about 0.124) on this strip: that
+        # column of the grid is skipped, the two above it take their 5 steps
+        out, csv_path = tmp_path / "portrait.json", tmp_path / "portrait.csv"
+        code = run_cli(["portrait", "--profile", CONST, "--c", "0.05", "--sigma", "4.0",
+                        "--t-count", "2", "--k-count", "3", "--k-lo", "0.05",
+                        "--k-hi", "3.0", "--n", "5", "--csv", str(csv_path), "--out", str(out)])
+        assert code == 0
+        res = read_json(out)["result"]
+        assert res["points"] == 2 * 2 * 5
+        ks = [float(line.split(",")[1]) for line in csv_path.read_text().splitlines()[2:]]
+        assert len(ks) == res["points"] and min(ks) > res["sigma_star"] > 0.05
+
     def test_portrait(self, tmp_path):
         csv_path = tmp_path / "portrait.csv"
         code = run_cli(["portrait", "--profile", CONST, "--eps", "0.5", "--c", "0.05",
@@ -364,6 +377,37 @@ class TestRejectedInput:
     def test_precondition_exit(self, argv, capsys):
         assert run_cli(argv) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestErrorMessages:
+    # "{missing}" stands for a path under a directory that does not exist
+    LYAPUNOV = ["lyapunov", "--profile", CONST, "--c", "0.05", "--sigma", "4.0", "--n", "5",
+                "--seed", "0"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (LYAPUNOV + ["--seeds", "2", "--k-lo", "1.0"], "--seeds needs --k-lo and --k-hi"),
+        (LYAPUNOV + ["--t0", "0.1"], "single-orbit mode needs --t0 and --K"),
+        (["lyapunov", "--profile", MEMBER, "--c", "1", "--n", "5", "--seed", "0", "--seeds",
+          "2", "--k-lo", "1", "--k-hi", "inf"], "need finite k_lo < k_hi"),
+        (["classify", "--profile", '{"mean": 1e308, "harmonics": [[1, 1e307]]}'],
+         "profile too large"),
+        (FLIGHT + ["--t0", "0.0", "--t1", "1.0", "--dt", "1e-300", "--csv", "{missing}"],
+         "more than 1000000 samples"),
+        (["simulate", "--profile", CONST, "--c", "0.0", "--sigma", "4.0", "--t0", "0.0",
+          "--K", "2.0", "--n", "2", "--dt", "1e-300", "--trajectory-csv", "{missing}"],
+         "more than 1000000 samples"),
+        (["portrait", "--profile", CONST, "--c", "0.05", "--sigma", "4.0", "--k-hi", "3.0",
+          "--t-count", "1", "--k-count", "1", "--n", "2", "--csv", "{missing}"],
+         "No such file or directory"),
+        (["classify", "--profile", CONST, "--out", "{missing}"], "No such file or directory"),
+    ], ids=["lyapunov-seeds-without-band", "lyapunov-single-without-K",
+            "lyapunov-infinite-band", "classify-overflow", "flight-row-cap",
+            "simulate-row-cap", "portrait-csv-missing-dir", "out-missing-dir"])
+    def test_error_line(self, argv, message, tmp_path, capsys):
+        missing = str(tmp_path / "missing" / "out")
+        assert run_cli([missing if a == "{missing}" else a for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
 
 class TestDeterminism:

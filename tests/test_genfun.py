@@ -35,6 +35,10 @@ class TestContext:
         with pytest.raises(PreconditionError, match="angular momentum c"):
             genfun.make_context(small_profile, math.nan, EPS)
 
+    def test_rejects_negative_momentum(self, small_profile):
+        with pytest.raises(PreconditionError, match="angular momentum must be >= 0"):
+            genfun.make_context(small_profile, -0.1, EPS)
+
     def test_constant_needs_working_sigma(self, static_profile):
         with pytest.raises(PreconditionError):
             genfun.make_context(static_profile, 0.0, EPS)

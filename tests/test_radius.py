@@ -7,7 +7,7 @@ from scipy.optimize import brentq
 
 from breathing_billiard import _search, radius
 from breathing_billiard.errors import PreconditionError
-from breathing_billiard.radius import RadiusProfile
+from breathing_billiard.radius import ProfileBounds, RadiusProfile
 
 EPS = 0.5
 PI2 = math.pi * math.pi
@@ -101,9 +101,30 @@ class TestBounds:
             assert abs(dr) <= b.dR_norm * slack
             assert abs(p.dd_radius_sq(float(t))) <= b.ddR2_norm * slack
 
-    def test_grid_precondition(self):
-        with pytest.raises(PreconditionError):
-            radius.bounds(RadiusProfile(1.0), EPS, grid_n=100)
+
+_EPS_RANGE = r"eps must lie in \(0,1\)"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: RadiusProfile(0.0), "mean radius must be positive"),
+    (lambda: RadiusProfile(-1.0, ((1, 0.05),)), "mean radius must be positive"),
+    (lambda: ProfileBounds(profile=RadiusProfile(1.0), eps=1.0, r_min=1.0, r_max=1.0,
+                           dR_norm=0.0, ddR2_norm=0.0, sigma=math.inf), _EPS_RANGE),
+    (lambda: radius.alpha_constant(0.0), _EPS_RANGE),
+    (lambda: radius.bounds(RadiusProfile(1.0), 1.5), _EPS_RANGE),
+    (lambda: radius.delta_window(0), "k must be a positive integer"),
+    (lambda: radius.sufficient_mean_bound(1, 0.01), "amplitude below the admissible window"),
+    # the squares of these norms overflowed in classify and in the context
+    (lambda: RadiusProfile(1e308, ((1, 1e307),)), "profile too large"),
+    (lambda: RadiusProfile(1e200), "profile too large"),
+    (lambda: radius.classify(RadiusProfile(1e70, ((1, 1e-300),)), EPS),
+     "sigma = .* overflows when squared"),
+], ids=["mean-zero", "mean-negative", "bounds-eps", "alpha-eps", "bounds-call-eps",
+        "delta-window-k0", "mean-bound-below-window", "profile-overflow",
+        "constant-overflow", "sigma-overflow"])
+def test_guard(call, message):
+    with pytest.raises(PreconditionError, match=message):
+        call()
 
 
 def _samples(f, n):
@@ -201,9 +222,65 @@ class TestNumpyGridMatchesScalarOracle:
     def test_coarse_grid_and_constant_profile(self, monkeypatch):
         cases = [(p, eps, 256) for p, eps in _family_members(20, seed=12)]
         cases.append((RadiusProfile(3.0), EPS, 4096))
-        numpy_run = [radius.bounds(p, eps, n) for p, eps, n in cases]
+
+        def run():
+            out = []
+            for p, eps, floor in cases:
+                monkeypatch.setattr(radius, "_BOUNDS_FLOOR", floor)
+                out.append(radius.bounds(p, eps))
+            return out
+
+        numpy_run = run()
         monkeypatch.setattr(radius, "_grid", _scalar_grid)
-        assert [radius.bounds(p, eps, n) for p, eps, n in cases] == numpy_run
+        assert run() == numpy_run
+
+
+class TestGridSize:
+    """Every profile grid has 32 points per period of the top harmonic, and
+    at least its floor, so no root or extremum falls between grid points."""
+
+    HIGH = RadiusProfile(1e6, ((2000, 1e-4), (3, 0.01)))
+
+    def test_floor_up_to_harmonic_16(self):
+        p = RadiusProfile(10.0, ((16, 1e-3), (1, 0.01)))
+        assert [radius.grid_size(p, f) for f in (512, 1024, 4096)] == [512, 1024, 4096]
+        assert radius.grid_size(RadiusProfile(10.0, ((17, 1e-3),)), 512) == 544
+        assert radius.grid_size(RadiusProfile(10.0, ((99, 0.0),)), 512) == 512
+
+    @pytest.mark.parametrize("profile, roots", [
+        (RadiusProfile(1e6, ((700, 1e-3),)), 1400),
+        (HIGH, 4000),
+    ])
+    def test_every_root_at_high_harmonics(self, profile, roots):
+        # a fixed 1024-point grid found 648 and 96 of these roots
+        n = 256 * max(k for k, _ in profile.harmonics)
+        dr = _scalar_grid(profile, n)[1]
+        assert int(np.sum(np.roll(dr, 1) * dr < 0)) == roots
+        assert len(radius.stationary_points(profile)) == roots
+
+    def test_bounds_match_a_fine_scalar_scan(self):
+        # a fixed 4096-point grid read ||(R^2)''|| 1.05e-6 low, so sigma high
+        p = self.HIGH
+        r, dr, ddr = _scalar_grid(p, 128 * 2000)
+        scan = (-_search.circle_sup(lambda t: -p.radius(t), -r)[1],
+                _search.circle_sup(p.radius, r)[1],
+                _search.circle_sup(lambda t: abs(p.d_radius(t)), abs(dr))[1],
+                _search.circle_sup(lambda t: abs(p.dd_radius_sq(t)),
+                                   abs(2.0 * (dr * dr + r * ddr)))[1])
+        b = radius.bounds(p, EPS)
+        assert (b.r_min, b.r_max, b.dR_norm, b.ddR2_norm) == scan
+
+    def test_cap_raises_before_any_grid(self, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(radius, "_grid", no_grid)
+        assert radius.grid_size(RadiusProfile(2.0, ((2 ** 15, 1e-3),)), 512) == 2 ** 20
+        for k in (2 ** 15 + 1, 10 ** 18):
+            p = RadiusProfile(2.0, ((k, 1e-3),))
+            for scan in (lambda: radius.bounds(p, EPS), lambda: radius.stationary_points(p)):
+                with pytest.raises(PreconditionError, match="more than 1048576"):
+                    scan()
 
 
 class TestStationaryPoints:
@@ -236,9 +313,9 @@ class TestStationaryPoints:
 
     def test_roots_match_brentq(self):
         # oracle: brentq to 1e-15 on every scalar sign change of the grid
-        n = radius._STATIONARY_SAMPLES
-        step = 1.0 / n
         for p, _ in _family_members(100, seed=14, ks=(1, 5, 6, 7, 8)):
+            n = radius.grid_size(p, radius._STATIONARY_FLOOR)
+            step = 1.0 / n
             f = p.d_radius
             vals = [f(i * step) for i in range(n + 1)]
             expected = [brentq(f, i * step, (i + 1) * step, xtol=1e-15)
@@ -323,12 +400,6 @@ class TestFindMember:
         assert v.klass == "R_tilde"
         prof = radius.family_profile(5, 0.01, mean)
         assert len(prof.harmonics) == 2
-
-    def test_hint_above_threshold_descends(self):
-        mean_plain, _ = radius.find_member(1, 0.05, EPS)
-        mean_hinted, v = radius.find_member(1, 0.05, EPS, M_hint=10_000.0)
-        assert v.klass == "R_tilde"
-        assert mean_hinted == pytest.approx(mean_plain, rel=0.3)
 
     def test_rejections_name_the_inequality(self):
         with pytest.raises(PreconditionError, match="k_bar"):

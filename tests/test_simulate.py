@@ -92,6 +92,18 @@ class TestRun:
         assert last.K == pytest.approx(orbit.Ks[0], abs=1e-8 * max(1.0, orbit.Ks[0]))
 
 
+    def test_closing_state_without_real_velocity(self, member_ctx, monkeypatch):
+        # the closing record reads rdot_plus off the action; a negative
+        # radicand there gives NaN instead of ending the run
+        def no_root(ctx, t, K):
+            raise DomainError(f"no real radial velocity at (t, K) = ({t}, {K})")
+
+        monkeypatch.setattr(bmap, "rdot_plus_from_action", no_root)
+        res = simulate.run(member_ctx, CylinderState(0.3, 1100.0), 3)
+        assert math.isnan(res.records[-1].rdot_plus)
+        assert not any(math.isnan(rec.rdot_plus) for rec in res.records[:-1])
+
+
 class TestTrajectory:
     def test_static_diameter_polyline(self, static_ctx):
         res = simulate.run(static_ctx, CylinderState(0.0, 2.0), 2)
@@ -153,3 +165,29 @@ class TestExport:
     def test_empty_records_rejected(self):
         with pytest.raises(PreconditionError):
             simulate.trajectory_samples([], 0.1)
+
+    @pytest.mark.parametrize("dt", [0.0, -1.0, math.nan])
+    def test_dt_must_be_positive(self, static_ctx, dt):
+        res = simulate.run(static_ctx, CylinderState(0.0, 2.0), 2)
+        with pytest.raises(PreconditionError, match="dt must be positive"):
+            simulate.trajectory_samples(res.records, dt)
+
+    def test_records_without_segments(self, static_ctx):
+        res = simulate.run(static_ctx, CylinderState(0.0, 2.0), 2)
+        with pytest.raises(PreconditionError, match="no segments to sample"):
+            simulate.trajectory_samples(res.records[-1:], 0.1)
+
+    def test_energy_series_needs_records(self):
+        with pytest.raises(PreconditionError, match="empty record list"):
+            simulate.energy_series([])
+
+    def test_row_cap(self, member_ctx):
+        # refused before any row is built: at dt = 1e-9 these ~30-unit
+        # flights would take ~3e10 rows, about a terabyte
+        res = simulate.run(member_ctx, CylinderState(0.3, 1100.0), 1)
+        seg = res.records[0].segment
+        for dt in (seg.duration / (2 * flight._MAX_SAMPLE_ROWS), 1e-9, 1e-300, 5e-324):
+            with pytest.raises(PreconditionError, match="more than 1000000 samples"):
+                flight.segment_samples(seg, dt)
+            with pytest.raises(PreconditionError, match="more than 1000000 samples"):
+                simulate.trajectory_samples(res.records, dt)

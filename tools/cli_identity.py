@@ -30,6 +30,8 @@ MEMBER = '{"mean": 754.0403145397167, "harmonics": [[1, 0.05]]}'
 TWO = '{"mean": 177.0, "harmonics": [[5, 0.0035], [1, 0.0035]]}'
 # find_member(5, 0.01, 0.5); its certificate at c = 0.9 c_max clamps the K range
 CLAMPED = '{"mean": 225.0811595675279, "harmonics": [[5, 0.01], [1, 0.01]]}'
+# top harmonic 40: its root grid has 32 * 40 = 1280 points, past the floor of 1024
+HIGH = '{"mean": 1e6, "harmonics": [[40, 0.001], [1, 0.01]]}'
 
 CONFIGS = [
     ("classify-member", ["classify", "--profile", REF]),
@@ -37,9 +39,6 @@ CONFIGS = [
     # a multi-root profile: every witness time and the strongest one's margins
     ("classify-two-harmonic", ["classify", "--profile", TWO]),
     ("find-member", ["find-member", "--k", "1", "--delta", "0.05", "--min-window", "1.0"]),
-    # from a mean hint the search walks down: mean 753.7141109579715, not 754.04...
-    ("find-member-hint", ["find-member", "--k", "1", "--delta", "0.05", "--min-window", "1.0",
-                          "--m-hint", "10000"]),
     ("flight-csv", ["flight", "--profile", REF, "--c", "1", "--t0", "0.1", "--t1", "50",
                     "--dt", "1.0", "--csv", "flight.csv"]),
     # the curvature limit (130.4) fails: the report reads ok: false
@@ -137,6 +136,22 @@ CONFIGS = [
     # the context's momentum check, whose eps is read off the profile bounds
     ("map-c-above-cmax", ["map", "--profile", MEMBER, "--c", "1e6", "--t0", "0.3",
                           "--K", "1100"]),
+    # every grid is sized from the top harmonic
+    ("classify-high-harmonic", ["classify", "--profile", HIGH]),
+    # numeric inputs refused by name: a profile whose norms overflow when
+    # squared, an infinite K band, a dt past the row cap of the flight
+    # samples, and a CSV path under a directory that does not exist
+    ("classify-overflow", ["classify", "--profile",
+                           '{"mean": 1e308, "harmonics": [[1, 1e307]]}']),
+    ("lyapunov-infinite-band", ["lyapunov", "--profile", MEMBER, "--c", "1", "--n", "5",
+                                "--seed", "0", "--seeds", "2", "--k-lo", "1",
+                                "--k-hi", "inf"]),
+    ("simulate-row-cap", ["simulate", "--profile", MEMBER, "--c", "1", "--t0", "0.3",
+                          "--K", "1100", "--n", "3", "--dt", "1e-300",
+                          "--trajectory-csv", "trajectory.csv"]),
+    ("portrait-csv-missing-dir", ["portrait", "--profile", CONST, "--c", "0.05",
+                                  "--sigma", "4", "--t-count", "1", "--k-count", "1",
+                                  "--k-hi", "3", "--n", "2", "--csv", "missing/portrait.csv"]),
 ]
 
 
