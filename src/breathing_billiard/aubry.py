@@ -11,10 +11,10 @@ with rotation number omega by the universal spacing estimate
 |t_n - t_m - (n-m) omega| <= 1, so no extension of the generating function
 outside the strip is ever needed.
 Coarse projected Gauss-Seidel sweeps (each time minimised on its feasible
-interval by golden section to 1e-4) rough out the configuration until no
-time moves by more than 1e-3; a damped global Newton solve on the
-stationarity system, with least-squares steps because the Hessian is
-singular on orbit families, polishes it to machine precision.  Every
+interval by golden section to 1e-4, one profile evaluation a step) rough out
+the configuration until no time moves by more than 1e-3; a damped global
+Newton solve on the stationarity system, with least-squares steps because the
+Hessian is singular on orbit families, polishes it to machine precision.  Every
 converged configuration is labelled from its point of smallest t mod 1, so
 an isolated minimum is reported the same whichever start found it.  Where
 minimal orbits form a continuous family (every translate of one on a
@@ -31,7 +31,7 @@ import numpy as np
 
 from ._search import golden_max
 from .errors import ConvergenceError, PreconditionError
-from .genfun import GenFunContext, grad_h, h, hess_h
+from .genfun import GenFunContext, grad_h, grad_twist, h, h_ends, hess_h
 from .simulate import el_defect
 
 _SWEEP_BUDGET = 400  # Gauss-Seidel sweeps per start before the Newton polish
@@ -93,7 +93,9 @@ def _pairs(ts, p):
 
 
 def _sweep(ctx, ts, p, g_lo, g_hi):
-    """One projected Gauss-Seidel sweep at _SWEEP_XTOL; returns the largest move."""
+    """One projected Gauss-Seidel sweep at _SWEEP_XTOL; returns the largest move.
+    Each golden-section step evaluates the profile once, at x."""
+    evaluate = ctx.profile.eval
     moved = 0.0
     for j in range(len(ts)):
         t_prev = ts[j - 1] if j else ts[-1] - p
@@ -104,9 +106,11 @@ def _sweep(ctx, ts, p, g_lo, g_hi):
         lo, hi = lo + pad, hi - pad
         if hi <= lo:
             continue
+        e_prev, e_next = evaluate(t_prev), evaluate(t_next)
 
         def neg_phi(x):
-            return -(h(ctx, t_prev, x) + h(ctx, x, t_next))
+            e = evaluate(x)
+            return -(h_ends(ctx, t_prev, e_prev, x, e) + h_ends(ctx, x, e, t_next, e_next))
 
         x, _ = golden_max(neg_phi, lo, hi, xtol=_SWEEP_XTOL)
         moved = max(moved, abs(x - ts[j]))
@@ -114,43 +118,52 @@ def _sweep(ctx, ts, p, g_lo, g_hi):
     return moved
 
 
-def _system(ctx, ts, p):
-    """Stationarity residual and Hessian (cyclic tridiagonal, kept dense) of
-    the (p, q)-periodic action: one grad_h and one hess_h call per pair."""
+def _residual(ctx, ts, p):
+    """Stationarity residual of the (p, q)-periodic action: q + 1 profile
+    evaluations (eval(t_0 + p) rounds apart from eval(t_0)) and one grad_twist per pair."""
+    ends = [ctx.profile.eval(t) for t in [*ts, ts[0] + p]]
+    f = np.zeros(len(ts))
+    for j, (a, b) in enumerate(_pairs(ts, p)):
+        d1, d2, _ = grad_twist(ctx, a, ends[j], b, ends[j + 1])
+        f[j] += d1
+        f[(j + 1) % len(ts)] += d2
+    return f
+
+
+def _hessian(ctx, ts, p):
+    """Hessian (cyclic tridiagonal, kept dense) of the (p, q)-periodic
+    action: one hess_h call per pair."""
     q = len(ts)
-    f = np.zeros(q)
     hess = np.zeros((q, q))
     for j, (a, b) in enumerate(_pairs(ts, p)):
         k = (j + 1) % q
-        d1, d2 = grad_h(ctx, a, b)
         d11, d12, d22 = hess_h(ctx, a, b)
-        f[j] += d1
-        f[k] += d2
         hess[j, j] += d11
         hess[k, k] += d22
         hess[j, k] += d12
         hess[k, j] += d12
-    return f, hess
+    return hess
 
 
 def _newton_polish(ctx, ts, p, g_lo, g_hi):
     """Damped Newton on the full periodic stationarity system.  Steps are
     least-squares solutions: the Hessian is singular where minimal orbits
-    come in a family (every translate of one on a constant profile)."""
-    f, hess = _system(ctx, ts, p)
+    come in a family (every translate of one on a constant profile).  A
+    failed halving costs one residual: only a step's start builds a Hessian."""
+    f = _residual(ctx, ts, p)
     best = float(np.max(np.abs(f)))
     for _ in range(_POLISH_MAX_ITER):
         if best == 0.0:
             break
-        step = np.linalg.lstsq(hess, f, rcond=None)[0]
+        step = np.linalg.lstsq(_hessian(ctx, ts, p), f, rcond=None)[0]
         for k in range(8):  # halve the step until the residual drops
             trial = [t - 0.5 ** k * d for t, d in zip(ts, step)]
             if not all(g_lo < t1 - t0 < g_hi for t0, t1 in _pairs(trial, p)):
                 continue
-            f_trial, hess_trial = _system(ctx, trial, p)
+            f_trial = _residual(ctx, trial, p)
             r = float(np.max(np.abs(f_trial)))
             if r < best:
-                ts, f, hess, best = trial, f_trial, hess_trial, r
+                ts, f, best = trial, f_trial, r
                 break
         else:
             break

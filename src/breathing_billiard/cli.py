@@ -138,12 +138,13 @@ def _cmd_map(args):
 
 def _cmd_simulate(args):
     res = simulate.run(_context(args), CylinderState(args.t0, args.K), args.n)
+    # sampled before any file is written, so a refused dt leaves no partial output
+    rows = simulate.trajectory_samples(res.records, args.dt) if args.trajectory_csv else None
     if args.bounces_csv:
         _write_csv(args, args.bounces_csv, ["n", "t", "K", "rdot_plus", "theta"],
                    [(r.n, r.t, r.K, r.rdot_plus, r.theta) for r in res.records])
     if args.trajectory_csv:
-        _write_csv(args, args.trajectory_csv, ["t", "x", "y"],
-                   simulate.trajectory_samples(res.records, args.dt))
+        _write_csv(args, args.trajectory_csv, ["t", "x", "y"], rows)
     energies = [e for _, e in simulate.energy_series(res.records)]
     return {"bounces": len(res.records),
             "completed": res.completed,

@@ -129,16 +129,19 @@ def flight_state(seg: FlightSegment, t: float) -> tuple[float, float, float]:
     return r, rdot, theta
 
 
-def segment_samples(seg: FlightSegment, dt: float) -> np.ndarray:
-    """Rows (t, r, theta, x, y) sampled every dt, endpoints included;
-    at most 1e6 rows, checked before any is built."""
+def sample_count(seg: FlightSegment, dt: float) -> int:
+    """Rows of segment_samples(seg, dt); a dt past the row cap is refused."""
     if not dt > 0:
         raise PreconditionError(f"dt must be positive, got {dt}")
-    if not seg.duration / dt < _MAX_SAMPLE_ROWS:
+    if not seg.duration / dt <= _MAX_SAMPLE_ROWS - 1:  # so at most _MAX_SAMPLE_ROWS rows
         raise PreconditionError(f"dt = {dt} asks for more than {_MAX_SAMPLE_ROWS} samples "
                                 f"of a flight of duration {seg.duration}")
-    n = max(1, int(math.ceil(seg.duration / dt)))
-    ts = np.linspace(seg.t0, seg.t1, n + 1)
+    return max(1, int(math.ceil(seg.duration / dt))) + 1
+
+
+def segment_samples(seg: FlightSegment, dt: float) -> np.ndarray:
+    """sample_count(seg, dt) rows (t, r, theta, x, y), endpoints included."""
+    ts = np.linspace(seg.t0, seg.t1, sample_count(seg, dt))
     rows = np.empty((len(ts), 5))
     for i, t in enumerate(ts):
         r, _, theta = flight_state(seg, float(t))

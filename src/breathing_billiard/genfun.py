@@ -106,10 +106,15 @@ def _infinite_time(t0: float, t1: float) -> DomainError:
 def h(ctx: GenFunContext, t0: float, t1: float) -> float:
     """Action value of the flight (t0, t1)."""
     try:
-        tau, r0, _, _, r1, _, _, s = _core(ctx, t0, ctx.profile.eval(t0),
-                                           t1, ctx.profile.eval(t1))
+        e0, e1 = ctx.profile.eval(t0), ctx.profile.eval(t1)
     except ValueError as exc:
         raise _infinite_time(t0, t1) from exc
+    return h_ends(ctx, t0, e0, t1, e1)
+
+
+def h_ends(ctx: GenFunContext, t0: float, e0, t1: float, e1) -> float:
+    """h from evaluated endpoints (e = ctx.profile.eval(t)), as grad_twist is grad_h's."""
+    tau, r0, _, _, r1, _, _, s = _core(ctx, t0, e0, t1, e1)
     a = (r0 * r0 + r1 * r1 + 2.0 * s) / (tau * tau)
     return 0.5 * tau * a + ctx.c * math.atan(ctx.c * tau / s)
 

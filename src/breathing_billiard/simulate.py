@@ -108,21 +108,24 @@ def reflection_residual(ctx: GenFunContext, records: list[BounceRecord]) -> floa
 
 
 def trajectory_samples(records: list[BounceRecord], dt: float) -> np.ndarray:
-    """Cartesian polyline rows (t, x, y) sampled every dt along each segment."""
+    """Cartesian polyline rows (t, x, y) sampled every dt along each segment;
+    at most flight._MAX_SAMPLE_ROWS rows in all, checked before any is built."""
     if not records:
         raise PreconditionError("empty record list")
     if not dt > 0:
         raise PreconditionError(f"dt must be positive, got {dt}")
+    sampled = [rec for rec in records if rec.segment is not None]
+    if not sampled:
+        raise PreconditionError("no segments to sample")
+    total = sum(flight.sample_count(rec.segment, dt) for rec in sampled)
+    if total > flight._MAX_SAMPLE_ROWS:
+        raise PreconditionError(f"dt = {dt} asks for {total} samples, "
+                                f"more than {flight._MAX_SAMPLE_ROWS}")
     chunks = []
-    for rec in records:
-        if rec.segment is None:
-            continue
-        rows = flight.segment_samples(rec.segment, dt)
-        rows = rows[:, [0, 3, 4]]
+    for rec in sampled:
+        rows = flight.segment_samples(rec.segment, dt)[:, [0, 3, 4]]
         rows[:, 0] += round(rec.t - rec.segment.t0)  # reduced time -> lift
         chunks.append(rows)
-    if not chunks:
-        raise PreconditionError("no segments to sample")
     return np.vstack(chunks)
 
 

@@ -7,6 +7,7 @@ import pytest
 from breathing_billiard import aubry, bmap, genfun, simulate
 from breathing_billiard.bmap import CylinderState
 from breathing_billiard.errors import ConvergenceError, DomainError, PreconditionError
+from breathing_billiard.radius import RadiusProfile
 
 
 class TestAction:
@@ -183,6 +184,79 @@ class TestPeriodicOrbit:
             aubry.periodic_orbit(ctx, 3, 2)
         with pytest.raises(PreconditionError):
             aubry.hull_samples(ctx, 1.5)
+
+
+class TestFusedSweep:
+    """The sweeps and the polish evaluate each endpoint once and reuse it."""
+
+    @pytest.mark.parametrize("p, q", [(69, 8), (349, 21), (664, 21)])
+    def test_matches_the_unfused_oracle(self, member_ctx, p, q, monkeypatch):
+        # the oracle: kernels that ignore the evaluated endpoints handed to
+        # them and evaluate the profile at their own times, as h does
+        fused = aubry.periodic_orbit(member_ctx, p, q, starts=8, seed=0)
+        grad_twist = genfun.grad_twist
+        monkeypatch.setattr(aubry, "h_ends", lambda ctx, t0, e0, t1, e1: genfun.h(ctx, t0, t1))
+        monkeypatch.setattr(aubry, "grad_twist", lambda ctx, t0, e0, t1, e1: grad_twist(
+            ctx, t0, ctx.profile.eval(t0), t1, ctx.profile.eval(t1)))
+        assert aubry.periodic_orbit(member_ctx, p, q, starts=8, seed=0) == fused
+
+    def test_one_profile_eval_per_golden_step(self, member_ctx, monkeypatch):
+        counts = {"eval": 0, "x": 0, "coordinates": 0}
+        profile_eval, golden_max = RadiusProfile.eval, aubry.golden_max
+
+        def counted_eval(self, t):
+            counts["eval"] += 1
+            return profile_eval(self, t)
+
+        def counted_golden_max(f, a, b, xtol):
+            def counted_f(x):
+                counts["x"] += 1
+                return f(x)
+
+            counts["coordinates"] += 1
+            return golden_max(counted_f, a, b, xtol=xtol)
+
+        monkeypatch.setattr(RadiusProfile, "eval", counted_eval)
+        monkeypatch.setattr(aubry, "golden_max", counted_golden_max)
+        p, q = 349, 21
+        ts = [0.3 + p / q * j for j in range(q)]
+        for _ in range(5):
+            aubry._sweep(member_ctx, ts, p, p / q - 1.0, p / q + 1.0)
+        assert counts["coordinates"] == 5 * q
+        assert counts["eval"] == counts["x"] + 2 * counts["coordinates"]
+
+    def test_one_hessian_per_newton_step(self, member_ctx, monkeypatch):
+        # residual norms of each polish in call order; a trial is a step
+        # taken exactly when its norm is below the polish's best so far
+        hess_calls, polishes = [], []
+        hess_h, residual, polish = aubry.hess_h, aubry._residual, aubry._newton_polish
+
+        def counted_hess_h(*args):
+            hess_calls.append(args)
+            return hess_h(*args)
+
+        def recorded_residual(*args):
+            f = residual(*args)
+            polishes[-1].append(float(np.max(np.abs(f))))
+            return f
+
+        def recorded_polish(*args):
+            polishes.append([])
+            return polish(*args)
+
+        monkeypatch.setattr(aubry, "hess_h", counted_hess_h)
+        monkeypatch.setattr(aubry, "_residual", recorded_residual)
+        monkeypatch.setattr(aubry, "_newton_polish", recorded_polish)
+        q = 21
+        aubry.periodic_orbit(member_ctx, 349, q, starts=8, seed=0)
+        steps = 0
+        for norms in polishes:
+            best = norms[0]
+            for r in norms[1:]:
+                if r < best:
+                    steps, best = steps + 1, r
+        assert len(polishes) == 8 and steps > 0
+        assert len(hess_calls) == q * (steps + len(polishes))
 
 
 class TestConvergents:

@@ -137,6 +137,15 @@ class TestSimulateCsv:
         assert lines[1] == "t,x,y"
         assert len(lines[1:]) > 8
 
+    def test_refused_trajectory_writes_no_file(self, tmp_path):
+        # the trajectory is sampled before the bounce CSV is written
+        code = run_cli(self.ARGS + ["--n", "3", "--dt", "1e-300",
+                                    "--bounces-csv", str(tmp_path / "b.csv"),
+                                    "--trajectory-csv", str(tmp_path / "t.csv"),
+                                    "--out", str(tmp_path / "run.json")])
+        assert code == 1
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestOrbitCommands:
     def test_orbit_and_determinism(self, tmp_path):

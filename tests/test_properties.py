@@ -44,6 +44,16 @@ cases = dict(profile=profiles(), c_share=st.floats(0.0, 0.99),
 
 
 @PROPERTY
+@given(profile=profiles(), c_share=st.floats(0.0, 0.99), t0=st.floats(-50.0, 50.0),
+       gap=st.floats(1e-3, 1.0))
+def test_h_ends_is_h(profile, c_share, t0, gap):
+    ctx = _context(profile, c_share)
+    t1 = t0 + gap * ctx.sigma
+    e0, e1 = profile.eval(t0), profile.eval(t1)
+    assert genfun.h_ends(ctx, t0, e0, t1, e1) == genfun.h(ctx, t0, t1)
+
+
+@PROPERTY
 @given(**cases)
 def test_backward_inverts_forward(profile, c_share, t, k_factor):
     ctx = _context(profile, c_share)

@@ -186,8 +186,38 @@ class TestExport:
         # flights would take ~3e10 rows, about a terabyte
         res = simulate.run(member_ctx, CylinderState(0.3, 1100.0), 1)
         seg = res.records[0].segment
-        for dt in (seg.duration / (2 * flight._MAX_SAMPLE_ROWS), 1e-9, 1e-300, 5e-324):
+        # duration / (cap - 0.5) asks for exactly one row more than the cap
+        for dt in (seg.duration / (flight._MAX_SAMPLE_ROWS - 0.5),
+                   seg.duration / (2 * flight._MAX_SAMPLE_ROWS), 1e-9, 1e-300, 5e-324):
             with pytest.raises(PreconditionError, match="more than 1000000 samples"):
                 flight.segment_samples(seg, dt)
             with pytest.raises(PreconditionError, match="more than 1000000 samples"):
                 simulate.trajectory_samples(res.records, dt)
+
+    @pytest.fixture
+    def capped(self, member_ctx, monkeypatch):
+        """Five flights of the member under a 100-row cap, and a dt at which
+        each takes at most 45 rows."""
+        monkeypatch.setattr(flight, "_MAX_SAMPLE_ROWS", 100)
+        res = simulate.run(member_ctx, CylinderState(0.3, 1100.0), 5)
+        longest = max(rec.segment.duration for rec in res.records[:-1])
+        return res.records, longest / 44
+
+    def test_total_row_cap(self, capped, monkeypatch):
+        records, dt = capped
+
+        def refused(seg, dt):
+            raise AssertionError("a row was built")
+
+        monkeypatch.setattr(flight, "segment_samples", refused)
+        with pytest.raises(PreconditionError, match="asks for .* samples, more than 100$"):
+            simulate.trajectory_samples(records, dt)
+
+    def test_rows_are_counted_exactly(self, capped):
+        # two flights fit under the cap, three do not
+        records, dt = capped
+        counts = [flight.sample_count(rec.segment, dt) for rec in records[:-1]]
+        assert sum(counts[:2]) <= 100 < sum(counts[:3])
+        assert len(simulate.trajectory_samples(records[:2] + records[-1:], dt)) == sum(counts[:2])
+        with pytest.raises(PreconditionError):
+            simulate.trajectory_samples(records[:3] + records[-1:], dt)

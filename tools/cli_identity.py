@@ -88,6 +88,12 @@ CONFIGS = [
     # with the start loop's diagnostics; the output changes when that is mended
     ("orbit-no-convergence", ["orbit", "--profile", MEMBER, "--c", "1", "--p", "565",
                               "--q", "34", "--starts", "8", "--seed", "0"]),
+    # the member's sweeps and polish, converged: a (p, q) of the rotation
+    # window, and an omega about 0.2 / q^2 above 664/21, its last convergent with q <= 21
+    ("orbit-member", ["orbit", "--profile", MEMBER, "--c", "1", "--p", "664", "--q", "21",
+                      "--starts", "8", "--seed", "0"]),
+    ("hull-member", ["hull", "--profile", MEMBER, "--c", "1", "--omega", "31.6195",
+                     "--denom-cap", "21", "--starts", "8", "--seed", "0"]),
     ("orbit-out-of-window", ["orbit", "--profile", CONST, "--c", "0", "--sigma", "4",
                              "--p", "1", "--q", "2", "--seed", "0"]),
     ("hull-csv", ["hull", "--profile", REF, "--c", "1", "--omega", "109.61803398875",
