@@ -30,9 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._search import golden_max
-from .errors import ConvergenceError, PreconditionError
+from .errors import ConvergenceError, DomainError, PreconditionError
 from .genfun import GenFunContext, grad_h, grad_twist, h, h_ends, hess_h
-from .simulate import el_defect
 
 _SWEEP_BUDGET = 400  # Gauss-Seidel sweeps per start before the Newton polish
 _SWEEP_XTOL = 1e-4  # golden-section tolerance of every sweep
@@ -80,11 +79,14 @@ def action(ctx: GenFunContext, times) -> float:
 
 def el_residual(ctx: GenFunContext, times, p: int) -> float:
     """Max Euler-Lagrange defect |d2 h(t_{n-1}, t_n) + d1 h(t_n, t_{n+1})|
-    of the (p, q)-periodic configuration times, wraparound pairs included."""
+    of the (p, q)-periodic configuration times, wraparound pairs included:
+    the largest |entry| of the polish's _residual."""
     ts = list(times)
     if not ts:
         raise PreconditionError("need at least one time")
-    return el_defect(ctx, [(ts[-1] - p, ts[0]), *_pairs(ts, p)])
+    if not all(map(math.isfinite, ts)):
+        raise DomainError(f"times {ts} outside strip: not finite")
+    return float(np.max(np.abs(_residual(ctx, ts, p))))
 
 
 def _pairs(ts, p):

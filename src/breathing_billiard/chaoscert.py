@@ -27,7 +27,7 @@ from ._version import VERSION
 from .bmap import CylinderState
 from .errors import DomainError, PreconditionError
 from .genfun import GenFunContext, hess_h, make_context
-from .radius import ClassVerdict, ProfileBounds, RadiusProfile, classify
+from .radius import ClassVerdict, ProfileBounds, RadiusProfile, check_grid_points, classify
 
 DEFAULT_OMEGA_GRID = 33
 DEFAULT_K_SAMPLES = 257
@@ -95,22 +95,16 @@ def _verdict(profile: RadiusProfile, eps: float,
 
 def xi_interval(profile: RadiusProfile, eps: float,
                 verdict: ClassVerdict | None = None) -> tuple[float, float]:
-    """Open rotation-number window attached to the strongest witness,
-    intersected with (3, sigma - 1)."""
+    """Open rotation-number window attached to the strongest witness: the
+    R_tilde verdict's window, which ClassVerdict keeps inside (3, sigma - 1)."""
     return _window(_verdict(profile, eps, verdict))
 
 
 def _window(verdict: ClassVerdict) -> tuple[float, float]:
     """xi_interval of the profile and eps that verdict.bounds carries."""
-    if verdict.klass != "R_tilde" or not verdict.witnesses:
+    if verdict.klass != "R_tilde":
         raise PreconditionError("profile is not in class R_tilde")
-    if verdict.window is None:
-        raise PreconditionError("witness fails the deceleration condition")
-    w_lo = max(verdict.window[0], 3.0)
-    w_hi = min(verdict.window[1], verdict.bounds.sigma - 1.0)
-    if not w_lo < w_hi:
-        raise PreconditionError(f"empty rotation-number window ({w_lo}, {w_hi})")
-    return w_lo, w_hi
+    return verdict.window
 
 
 def k_band(verdict: ClassVerdict, omega: float) -> KBand:
@@ -184,11 +178,14 @@ def certify(profile: RadiusProfile, eps: float, c: float,
     rotation number in the window would have to carry a nonnegative value
     inside the band.  verdict, when given, must be classify(profile, eps);
     the profile is classified otherwise.  omega_grid >= 1 and k_samples >= 2
-    (one sample would check only the lower end of the K range).
+    (one sample would check only the lower end of the K range), and neither
+    may exceed the 2^20-point cap of radius.check_grid_points.
     """
     if omega_grid < 1 or k_samples < 2:
         raise PreconditionError(f"need omega_grid >= 1 and k_samples >= 2, got "
                                 f"{omega_grid} and {k_samples}")
+    check_grid_points("omega_grid", omega_grid)
+    check_grid_points("k_samples", k_samples)
 
     verdict = _verdict(profile, eps, verdict)
     cert = ChaosCertificate(profile=profile, eps=eps, c=c, margins=dict(verdict.margins))
@@ -282,24 +279,18 @@ def c0_search(profile: RadiusProfile, eps: float, iters: int = 20,
         tested.append((c, cert.certified))
         return cert.certified
 
-    hi = c_max * (1.0 - 1e-9)
-    if ok(hi):
-        return C0SearchResult(c0=hi, c_max=c_max, tested=tested,
-                              monotone_observed=_monotone(tested))
-    lo = None
-    c_try = hi
-    for _ in range(40):
-        # the bisection keeps the last refused momentum as its upper end
-        hi, c_try = c_try, 0.5 * c_try
-        if ok(c_try):
-            lo = c_try
+    lo = hi = c_max * (1.0 - 1e-9)
+    for _ in range(41):  # c_max, then up to 40 halvings
+        if ok(lo):
             break
-    if lo is None:
+        # the bisection keeps the last refused momentum as its upper end
+        hi, lo = lo, 0.5 * lo
+    else:
         return C0SearchResult(c0=None, c_max=c_max, tested=tested,
                               monotone_observed=_monotone(tested),
-                              reason="no certified momentum found down to "
-                                     f"{c_try}")
-    for _ in range(iters):
+                              reason=f"no certified momentum found down to {hi}")
+    # a certified c_max is the answer itself: nothing to bisect
+    for _ in range(iters if lo < hi else 0):
         mid = 0.5 * (lo + hi)
         if ok(mid):
             lo = mid

@@ -13,8 +13,10 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -73,19 +75,37 @@ def _context(args):
     return make_context(_profile(args), args.c, args.eps, sigma=args.sigma)
 
 
-def _write_csv(args, path, header, rows):
-    """CSV with the run's config in a leading comment line; floats by repr."""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# config: {json.dumps(_config_dict(args), sort_keys=True)}\n")
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+def _add_csv(files, args, path, header, rows):
+    """Add (path, CSV text) to files: the run's config in a leading comment
+    line, then the header and rows, floats by repr."""
+    fh = io.StringIO()
+    fh.write(f"# config: {json.dumps(_config_dict(args), sort_keys=True)}\n")
+    w = csv.writer(fh)
+    w.writerow(header)
+    for row in rows:
+        w.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+    files.append((path, fh.getvalue()))
 
 
-# --- subcommand bodies: each returns the "result" of the JSON payload -------
+def _write_all(files):
+    """Write each (path, text) in order; when one fails, remove the regular
+    files already written, so a failed run leaves none of its outputs."""
+    written = []
+    try:
+        for path, text in files:
+            with open(path, "w", newline="") as fh:
+                written.append(path)
+                fh.write(text)
+    except OSError:
+        for path in filter(os.path.isfile, written):
+            os.remove(path)
+        raise
 
-def _cmd_classify(args):
+
+# --- subcommand bodies: each returns the "result" of the JSON payload and
+# adds its CSVs to files; main writes them once every result is computed ----
+
+def _cmd_classify(args, files):
     v = radius.classify(_profile(args), args.eps)
     b = v.bounds
     return {"class": v.klass, "degenerate": v.degenerate, "witnesses": v.witnesses,
@@ -94,7 +114,7 @@ def _cmd_classify(args):
                        "ddR2_norm": b.ddR2_norm, "sigma": b.sigma}}
 
 
-def _cmd_find_member(args):
+def _cmd_find_member(args, files):
     mean, v = radius.find_member(args.k, args.delta, args.eps, min_window=args.min_window)
     return {"mean": mean,
             "profile": radius.family_profile(args.k, args.delta, mean),
@@ -105,7 +125,7 @@ def _cmd_find_member(args):
             "margins": v.margins}
 
 
-def _cmd_flight(args):
+def _cmd_flight(args, files):
     profile = _profile(args)
     window = flight.validate_window(args.t0, args.t1, args.c, profile, args.eps)
     seg = flight.make_segment(profile, args.t0, args.t1, args.c)
@@ -113,13 +133,13 @@ def _cmd_flight(args):
               "A": seg.A, "B": seg.B, "dtheta": seg.dtheta,
               "energy": seg.energy, "chord_length": seg.chord_length}
     if args.csv:
-        _write_csv(args, args.csv, ["t", "r", "theta", "x", "y"],
-                   flight.segment_samples(seg, args.dt))
+        _add_csv(files, args, args.csv, ["t", "r", "theta", "x", "y"],
+                 flight.segment_samples(seg, args.dt))
         result["csv"] = args.csv
     return result
 
 
-def _cmd_map(args):
+def _cmd_map(args, files):
     ctx = _context(args)
     s = CylinderState(args.t0, args.K)
     s1 = bmap.backward(ctx, s) if args.inverse else bmap.forward(ctx, s)
@@ -136,15 +156,14 @@ def _cmd_map(args):
     return result
 
 
-def _cmd_simulate(args):
+def _cmd_simulate(args, files):
     res = simulate.run(_context(args), CylinderState(args.t0, args.K), args.n)
-    # sampled before any file is written, so a refused dt leaves no partial output
-    rows = simulate.trajectory_samples(res.records, args.dt) if args.trajectory_csv else None
     if args.bounces_csv:
-        _write_csv(args, args.bounces_csv, ["n", "t", "K", "rdot_plus", "theta"],
-                   [(r.n, r.t, r.K, r.rdot_plus, r.theta) for r in res.records])
+        _add_csv(files, args, args.bounces_csv, ["n", "t", "K", "rdot_plus", "theta"],
+                 [(r.n, r.t, r.K, r.rdot_plus, r.theta) for r in res.records])
     if args.trajectory_csv:
-        _write_csv(args, args.trajectory_csv, ["t", "x", "y"], rows)
+        _add_csv(files, args, args.trajectory_csv, ["t", "x", "y"],
+                 simulate.trajectory_samples(res.records, args.dt))
     energies = [e for _, e in simulate.energy_series(res.records)]
     return {"bounces": len(res.records),
             "completed": res.completed,
@@ -156,37 +175,37 @@ def _cmd_simulate(args):
             "energy_max": max(energies, default=math.nan)}
 
 
-def _cmd_orbit(args):
+def _cmd_orbit(args, files):
     orbit = aubry.periodic_orbit(_context(args), args.p, args.q, starts=args.starts,
                                  seed=args.seed)
     if args.csv:
-        _write_csv(args, args.csv, ["n", "t", "K"],
-                   zip(range(orbit.q), orbit.times, orbit.Ks))
+        _add_csv(files, args, args.csv, ["n", "t", "K"],
+                 zip(range(orbit.q), orbit.times, orbit.Ks))
     return orbit
 
 
-def _cmd_hull(args):
+def _cmd_hull(args, files):
     hull = aubry.hull_samples(_context(args), args.omega, denom_cap=args.denom_cap,
                               starts=args.starts, seed=args.seed)
     if args.csv:
-        _write_csv(args, args.csv, ["xi", "phi", "eta"], zip(hull.xs, hull.phi, hull.eta))
+        _add_csv(files, args, args.csv, ["xi", "phi", "eta"], zip(hull.xs, hull.phi, hull.eta))
     return hull
 
 
-def _cmd_certify(args):
+def _cmd_certify(args, files):
     cert = chaoscert.certify(_profile(args), args.eps, args.c,
                              omega_grid=args.omega_grid, k_samples=args.k_samples)
     if args.csv and cert.a_grid:
-        _write_csv(args, args.csv, ["K", "a"], cert.a_grid)
+        _add_csv(files, args, args.csv, ["K", "a"], cert.a_grid)
     return cert.to_dict()
 
 
-def _cmd_c0(args):
+def _cmd_c0(args, files):
     return chaoscert.c0_search(_profile(args), args.eps, iters=args.iters,
                                omega_grid=args.omega_grid, k_samples=args.k_samples)
 
 
-def _cmd_lyapunov(args):
+def _cmd_lyapunov(args, files):
     ctx = _context(args)
     if args.seeds:
         if args.k_lo is None or args.k_hi is None:
@@ -204,10 +223,12 @@ def _cmd_lyapunov(args):
             "reason": est.reason}
 
 
-def _cmd_portrait(args):
+def _cmd_portrait(args, files):
     if args.t_count < 1 or args.k_count < 1:
         raise PreconditionError(f"--t-count and --k-count must be >= 1, got "
                                 f"{args.t_count} and {args.k_count}")
+    radius.check_grid_points("--t-count", args.t_count)
+    radius.check_grid_points("--k-count", args.k_count)
     ctx = _context(args)
     s_star = bmap.sigma_star(ctx)
     k_lo = args.k_lo if args.k_lo is not None else s_star * 1.05
@@ -219,7 +240,7 @@ def _cmd_portrait(args):
             except DomainError:
                 continue  # grid point below the map domain
             rows += [(t1 % 1.0, k1) for _, _, _, t1, k1 in orbit]
-    _write_csv(args, args.csv, ["t_mod1", "K"], rows)
+    _add_csv(files, args, args.csv, ["t_mod1", "K"], rows)
     return {"points": len(rows), "csv": args.csv, "sigma_star": s_star}
 
 
@@ -339,13 +360,12 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
-        result = args.func(args)
+        files = []
+        result = args.func(args, files)
         text = json.dumps({"config": _config_dict(args), "result": _sanitize(result)},
                           sort_keys=True, indent=2) + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
+        _write_all(files + [(args.out, text)] if args.out else files)
+        if not args.out:
             sys.stdout.write(text)
     except (DomainError, PreconditionError, OSError) as exc:
         # OSError: an --out or CSV path that cannot be written

@@ -100,11 +100,7 @@ class RadiusProfile:
         return dr
 
     def dd_radius(self, t: float) -> float:
-        ddr = 0.0
-        for k, d in self.harmonics:
-            w = TWO_PI * k
-            ddr -= d * w * w * math.sin(w * t)
-        return ddr
+        return self.eval(t)[2]
 
     def dd_radius_sq(self, t: float) -> float:
         """(R^2)'' = 2 (Rdot^2 + R * Rddot)."""
@@ -175,7 +171,10 @@ class ClassVerdict:
     (deceleration, window ordering, curvature) has positive slack throughout,
     sorted by |Rddot| descending; margins hold the signed slack of every
     inequality (positive = satisfied), evaluated at the strongest witness, or
-    at the strongest stationary point when there is none.
+    at the strongest stationary point when there is none.  An R_tilde
+    verdict has a witness, and its window lies inside (3, sigma - 1), or it
+    raises PreconditionError; classify's upper edge is sigma (r_min / r_max)
+    / sqrt(1 + ||Rdot|| sigma^2 / (2 r_max)) - 1, and its chain does the rest.
     """
 
     klass: str  # "none" | "R" | "R_tilde"
@@ -184,6 +183,14 @@ class ClassVerdict:
     bounds: ProfileBounds
     degenerate: bool = False
     window: tuple[float, float] | None = None  # (omega_lo, omega_hi) of best witness
+
+    def __post_init__(self):
+        w = self.window
+        if self.klass == "R_tilde" and not (
+                self.witnesses and w and 3.0 < w[0] < w[1] < self.bounds.sigma - 1.0):
+            raise PreconditionError(f"an R_tilde verdict needs a witness and a window inside "
+                                    f"(3, sigma - 1) = (3, {self.bounds.sigma - 1.0}), "
+                                    f"got {self.window}")
 
 
 def alpha_constant(eps: float) -> float:
@@ -197,9 +204,15 @@ def grid_size(profile: RadiusProfile, floor: int) -> int:
     """Points on one period for a scan of profile: floor, or 32 per period of
     its top harmonic.  Past 2^20 points it raises PreconditionError instead."""
     n = max(floor, _SAMPLES_PER_PERIOD * max((k for k, d in profile.harmonics if d), default=0))
-    if n > _GRID_CAP:
-        raise PreconditionError(f"the top harmonic needs {n} grid points, more than {_GRID_CAP}")
+    check_grid_points("the top harmonic", n)
     return n
+
+
+def check_grid_points(what: str, n: int) -> None:
+    """Raise PreconditionError if what asks for more than the 2^20 points of
+    any profile scan; a count is checked before its grid is built."""
+    if n > _GRID_CAP:
+        raise PreconditionError(f"{what} needs {n} grid points, more than {_GRID_CAP}")
 
 
 def _grid(profile: RadiusProfile, n: int, shift: float = 0.0):
@@ -276,7 +289,9 @@ def stationary_points(profile: RadiusProfile) -> list[tuple[float, float]]:
     # wrong sign, so those brackets go to the scalar test as well
     near0 = abs(vals) <= _NEAR_ZERO * scale
     picked = (vals * np.roll(vals, -1) < 0) | near0 | np.roll(near0, -1)
-    noise = 16.0 * _ULP * scale  # of Rdot: 16 ulp of its scale
+    # of Rdot: 16 ulp of its terms |d| w and of their arguments' rounding |d| w^2 t, t < 1
+    noise = 16.0 * _ULP * sum(abs(d) * TWO_PI * k * (1.0 + TWO_PI * k)
+                              for k, d in profile.harmonics)
     roots = []
     for i in np.flatnonzero(picked).tolist():
         a = i * step
@@ -402,21 +417,19 @@ def find_member(k: int, delta: float, eps: float,
         v = classify(family_profile(k, delta, mean), eps)
         if v.klass != "R_tilde":
             return False, v
-        if min_window is not None and (v.window is None or
-                                       v.window[1] - v.window[0] <= min_window):
+        if min_window is not None and v.window[1] - v.window[0] <= min_window:
             return False, v
         return True, v
 
     lo, mean = None, max(1.0, 4.0 * delta)
-    ok, verdict = accept(mean)
-    for _ in range(200):
+    for _ in range(201):  # the start, then up to 200 scan steps
+        ok, verdict = accept(mean)
         if ok:
             break
         lo, mean = mean, mean * _MEAN_GRID_FACTOR
-        ok, verdict = accept(mean)
-    if not ok:
+    else:
         raise ConvergenceError("no admissible mean found on the geometric grid",
-                               {"last_mean": mean, "k": k, "delta": delta})
+                               {"last_mean": lo, "k": k, "delta": delta})
     # a start that passes is the answer; otherwise geometric bisection of
     # (lo fail, mean pass) to 3 significant digits
     while lo is not None and mean / lo > 1.0 + _MEAN_REL_TOL:

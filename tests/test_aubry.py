@@ -1,5 +1,7 @@
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,6 +55,30 @@ class TestElResidual:
     def test_empty_times_rejected(self, static_ctx):
         with pytest.raises(PreconditionError, match="at least one time"):
             aubry.el_residual(static_ctx, (), p=3)
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_time_not_finite_is_a_domain_error(self, static_ctx, t):
+        with pytest.raises(DomainError):
+            aubry.el_residual(static_ctx, (0.0, t), p=3)
+
+    @pytest.mark.parametrize("p, q", [(69, 8), (349, 21), (664, 21)])
+    def test_matches_el_defect_on_the_wrapped_pairs(self, member_ctx, p, q):
+        # the polish's residual against the open-chain defect of the flights
+        # (t_{q-1} - p, t_0), (t_0, t_1), ..., (t_{q-1}, t_0 + p), on the
+        # orbit and on a configuration off it
+        ts = list(aubry.periodic_orbit(member_ctx, p, q, starts=8, seed=0).times)
+        for config in (ts, [t + 1e-4 * math.sin(3 * j) for j, t in enumerate(ts)]):
+            wrapped = [(config[-1] - p, config[0]),
+                       *zip(config, [*config[1:], config[0] + p])]
+            assert aubry.el_residual(member_ctx, config, p) == pytest.approx(
+                simulate.el_defect(member_ctx, wrapped), rel=0, abs=1e-12)
+
+    def test_aubry_imports_only_the_generating_function(self):
+        # aubry stands on genfun and _search: no map step, flight or simulate
+        tree = ast.parse(Path(aubry.__file__).read_text())
+        imported = {node.module for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level == 1}
+        assert imported == {"_search", "errors", "genfun"}
 
 
 class TestPeriodicOrbit:

@@ -49,13 +49,14 @@ class TestXiInterval:
         assert w_lo == pytest.approx(105.13998, abs=1e-3)
         assert w_hi == pytest.approx(113.53942, abs=1e-3)
 
-    def test_clips_the_classifier_window(self, member):
+    def test_refuses_a_window_outside_the_limits(self, member):
+        # the verdict keeps its window inside (3, sigma - 1), so a forged
+        # wider one is refused where it is made instead of clipped here
         profile, _, verdict = member
         sigma = verdict.bounds.sigma
-        assert chaoscert.xi_interval(profile, EPS, verdict) == (
-            verdict.window[0], min(verdict.window[1], sigma - 1.0))
-        wide = dataclasses.replace(verdict, window=(2.0, sigma + 5.0))
-        assert chaoscert.xi_interval(profile, EPS, wide) == (3.0, sigma - 1.0)
+        assert chaoscert.xi_interval(profile, EPS, verdict) == verdict.window
+        with pytest.raises(PreconditionError, match="window inside"):
+            dataclasses.replace(verdict, window=(2.0, sigma + 5.0))
 
     def test_window_inside_limits(self, reference_profile, member):
         profile, _, verdict = member
@@ -298,6 +299,21 @@ class TestCertify:
         assert json.loads(d["profile_literal"])["mean"] == profile.mean
 
 
+class TestGridCounts:
+    def test_cap_is_inclusive(self, member, monkeypatch):
+        # a cap of 512, the least the member's sigma_star scan fits in: a
+        # count between the real cap of 2^20 and numpy's limit would
+        # allocate gigabytes before it failed
+        profile, _, verdict = member
+        monkeypatch.setattr(radius, "_GRID_CAP", 512)
+        for counts in ({"omega_grid": 513}, {"k_samples": 513}):
+            with pytest.raises(PreconditionError, match="513 grid points, more than 512"):
+                chaoscert.certify(profile, EPS, 1.0, verdict=verdict, **counts)
+        cert = chaoscert.certify(profile, EPS, 1.0, omega_grid=1, k_samples=512,
+                                 verdict=verdict)
+        assert len(cert.a_grid) == 512
+
+
 class TestForeignVerdict:
     """A verdict is used only with the profile and eps it was computed for."""
 
@@ -391,6 +407,14 @@ class TestC0Search:
         assert res.tested[-1][0] == res.tested[0][0] * 0.5 ** 40
         assert res.reason == f"no certified momentum found down to {res.tested[-1][0]}"
         assert res.monotone_observed
+
+    def test_certified_c_max_is_the_answer(self, member, monkeypatch):
+        profile, _, verdict = member
+        monkeypatch.setattr(chaoscert, "certify",
+                            lambda *args, **kwargs: SimpleNamespace(certified=True))
+        res = chaoscert.c0_search(profile, EPS)
+        assert res.tested == [(verdict.bounds.c_max * (1.0 - 1e-9), True)]
+        assert res.c0 == res.tested[0][0] and res.reason is None
 
     def test_bisection_stays_below_the_last_refusal(self, member, monkeypatch):
         # verdicts certified below 0.2 c_max: c_max, 0.5 and 0.25 c_max are

@@ -374,6 +374,12 @@ class TestRejectedInput:
         ["flight", "--profile", BREATHING, "--c", "nan", "--t0", "0", "--t1", "1"],
         ["flight", "--profile", BREATHING, "--c", "0", "--t0", "0", "--t1", "inf"],
         ["find-member", "--k", "1", "--delta", "0.05", "--min-window", "nan"],
+        # 2^62 grid points: numpy refuses the array at once, with a ValueError
+        ["certify", "--profile", MEMBER, "--c", "1.0", "--k-samples", str(2 ** 62)],
+        ["certify", "--profile", MEMBER, "--c", "1.0", "--omega-grid", str(2 ** 62)],
+        ["c0", "--profile", MEMBER, "--k-samples", str(2 ** 62)],
+        PORTRAIT + ["--t-count", str(2 ** 62)],
+        PORTRAIT + ["--k-count", str(2 ** 62)],
     ], ids=["certify-omega-grid-0", "certify-k-samples-0", "certify-k-samples-1",
             "c0-omega-grid-0", "hull-denom-cap-0", "orbit-starts-0", "lyapunov-seeds-neg",
             "orbit-seed-neg", "hull-seed-neg", "lyapunov-table-seed-neg",
@@ -382,10 +388,49 @@ class TestRejectedInput:
             "lyapunov-t0-nan", "flight-t0-nan", "flight-dt-nan", "map-K-near-edge",
             "profile-fractional-frequency", "profile-infinite-mean",
             "profile-nan-amplitude", "profile-huge-frequency", "flight-c-nan",
-            "flight-t1-inf", "find-member-min-window-nan"])
+            "flight-t1-inf", "find-member-min-window-nan", "certify-k-samples-huge",
+            "certify-omega-grid-huge", "c0-k-samples-huge", "portrait-t-count-huge",
+            "portrait-k-count-huge"])
     def test_precondition_exit(self, argv, capsys):
         assert run_cli(argv) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestFailedRunLeavesNoFile:
+    # every output is written only once the whole result is computed, and a
+    # write that fails removes the outputs written before it
+    ORBIT = ["orbit", "--profile", CONST, "--c", "0.0", "--sigma", "4.0", "--p", "3",
+             "--q", "2", "--starts", "2", "--seed", "0"]
+    PORTRAIT = ["portrait", "--profile", CONST, "--c", "0.05", "--sigma", "4.0",
+                "--k-hi", "3.0", "--t-count", "2", "--k-count", "2", "--n", "3"]
+    SIMULATE = ["simulate", "--profile", CONST, "--c", "0.0", "--sigma", "4.0",
+                "--t0", "0.0", "--K", "2.0", "--n", "3"]
+
+    @pytest.mark.parametrize("argv", [
+        ORBIT + ["--csv", "{dir}/orbit.csv", "--out", "{missing}"],
+        PORTRAIT + ["--csv", "{dir}/portrait.csv", "--out", "{missing}"],
+        SIMULATE + ["--bounces-csv", "{dir}/b.csv", "--trajectory-csv", "{missing}"],
+        SIMULATE + ["--bounces-csv", "{dir}/b.csv", "--trajectory-csv", "{dir}/t.csv",
+                    "--out", "{missing}"],
+    ], ids=["orbit-out", "portrait-out", "simulate-trajectory-csv", "simulate-out"])
+    def test_no_output_left(self, argv, tmp_path, capsys):
+        missing = str(tmp_path / "missing" / "out")
+        argv = [a.replace("{dir}", str(tmp_path)).replace("{missing}", missing)
+                for a in argv]
+        assert run_cli(argv) == 1
+        assert "No such file or directory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_only_regular_files_are_removed(self, tmp_path, monkeypatch):
+        # a CSV sent to the null device is written but never removed; the
+        # removal is recorded, not done, so a fault here cannot touch it
+        removed = []
+        monkeypatch.setattr(cli.os, "remove", removed.append)
+        csv_path = str(tmp_path / "b.csv")
+        argv = self.SIMULATE + ["--bounces-csv", csv_path, "--trajectory-csv", os.devnull,
+                                "--out", str(tmp_path / "x" / "y.json")]
+        assert run_cli(argv) == 1
+        assert removed == [csv_path]
 
 
 class TestErrorMessages:

@@ -82,6 +82,14 @@ class TestContext:
                 with pytest.raises(DomainError):
                     kernel(ctx, t0, t1)
 
+    def test_infinite_time_names_both_times(self):
+        ctx = genfun.make_context(RadiusProfile(2.0, ((1, 0.02),)), 0.0, EPS)
+        for kernel in (genfun.h, genfun.grad_h, genfun.hess_h):
+            with pytest.raises(DomainError) as info:
+                kernel(ctx, 0.5, math.inf)
+            assert str(info.value) == "(t0, t1) = (0.5, inf) outside strip: infinite time"
+            assert isinstance(info.value.__cause__, ValueError)
+
     def test_negative_discriminant_is_a_domain_error(self):
         # bounds claiming r_min = 1 for a profile whose minimum is 0.5 admit
         # c = 0.5 on a unit strip; the discriminant R0^2 R1^2 - c^2 tau^2 is

@@ -1,12 +1,14 @@
+import dataclasses
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from breathing_billiard import _search, radius
-from breathing_billiard.errors import PreconditionError
+from breathing_billiard.errors import ConvergenceError, PreconditionError
 from breathing_billiard.radius import ProfileBounds, RadiusProfile
 
 EPS = 0.5
@@ -25,6 +27,13 @@ class TestEval:
         assert r == pytest.approx(2.1, abs=1e-15)
         assert dr == pytest.approx(0.0, abs=1e-15)
         assert ddr == pytest.approx(-0.1 * 4 * PI2, rel=1e-14)
+
+    @pytest.mark.parametrize("harmonics", [((1, 0.05),), ((3, 0.05), (1, 0.02)),
+                                           ((192, -0.0046), (88, 0.00065))])
+    def test_dd_radius_is_eval(self, harmonics):
+        p = RadiusProfile(2.0, harmonics)
+        for t in np.linspace(-3.0, 3.0, 97):
+            assert p.dd_radius(float(t)) == p.eval(float(t))[2]
 
     def test_periodicity(self):
         p = RadiusProfile(2.0, ((3, 0.05), (1, 0.02)))
@@ -311,6 +320,30 @@ class TestStationaryPoints:
             for t, ddr in radius.stationary_points(p):
                 assert abs(p.d_radius(t)) <= 4 * abs(ddr) * ulp * max(1.0, abs(t)) + noise
 
+    @pytest.mark.parametrize("mean, harmonics, eps", [
+        (21.39621944108136, ((88, 0.0006474653707743254), (165, 0.0057492653878457225),
+                             (192, -0.00462800911803962)), 0.062226760471634626),
+        (87.53774342299069, ((153, 0.0063700026342398495), (99, 0.014552310546569408)),
+         0.23943637801712292),
+    ])
+    def test_high_harmonic_roots_converge(self, mean, harmonics, eps):
+        # the argument w t of a term rounds by ~|d| w^2 t ulp, 2.8e-12 of Rdot
+        # in the first profile; a noise of 16 ulp of sum |d| w alone (3.4e-13)
+        # kept the solve iterating in a 13-ulp bracket until it gave up
+        p = RadiusProfile(mean, harmonics)
+        ulp = 2.3e-16
+        noise = 16 * ulp * sum(abs(d) * 2 * math.pi * k * (1 + 2 * math.pi * k)
+                               for k, d in harmonics)
+        points = radius.stationary_points(p)
+        for t, ddr in points:
+            assert abs(p.d_radius(t)) <= 4 * abs(ddr) * ulp + noise
+        n = radius.grid_size(p, radius._STATIONARY_FLOOR)
+        vals = [p.d_radius(i / n) for i in range(n + 1)]
+        expected = [brentq(p.d_radius, i / n, (i + 1) / n, xtol=1e-15)
+                    for i in range(n) if vals[i] * vals[i + 1] < 0]
+        assert [t for t, _ in points] == pytest.approx(expected, rel=0, abs=1e-12)
+        assert radius.classify(p, eps).klass == "none"
+
     def test_roots_match_brentq(self):
         # oracle: brentq to 1e-15 on every scalar sign change of the grid
         for p, _ in _family_members(100, seed=14, ks=(1, 5, 6, 7, 8)):
@@ -348,6 +381,48 @@ class TestClassify:
         assert v.klass == "R_tilde"
         assert v.bounds.sigma > 2  # the class-R test passes a fortiori
         assert v.margins["sigma_gt_2"] > 0
+
+
+class TestClassVerdictWindow:
+    """An R_tilde verdict has a witness and a window inside (3, sigma - 1):
+    classify's always does, and ClassVerdict refuses any other."""
+
+    @staticmethod
+    def _window_inside(v):
+        w_lo, w_hi = v.window
+        return 3.0 < w_lo < w_hi < v.bounds.sigma - 1.0
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(k=st.sampled_from((1, 2, 3, 5, 8)), share=st.floats(0.0, 1.0),
+           log_mean=st.floats(1.5, 4.5), eps=st.floats(0.1, 0.9),
+           extra=st.lists(st.tuples(st.integers(1, 40), st.floats(-0.3, 0.3)), max_size=2))
+    def test_random_multi_harmonic_profiles(self, k, share, log_mean, eps, extra):
+        lo, hi = radius.delta_window(k)
+        delta = lo * (hi / lo) ** share
+        profile = RadiusProfile(10.0 ** log_mean,
+                                ((k, delta), *((j, s * delta) for j, s in extra)))
+        v = radius.classify(profile, eps)
+        assert v.klass != "R_tilde" or self._window_inside(v)
+
+    def test_family_members(self):
+        verdicts = [radius.classify(p, eps) for p, eps in _family_members(200, seed=23)]
+        tilde = [v for v in verdicts if v.klass == "R_tilde"]
+        assert len(tilde) > 50
+        assert all(self._window_inside(v) for v in tilde)
+
+    def test_other_windows_are_refused(self, reference_profile):
+        v = radius.classify(reference_profile, EPS)
+        sigma = v.bounds.sigma
+        w_lo, w_hi = v.window
+        for window in ((2.0, sigma + 5.0), (w_hi, w_lo), (w_lo, sigma - 1.0), (3.0, w_hi)):
+            with pytest.raises(PreconditionError, match="window inside"):
+                dataclasses.replace(v, window=window)
+        with pytest.raises(PreconditionError, match="needs a witness"):
+            dataclasses.replace(v, window=None)
+        with pytest.raises(PreconditionError, match="needs a witness"):
+            dataclasses.replace(v, witnesses=())
+        # only an R_tilde verdict carries the guarantee
+        assert dataclasses.replace(v, klass="R", window=None).window is None
 
 
 class TestFamilyFormulas:
@@ -408,6 +483,33 @@ class TestFindMember:
             radius.find_member(5, 0.5, EPS)
         with pytest.raises(PreconditionError, match="single-harmonic"):
             radius.find_member(1, 0.05, 0.95)
+
+    def test_refusal_after_the_whole_scan(self, monkeypatch):
+        # no mean passes: the start and 200 scan steps, the last one reported
+        means = []
+        original = radius.classify
+
+        def never(profile, eps):
+            means.append(profile.mean)
+            return dataclasses.replace(original(profile, eps), klass="none", window=None)
+
+        monkeypatch.setattr(radius, "classify", never)
+        with pytest.raises(ConvergenceError) as info:
+            radius.find_member(1, 0.05, EPS)
+        expected = [1.0]
+        for _ in range(200):
+            expected.append(expected[-1] * 1.25)
+        assert means == expected
+        assert info.value.diagnostics["last_mean"] == means[-1]
+
+    def test_a_start_that_passes_is_the_answer(self, monkeypatch):
+        means = []
+        original = radius.classify
+        monkeypatch.setattr(radius, "classify",
+                            lambda profile, eps: means.append(profile.mean) or original(
+                                radius.family_profile(1, 0.05, 754.0), eps))
+        mean, verdict = radius.find_member(1, 0.05, EPS)
+        assert means == [1.0] and mean == 1.0 and verdict.klass == "R_tilde"
 
     @pytest.mark.parametrize("min_window", [math.nan, math.inf])
     def test_min_window_must_be_finite(self, min_window):

@@ -32,6 +32,10 @@ TWO = '{"mean": 177.0, "harmonics": [[5, 0.0035], [1, 0.0035]]}'
 CLAMPED = '{"mean": 225.0811595675279, "harmonics": [[5, 0.01], [1, 0.01]]}'
 # top harmonic 40: its root grid has 32 * 40 = 1280 points, past the floor of 1024
 HIGH = '{"mean": 1e6, "harmonics": [[40, 0.001], [1, 0.01]]}'
+# roots of Rdot whose rounding comes mostly from the arguments w t of its terms
+ROUNDED_ARGS = ('{"mean": 21.39621944108136, "harmonics": [[88, 0.0006474653707743254], '
+                '[165, 0.0057492653878457225], [192, -0.00462800911803962]]}')
+HUGE = str(2 ** 62)  # a grid count numpy refuses without allocating
 
 CONFIGS = [
     ("classify-member", ["classify", "--profile", REF]),
@@ -158,6 +162,31 @@ CONFIGS = [
     ("portrait-csv-missing-dir", ["portrait", "--profile", CONST, "--c", "0.05",
                                   "--sigma", "4", "--t-count", "1", "--k-count", "1",
                                   "--k-hi", "3", "--n", "2", "--csv", "missing/portrait.csv"]),
+    # the noise of the stationary-point solve includes the argument rounding
+    ("classify-rounded-args", ["classify", "--profile", ROUNDED_ARGS,
+                               "--eps", "0.062226760471634626"]),
+    # grid counts past 2^20 points are refused before any array is built
+    ("certify-k-samples-huge", ["certify", "--profile", MEMBER, "--c", "1",
+                                "--k-samples", HUGE]),
+    ("certify-omega-grid-huge", ["certify", "--profile", MEMBER, "--c", "1",
+                                 "--omega-grid", HUGE]),
+    ("c0-k-samples-huge", ["c0", "--profile", MEMBER, "--k-samples", HUGE]),
+    ("portrait-t-count-huge", ["portrait", "--profile", CONST, "--c", "0.05", "--sigma", "4",
+                               "--t-count", HUGE, "--k-hi", "3", "--csv", "portrait.csv"]),
+    ("portrait-k-count-huge", ["portrait", "--profile", CONST, "--c", "0.05", "--sigma", "4",
+                               "--k-count", HUGE, "--k-hi", "3", "--csv", "portrait.csv"]),
+    # a run that fails leaves none of its outputs, whichever write fails
+    ("orbit-out-missing-dir", ["orbit", "--profile", CONST, "--c", "0", "--sigma", "4",
+                               "--p", "3", "--q", "2", "--starts", "2", "--seed", "0",
+                               "--csv", "orbit.csv", "--out", "missing/x.json"]),
+    ("portrait-out-missing-dir", ["portrait", "--profile", CONST, "--c", "0.05",
+                                  "--sigma", "4", "--t-count", "2", "--k-count", "2",
+                                  "--k-hi", "3", "--n", "3", "--csv", "portrait.csv",
+                                  "--out", "missing/x.json"]),
+    ("simulate-trajectory-missing-dir", ["simulate", "--profile", CONST, "--c", "0",
+                                         "--sigma", "4", "--t0", "0", "--K", "2", "--n", "3",
+                                         "--bounces-csv", "b.csv",
+                                         "--trajectory-csv", "missing/t.csv"]),
 ]
 
 
