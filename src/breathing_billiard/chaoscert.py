@@ -263,8 +263,11 @@ def c0_search(profile: RadiusProfile, eps: float, iters: int = 20,
     Monotonicity of the verdict in c is plausible but unproven; the result
     reports whether the tested verdicts happened to be monotone instead of
     asserting it.  The profile is classified once, and every certify call
-    reuses that verdict.
+    reuses that verdict.  The bisection stops early once its midpoint rounds
+    to one of its ends, both of them momenta already tested.
     """
+    if iters < 0:
+        raise PreconditionError(f"iters must be >= 0, got {iters}")
     verdict = classify(profile, eps)
     if verdict.klass != "R_tilde":
         return C0SearchResult(c0=None, c_max=math.nan, tested=[],
@@ -292,6 +295,8 @@ def c0_search(profile: RadiusProfile, eps: float, iters: int = 20,
     # a certified c_max is the answer itself: nothing to bisect
     for _ in range(iters if lo < hi else 0):
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if ok(mid):
             lo = mid
         else:

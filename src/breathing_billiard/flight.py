@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .radius import RadiusProfile, bounds, sigma_limits
+from .radius import RadiusProfile, _ends, bounds, sigma_limits
 
 _MAX_SAMPLE_ROWS = 1_000_000  # most rows of segment_samples: 40 MB
 
@@ -97,8 +97,7 @@ def make_segment(profile: RadiusProfile, t0: float, t1: float, c: float,
     """
     _check_arguments(t0, t1, c)
     tau = t1 - t0
-    r0 = profile.radius(t0)
-    r1 = profile.radius(t1)
+    r0, r1 = _ends(profile.radius, t0, t1)
     disc = r0 * r0 * r1 * r1 - c * c * tau * tau
     if disc <= 0.0:
         raise DomainError(

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .radius import ProfileBounds, RadiusProfile, _grid, bounds as profile_bounds
+from .radius import ProfileBounds, RadiusProfile, _ends, _grid, bounds as profile_bounds
 
 _C_SLACK = 1.0 + 1e-9  # tolerate the closed end of the admissible c range
 
@@ -97,19 +97,9 @@ def _core(ctx: GenFunContext, t0: float, e0, t1: float, e1):
     return tau, r0, dr0, ddr0, r1, dr1, ddr1, math.sqrt(disc)
 
 
-def _ends(ctx: GenFunContext, t0: float, t1: float):
-    """(ctx.profile.eval(t0), ctx.profile.eval(t1)); an infinite time is a
-    DomainError.  math.sin raises ValueError only on an infinite argument;
-    a NaN time passes through eval and _core rejects it."""
-    try:
-        return ctx.profile.eval(t0), ctx.profile.eval(t1)
-    except ValueError as exc:
-        raise DomainError(f"(t0, t1) = ({t0}, {t1}) outside strip: infinite time") from exc
-
-
 def h(ctx: GenFunContext, t0: float, t1: float) -> float:
     """Action value of the flight (t0, t1)."""
-    e0, e1 = _ends(ctx, t0, t1)
+    e0, e1 = _ends(ctx.profile.eval, t0, t1)
     return h_ends(ctx, t0, e0, t1, e1)
 
 
@@ -122,7 +112,7 @@ def h_ends(ctx: GenFunContext, t0: float, e0, t1: float, e1) -> float:
 
 def grad_h(ctx: GenFunContext, t0: float, t1: float) -> tuple[float, float]:
     """(d1 h, d2 h), the first two entries of grad_twist."""
-    e0, e1 = _ends(ctx, t0, t1)
+    e0, e1 = _ends(ctx.profile.eval, t0, t1)
     return grad_twist(ctx, t0, e0, t1, e1)[:2]
 
 
@@ -148,7 +138,7 @@ def d1h_edge_grid(ctx: GenFunContext, n: int):
 
 def hess_h(ctx: GenFunContext, t0: float, t1: float) -> tuple[float, float, float]:
     """(d11 h, d12 h, d22 h) in closed form; d12 h < 0 on the whole strip."""
-    e0, e1 = _ends(ctx, t0, t1)
+    e0, e1 = _ends(ctx.profile.eval, t0, t1)
     tau, r0, dr0, ddr0, r1, dr1, ddr1, s = _core(ctx, t0, e0, t1, e1)
     c2 = ctx.c * ctx.c
     tau2 = tau * tau

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._search import _ULP, circle_sup, solve_monotone
-from .errors import ConvergenceError, PreconditionError
+from .errors import ConvergenceError, DomainError, PreconditionError
 
 TWO_PI = 2.0 * math.pi
 _MEAN_GRID_FACTOR = 1.25  # geometric scan step of find_member
@@ -46,7 +46,7 @@ class RadiusProfile:
             raise PreconditionError(f"mean radius must be positive, got {self.mean}")
         if not math.isfinite(self.mean):
             raise PreconditionError(f"mean radius must be finite, got {self.mean}")
-        harm = []
+        harm, terms = [], []
         for k, d in self.harmonics:
             # a whole float such as 1.0 is the integer 1; 1.7 is no frequency
             k_float, d = float(k), float(d)
@@ -55,7 +55,10 @@ class RadiusProfile:
             if not math.isfinite(d):
                 raise PreconditionError(f"harmonic amplitude must be finite, got {d}")
             harm.append((int(k_float), d))
+            w = TWO_PI * k_float
+            terms.append((w, d, d * w, d * w * w))  # eval's d * w * c is (d * w) * c
         object.__setattr__(self, "harmonics", tuple(harm))
+        object.__setattr__(self, "_terms", tuple(terms))  # no field: asdict, ==, repr skip it
         amplitude = sum(abs(d) for _, d in harm)
         if amplitude >= self.mean:
             raise PreconditionError("profile not strictly positive: mean <= sum |amplitudes|")
@@ -69,34 +72,33 @@ class RadiusProfile:
 
     @property
     def is_constant(self) -> bool:
-        return all(d == 0.0 for _, d in self.harmonics)
+        """True when the amplitudes of each frequency sum to 0, exactly."""
+        return all(math.fsum(d for k, d in self.harmonics if k == freq) == 0.0
+                   for freq, _ in self.harmonics)
 
     def eval(self, t: float) -> tuple[float, float, float]:
         """Exact (R, Rdot, Rddot) at time t."""
         r = self.mean
         dr = 0.0
         ddr = 0.0
-        for k, d in self.harmonics:
-            w = TWO_PI * k
+        for w, d, dw, dww in self._terms:
             a = w * t
             s = math.sin(a)
-            c = math.cos(a)
             r += d * s
-            dr += d * w * c
-            ddr -= d * w * w * s
+            dr += dw * math.cos(a)
+            ddr -= dww * s
         return r, dr, ddr
 
     def radius(self, t: float) -> float:
         r = self.mean
-        for k, d in self.harmonics:
-            r += d * math.sin(TWO_PI * k * t)
+        for w, d, _, _ in self._terms:
+            r += d * math.sin(w * t)
         return r
 
     def d_radius(self, t: float) -> float:
         dr = 0.0
-        for k, d in self.harmonics:
-            w = TWO_PI * k
-            dr += d * w * math.cos(w * t)
+        for w, _, dw, _ in self._terms:
+            dr += dw * math.cos(w * t)
         return dr
 
     def dd_radius(self, t: float) -> float:
@@ -119,6 +121,16 @@ class RadiusProfile:
                        harmonics=tuple((k, d) for k, d in obj.get("harmonics", [])))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise PreconditionError(f"malformed profile literal: {exc}") from exc
+
+
+def _ends(method, t0: float, t1: float):
+    """(method(t0), method(t1)) for a method of a profile; a time whose
+    phase 2 pi k t overflows is a DomainError.  math.sin raises ValueError
+    only on an infinite argument; a NaN time passes through."""
+    try:
+        return method(t0), method(t1)
+    except ValueError as exc:
+        raise DomainError(f"(t0, t1) = ({t0}, {t1}) outside strip: infinite time") from exc
 
 
 @dataclass(frozen=True)
@@ -215,24 +227,32 @@ def check_grid_points(what: str, n: int) -> None:
         raise PreconditionError(f"{what} needs {n} grid points, more than {_GRID_CAP}")
 
 
+def _columns(profile: RadiusProfile, n: int, shift: float = 0.0):
+    """Each harmonic's (d sin, d w cos, d w^2 sin) at t = i/n + shift, i < n."""
+    t = np.arange(n) * (1.0 / n) + shift
+    for w, d, dw, dww in profile._terms:
+        a = w * t
+        s = np.sin(a)
+        yield d * s, dw * np.cos(a), dww * s
+
+
 def _grid(profile: RadiusProfile, n: int, shift: float = 0.0):
     """(R, Rdot, Rddot) at t = i/n + shift, i < n, as numpy arrays.
 
     The times round as the scalar i * (1/n) + shift does, and the
-    expressions are those of RadiusProfile.eval, so only np.sin and np.cos
-    may round differently from the scalar methods.
+    expressions and their order are those of RadiusProfile.eval, so only
+    np.sin and np.cos may round differently from the scalar methods.
     """
-    t = np.arange(n) * (1.0 / n) + shift
-    r = np.full(n, float(profile.mean))
-    dr = np.zeros(n)
-    ddr = np.zeros(n)
-    for k, d in profile.harmonics:
-        w = TWO_PI * k
-        a = w * t
-        s = np.sin(a)
-        r += d * s
-        dr += d * w * np.cos(a)
-        ddr -= d * w * w * s
+    return _summed(profile.mean, n, _columns(profile, n, shift))
+
+
+def _summed(mean: float, n: int, columns):
+    """(R, Rdot, Rddot) grids of mean plus the columns, in harmonic order."""
+    r, dr, ddr = np.full(n, float(mean)), np.zeros(n), np.zeros(n)
+    for s, c, ss in columns:
+        r += s
+        dr += c
+        ddr -= ss
     return r, dr, ddr
 
 
@@ -246,10 +266,19 @@ def bounds(profile: RadiusProfile, eps: float) -> ProfileBounds:
     if not (0.0 < eps < 1.0):
         raise PreconditionError(f"eps must lie in (0,1), got {eps}")
     r, dr, ddr = _grid(profile, grid_size(profile, _BOUNDS_FLOOR))
+    return _bounds(profile, eps, r, dr, ddr, _dr_norm(profile, dr))
+
+
+def _dr_norm(profile: RadiusProfile, dr) -> float:
+    """||Rdot||, refined from its grid dr."""
+    return circle_sup(lambda t: abs(profile.d_radius(t)), abs(dr))[1]
+
+
+def _bounds(profile: RadiusProfile, eps: float, r, dr, ddr, dr_norm: float) -> ProfileBounds:
+    """bounds from the (R, Rdot, Rddot) grids of profile and ||Rdot||."""
     _, r_max = circle_sup(profile.radius, r)
     _, neg_min = circle_sup(lambda t: -profile.radius(t), -r)
     r_min = -neg_min
-    _, dr_norm = circle_sup(lambda t: abs(profile.d_radius(t)), abs(dr))
     _, dd2_norm = circle_sup(lambda t: abs(profile.dd_radius_sq(t)),
                              abs(2.0 * (dr * dr + r * ddr)))
     return ProfileBounds(profile=profile, eps=eps, r_min=r_min, r_max=r_max,
@@ -312,13 +341,17 @@ def classify(profile: RadiusProfile, eps: float) -> ClassVerdict:
         margins = {"sigma_gt_2": math.inf, "sigma_gt_4": math.inf}
         return ClassVerdict(klass="R", witnesses=(), margins=margins,
                             bounds=b, degenerate=True)
+    return _chain(b, stationary_points(profile))
 
+
+def _chain(b: ProfileBounds, stationary: list[tuple[float, float]]) -> ClassVerdict:
+    """classify's verdict on a profile that is not constant, from b and its stationary points."""
     # rotation-number window of a stationary point with curvature ddr: its
     # lower edge needs the deceleration decel > 0, its upper edge is shared
     w_hi = -1.0 + math.sqrt(2.0 * b.r_min ** 2
                             / (2.0 * b.r_max ** 2 / b.sigma ** 2 + b.dR_norm * b.r_max))
     points = []  # (t, ddr, window, signed slack of the per-point chain)
-    for t_bar, ddr in stationary_points(profile):
+    for t_bar, ddr in stationary:
         decel = -(ddr * b.r_min + b.dR_norm * b.r_max)
         edges = (1.0 + math.sqrt(2.0 * b.r_max ** 2 / decel), w_hi) if decel > 0.0 else None
         points.append((t_bar, ddr, edges, {
@@ -413,15 +446,23 @@ def find_member(k: int, delta: float, eps: float,
         raise PreconditionError(
             f"amplitude outside the admissible window ({lo_d:.6g}, {hi_d:.6g}): got {delta}")
 
+    # the columns, ||Rdot|| and the stationary points are the same for every mean
+    lo, mean = None, max(1.0, 4.0 * delta)
+    first = family_profile(k, delta, mean)
+    n = grid_size(first, _BOUNDS_FLOOR)
+    columns = list(_columns(first, n))
+    dr_norm = _dr_norm(first, _summed(mean, n, columns)[1])
+    stationary = stationary_points(first)
+
     def accept(mean):
-        v = classify(family_profile(k, delta, mean), eps)
+        b = _bounds(family_profile(k, delta, mean), eps, *_summed(mean, n, columns), dr_norm)
+        v = _chain(b, stationary)
         if v.klass != "R_tilde":
             return False, v
         if min_window is not None and v.window[1] - v.window[0] <= min_window:
             return False, v
         return True, v
 
-    lo, mean = None, max(1.0, 4.0 * delta)
     for _ in range(201):  # the start, then up to 200 scan steps
         ok, verdict = accept(mean)
         if ok:

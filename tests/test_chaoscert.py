@@ -431,6 +431,31 @@ class TestC0Search:
         assert len(res.tested) == 8 and res.c0 == pytest.approx(0.2 * c_max, rel=0.2)
         assert res.monotone_observed
 
+    def test_bisection_stops_at_float_resolution(self, member, monkeypatch):
+        # past about 52 halvings of (lo, 2 lo) the midpoint rounds to an end,
+        # a momentum already certified: each momentum is tested once, and a
+        # huge iters ends there instead of certifying the ends again
+        profile, _, verdict = member
+        c_max = verdict.bounds.c_max
+        monkeypatch.setattr(chaoscert, "certify", lambda profile, eps, c, **kwargs:
+                            SimpleNamespace(certified=c < 0.2 * c_max))
+        runs = {iters: chaoscert.c0_search(profile, EPS, iters=iters)
+                for iters in (52, 80, 10 ** 9)}
+        assert len(runs[52].tested) == 4 + 52
+        for res in runs.values():
+            momenta = [c for c, _ in res.tested]
+            assert len(set(momenta)) == len(momenta)
+        assert runs[80].tested == runs[10 ** 9].tested
+        assert runs[80].tested[:len(runs[52].tested)] == runs[52].tested
+        res = runs[80]
+        assert math.nextafter(res.c0, math.inf) == min(c for c, good in res.tested
+                                                       if not good and c > res.c0)
+
+    def test_negative_iters_refused(self, member):
+        profile, _, _ = member
+        with pytest.raises(PreconditionError, match="iters must be >= 0"):
+            chaoscert.c0_search(profile, EPS, iters=-1)
+
     def test_monotone_means_no_success_above_a_failure(self):
         assert chaoscert._monotone([(0.4, False), (0.1, True), (0.2, True)])
         assert chaoscert._monotone([])

@@ -39,6 +39,27 @@ class TestClassify:
         payload = json.loads(capsys.readouterr().out)
         assert payload["result"]["class"] == "R_tilde"
 
+    @pytest.mark.parametrize("command", [["classify"], ["certify", "--c", "0.01"], ["c0"]])
+    def test_cancelling_harmonics_read_as_constant(self, command, tmp_path):
+        # amplitudes of one frequency that sum to 0 ended in ZeroDivisionError;
+        # the verdict is the constant profile's, and R only rounds to its mean
+        results = []
+        for profile in ('{"mean": 2, "harmonics": [[1, 0.1], [1, -0.1]]}', '{"mean": 2}'):
+            out = tmp_path / "out.json"
+            assert run_cli([command[0], "--profile", profile, *command[1:],
+                            "--out", str(out)]) == 0
+            results.append(read_json(out)["result"])
+        cancelling, constant = results
+        if command[0] == "classify":
+            assert cancelling.pop("bounds")["r_min"] == pytest.approx(2.0, abs=1e-15)
+            constant.pop("bounds")
+        if command[0] == "certify":
+            assert cancelling.pop("profile")["harmonics"] == [[1, 0.1], [1, -0.1]]
+            constant.pop("profile")
+            assert cancelling.pop("profile_literal") != constant.pop("profile_literal")
+            assert not cancelling["certified"]
+        assert cancelling == constant
+
     def test_malformed_profile_is_usage_error(self, capsys):
         code = run_cli(["classify", "--profile", "{oops", "--eps", "0.5"])
         assert code == 1  # parses as precondition failure of the literal
@@ -380,6 +401,9 @@ class TestRejectedInput:
         ["c0", "--profile", MEMBER, "--k-samples", str(2 ** 62)],
         PORTRAIT + ["--t-count", str(2 ** 62)],
         PORTRAIT + ["--k-count", str(2 ** 62)],
+        # a finite flight time whose phase 2 pi k t overflows
+        ["flight", "--profile", BREATHING, "--c", "0", "--t0", "0", "--t1", "1e308"],
+        ["c0", "--profile", MEMBER, "--iters", "-1"],
     ], ids=["certify-omega-grid-0", "certify-k-samples-0", "certify-k-samples-1",
             "c0-omega-grid-0", "hull-denom-cap-0", "orbit-starts-0", "lyapunov-seeds-neg",
             "orbit-seed-neg", "hull-seed-neg", "lyapunov-table-seed-neg",
@@ -390,7 +414,7 @@ class TestRejectedInput:
             "profile-nan-amplitude", "profile-huge-frequency", "flight-c-nan",
             "flight-t1-inf", "find-member-min-window-nan", "certify-k-samples-huge",
             "certify-omega-grid-huge", "c0-k-samples-huge", "portrait-t-count-huge",
-            "portrait-k-count-huge"])
+            "portrait-k-count-huge", "flight-phase-overflow", "c0-iters-neg"])
     def test_precondition_exit(self, argv, capsys):
         assert run_cli(argv) == 1
         assert capsys.readouterr().err.startswith("error: ")

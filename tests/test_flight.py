@@ -74,6 +74,15 @@ class TestValidateWindow:
                 with pytest.raises(PreconditionError, match="finite"):
                     build(profile, t0, t1, 0.0)
 
+    def test_phase_overflow_is_refused_as_in_the_kernels(self, small_profile):
+        # a finite time whose phase 2 pi k t overflows ended in sin's
+        # uncaught ValueError; it is refused by the guard of genfun's kernels
+        for t0, t1 in ((0.0, 1e308), (-1e308, 0.0)):
+            with pytest.raises(DomainError) as info:
+                flight.make_segment(small_profile, t0, t1, 0.0)
+            assert str(info.value) == f"(t0, t1) = ({t0}, {t1}) outside strip: infinite time"
+            assert isinstance(info.value.__cause__, ValueError)
+
     @pytest.mark.parametrize("build", [
         lambda p, t0, t1, c: flight.validate_window(t0, t1, c, p, EPS),
         flight.make_segment,

@@ -35,6 +35,31 @@ class TestEval:
         for t in np.linspace(-3.0, 3.0, 97):
             assert p.dd_radius(float(t)) == p.eval(float(t))[2]
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(harmonics=st.lists(st.tuples(st.integers(1, 300), st.floats(-0.3, 0.3)),
+                              min_size=1, max_size=2),
+           t=st.floats(-50.0, 50.0))
+    def test_methods_are_the_textbook_expressions(self, harmonics, t):
+        # the stored products (w, d, d w, d w w) are the ones these
+        # expressions form, since d * w * c is (d * w) * c
+        p = RadiusProfile(1.0, tuple(harmonics))
+        r, dr, ddr = 1.0, 0.0, 0.0
+        for k, d in harmonics:
+            w = 2.0 * math.pi * k
+            r += d * math.sin(w * t)
+            dr += d * w * math.cos(w * t)
+            ddr -= d * w * w * math.sin(w * t)
+        assert p.eval(t) == (r, dr, ddr)
+        assert (p.radius(t), p.d_radius(t), p.dd_radius(t)) == (r, dr, ddr)
+        assert p.dd_radius_sq(t) == 2.0 * (dr * dr + r * ddr)
+
+    def test_stored_products_are_no_field(self):
+        p = RadiusProfile(2.0, ((3, 0.05), (1, 0.02)))
+        assert dataclasses.asdict(p) == {"mean": 2.0, "harmonics": ((3, 0.05), (1, 0.02))}
+        assert repr(p) == "RadiusProfile(mean=2.0, harmonics=((3, 0.05), (1, 0.02)))"
+        assert p == RadiusProfile(2.0, ((3.0, 0.05), (1, 0.02)))
+        assert hash(p) == hash(RadiusProfile(2.0, ((3, 0.05), (1, 0.02))))
+
     def test_periodicity(self):
         p = RadiusProfile(2.0, ((3, 0.05), (1, 0.02)))
         rng = np.random.default_rng(0)
@@ -67,6 +92,27 @@ class TestEval:
         assert RadiusProfile.from_json(p.to_json()) == p
         with pytest.raises(PreconditionError):
             RadiusProfile.from_json("{not json")
+
+
+class TestCancellingHarmonics:
+    # amplitudes of one frequency that sum to 0 leave R constant: its norms
+    # read 0 and sigma inf, and classify divided by them
+    CANCELLING = RadiusProfile(2.0, ((1, 0.1), (1, -0.1)))
+
+    def test_is_constant(self):
+        assert self.CANCELLING.is_constant
+        assert RadiusProfile(2.0, ((2, 0.05), (1, 0.1), (2, -0.05), (1, -0.1))).is_constant
+        assert not RadiusProfile(2.0, ((1, 0.1), (3, 0.01), (1, -0.1))).is_constant
+        assert not RadiusProfile(2.0, ((1, 0.1), (1, -0.05))).is_constant
+
+    def test_verdict_is_the_constant_profile_s(self):
+        v = radius.classify(self.CANCELLING, EPS)
+        const = radius.classify(RadiusProfile(2.0), EPS)
+        assert (v.klass, v.degenerate, v.margins, v.witnesses, v.window) == (
+            const.klass, const.degenerate, const.margins, const.witnesses, const.window)
+        assert (v.bounds.dR_norm, v.bounds.ddR2_norm, v.bounds.sigma) == (0.0, 0.0, math.inf)
+        with pytest.raises(PreconditionError, match="constant profile"):
+            radius.stationary_points(self.CANCELLING)
 
 
 class TestBounds:
@@ -200,6 +246,16 @@ def _scalar_grid(profile, n):
     return tuple(np.array(col) for col in zip(*_samples(profile.eval, n)))
 
 
+def _scalar_columns(profile, n, shift=0.0):
+    # the oracle columns: each harmonic's terms of eval at t = i/n + shift
+    ts = [i * (1.0 / n) + shift for i in range(n)]
+    for k, d in profile.harmonics:
+        w = 2.0 * math.pi * k
+        yield (np.array([d * math.sin(w * t) for t in ts]),
+               np.array([d * w * math.cos(w * t) for t in ts]),
+               np.array([d * w * w * math.sin(w * t) for t in ts]))
+
+
 class TestNumpyGridMatchesScalarOracle:
     """The numpy grids may only choose which brackets get refined: every
     result equals the one computed from scalar-built grids, bit for bit."""
@@ -213,6 +269,21 @@ class TestNumpyGridMatchesScalarOracle:
                       for p, eps in members]
         assert {v.klass for v, _ in numpy_run} == {"none", "R", "R_tilde"}
         assert [i for i, (a, b) in enumerate(zip(numpy_run, scalar_run)) if a != b] == []
+
+    def test_find_member_shared_grids(self, monkeypatch):
+        # find_member sums one family's columns for every mean; summed from
+        # the scalar columns they are the scalar grid, and the members agree
+        cases = [(1, 0.05, 0.5, 1.0), (1, 0.02, 0.3, None), (5, 0.01, 0.5, None),
+                 (8, 0.003, 0.5, 1.0)]
+        numpy_run = [radius.find_member(k, d, eps, min_window=w) for k, d, eps, w in cases]
+        for p, _ in _family_members(10, seed=14):
+            n = radius.grid_size(p, 512)
+            assert all(np.array_equal(a, b) for a, b in zip(
+                radius._summed(p.mean, n, _scalar_columns(p, n)), _scalar_grid(p, n)))
+        monkeypatch.setattr(radius, "_columns", _scalar_columns)
+        monkeypatch.setattr(radius, "_grid", _scalar_grid)
+        scalar_run = [radius.find_member(k, d, eps, min_window=w) for k, d, eps, w in cases]
+        assert scalar_run == numpy_run
 
     def test_sign_near_zero_is_decided_in_scalar(self, monkeypatch):
         # Rdot is ~1e-17 at the grid points t = 1/4 and 3/4; a grid that
@@ -454,6 +525,28 @@ class TestFamilyFormulas:
             2 * 0.05 + 216 * PI2 * 4, rel=1e-12)
 
 
+def _classify_scan(k, delta, eps, min_window):
+    """find_member's scan and bisection, run with the public classify."""
+    def accept(mean):
+        v = radius.classify(radius.family_profile(k, delta, mean), eps)
+        ok = v.klass == "R_tilde" and (min_window is None
+                                       or v.window[1] - v.window[0] > min_window)
+        return ok, v
+
+    lo, mean = None, max(1.0, 4.0 * delta)
+    while not (found := accept(mean))[0]:
+        lo, mean = mean, mean * 1.25
+    verdict = found[1]
+    while lo is not None and mean / lo > 1.0 + 1e-3:
+        mid = math.sqrt(lo * mean)
+        ok_mid, v_mid = accept(mid)
+        if ok_mid:
+            mean, verdict = mid, v_mid
+        else:
+            lo = mid
+    return mean, verdict
+
+
 class TestFindMember:
     def test_single_harmonic_member(self):
         mean, v = radius.find_member(1, 0.05, EPS)
@@ -487,13 +580,13 @@ class TestFindMember:
     def test_refusal_after_the_whole_scan(self, monkeypatch):
         # no mean passes: the start and 200 scan steps, the last one reported
         means = []
-        original = radius.classify
+        original = radius._chain
 
-        def never(profile, eps):
-            means.append(profile.mean)
-            return dataclasses.replace(original(profile, eps), klass="none", window=None)
+        def never(b, stationary):
+            means.append(b.profile.mean)
+            return dataclasses.replace(original(b, stationary), klass="none", window=None)
 
-        monkeypatch.setattr(radius, "classify", never)
+        monkeypatch.setattr(radius, "_chain", never)
         with pytest.raises(ConvergenceError) as info:
             radius.find_member(1, 0.05, EPS)
         expected = [1.0]
@@ -504,12 +597,36 @@ class TestFindMember:
 
     def test_a_start_that_passes_is_the_answer(self, monkeypatch):
         means = []
-        original = radius.classify
-        monkeypatch.setattr(radius, "classify",
-                            lambda profile, eps: means.append(profile.mean) or original(
-                                radius.family_profile(1, 0.05, 754.0), eps))
+        original = radius._chain
+        passing = radius.family_profile(1, 0.05, 754.0)
+        monkeypatch.setattr(radius, "_chain",
+                            lambda b, stationary: means.append(b.profile.mean) or original(
+                                radius.bounds(passing, EPS), radius.stationary_points(passing)))
         mean, verdict = radius.find_member(1, 0.05, EPS)
         assert means == [1.0] and mean == 1.0 and verdict.klass == "R_tilde"
+
+    def test_every_mean_is_classify_s_verdict(self, monkeypatch):
+        # the shared columns, ||Rdot|| and stationary points give, at every
+        # mean of the scan and of the bisection, classify's verdict bit for bit
+        rng = random.Random(15)
+        for j in range(15):
+            k = (1, 2, 3, 5, 8)[j % 5]
+            lo, hi = radius.delta_window(k)
+            delta = lo * (hi / lo) ** rng.uniform(0.05, 0.95)
+            eps, min_window = rng.choice((0.3, 0.5)), rng.choice((None, 1.0))
+            if k in (2, 3):  # below k_bar(eps) > 4.6: refused before any scan
+                with pytest.raises(PreconditionError, match="k_bar"):
+                    radius.find_member(k, delta, eps, min_window)
+                continue
+            seen = []
+            original = radius._chain
+            monkeypatch.setattr(radius, "_chain", lambda b, stationary: seen.append(
+                original(b, stationary)) or seen[-1])
+            got = radius.find_member(k, delta, eps, min_window)
+            monkeypatch.setattr(radius, "_chain", original)
+            expected = [radius.classify(v.bounds.profile, eps) for v in seen]
+            assert [repr(v) for v in seen] == [repr(v) for v in expected]
+            assert got == _classify_scan(k, delta, eps, min_window)
 
     @pytest.mark.parametrize("min_window", [math.nan, math.inf])
     def test_min_window_must_be_finite(self, min_window):

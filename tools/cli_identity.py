@@ -36,6 +36,8 @@ HIGH = '{"mean": 1e6, "harmonics": [[40, 0.001], [1, 0.01]]}'
 ROUNDED_ARGS = ('{"mean": 21.39621944108136, "harmonics": [[88, 0.0006474653707743254], '
                 '[165, 0.0057492653878457225], [192, -0.00462800911803962]]}')
 HUGE = str(2 ** 62)  # a grid count numpy refuses without allocating
+# two amplitudes of one frequency that cancel: R is the constant 2
+CANCELLING = '{"mean": 2, "harmonics": [[1, 0.1], [1, -0.1]]}'
 
 CONFIGS = [
     ("classify-member", ["classify", "--profile", REF]),
@@ -187,6 +189,14 @@ CONFIGS = [
                                          "--sigma", "4", "--t0", "0", "--K", "2", "--n", "3",
                                          "--bounces-csv", "b.csv",
                                          "--trajectory-csv", "missing/t.csv"]),
+    # cancelling amplitudes read as the constant profile; a finite flight
+    # time whose phase overflows; a negative iters; a bisection that reaches
+    # the float resolution of its momenta and stops there
+    ("classify-cancelling-harmonics", ["classify", "--profile", CANCELLING]),
+    ("flight-phase-overflow", ["flight", "--profile", MEMBER, "--c", "0", "--t0", "0",
+                               "--t1", "1e308"]),
+    ("c0-negative-iters", ["c0", "--profile", MEMBER, "--iters", "-1"]),
+    ("c0-iters-past-resolution", ["c0", "--profile", CLAMPED, "--iters", "80"]),
 ]
 
 
