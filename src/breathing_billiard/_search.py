@@ -1,7 +1,7 @@
-"""Search helpers: golden-section refinement, sup-norms on the circle from
+"""Search helpers: golden-section maximisation, sup-norms on the circle from
 a sampled grid, and the one bracketed Newton solve for monotone functions
 that serves every map step, warm or cold, forward or backward, and every
-stationary point of a profile."""
+stationary point and sup-norm critical point of a profile."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from .errors import ConvergenceError, PreconditionError
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
-_SUP_XTOL = 1e-13  # argument tolerance of circle_sup's refinement
 _MAX_ITER = 200  # iteration budget of solve_monotone
 _ULP = 2.3e-16  # unit roundoff with a little headroom
 
@@ -46,18 +45,18 @@ def golden_max(f: Callable[[float], float], a: float, b: float,
     return d, fd
 
 
-def circle_sup(f: Callable[[float], float], vals) -> tuple[float, float]:
+def circle_sup(f: Callable[[float], float], vals, refine: Callable) -> tuple[float, float]:
     """Supremum of a smooth 1-periodic function over one period.
 
     vals holds f sampled at t = i/n, i < n (n >= 3); it locates every local
-    maximum up to grid resolution, and golden-section refinement of f then
-    pins each candidate.  A grid point is a candidate when it rises above
-    its left neighbour and does not fall to its right one, so a plateau is
-    refined once and a constant function not at all.  The winner is the
-    first maximum in grid order, with grid point 0 ahead of its own
-    refinement; a winning grid point is re-evaluated with f, so the value
-    returned is always one of f's own.  vals may therefore come from a
-    vectorised evaluation that rounds differently from f.
+    maximum up to grid resolution, and refine(a, b) returns the maximum t
+    in the two cells (a, b) around each candidate.  A grid point is a
+    candidate when it rises above its left neighbour and does not fall to
+    its right one, so a plateau is refined once and a constant function not
+    at all.  The winner is the first maximum in grid order, with grid point
+    0 ahead of its own refinement.  f is read at every refined t and at a
+    winning grid point, so the value returned is always one of f's own, and
+    vals may come from a vectorised evaluation that rounds differently.
     Returns (argmax in [0,1), sup).
     """
     n = len(vals)
@@ -65,12 +64,13 @@ def circle_sup(f: Callable[[float], float], vals) -> tuple[float, float]:
         raise PreconditionError(f"circle_sup needs >= 3 grid values, got {n}")
     step = 1.0 / n
     vals = np.asarray(vals, dtype=float)
+    wrapped = np.concatenate((vals[-1:], vals, vals[:1]))  # each end's neighbour across t = 1
     items = vals.copy()  # grid values, candidates replaced by their refinement
     refined = {}
-    for i in np.flatnonzero((vals > np.roll(vals, 1)) & (vals >= np.roll(vals, -1))).tolist():
-        t, fv = golden_max(f, (i - 1) * step, (i + 1) * step, _SUP_XTOL)
-        refined[i] = (t % 1.0, fv)
-        items[i] = fv
+    for i in np.flatnonzero((vals > wrapped[:-2]) & (vals >= wrapped[2:])).tolist():
+        t = refine((i - 1) * step, (i + 1) * step)
+        refined[i] = (t % 1.0, f(t))
+        items[i] = refined[i][1]
     best = int(np.argmax(items))
     if not items[best] > vals[0]:
         best = 0

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ._search import _ULP, circle_sup, solve_monotone
+from ._search import _ULP, circle_sup, golden_max, solve_monotone
 from .errors import ConvergenceError, DomainError, PreconditionError
 from .genfun import GenFunContext, d1h_edge_grid, grad_h, grad_twist, hess_h
 from .radius import grid_size
@@ -67,14 +67,14 @@ class MapJacobian:
 def sigma_star(ctx: GenFunContext) -> float:
     """Lower action cutoff of the map domain: max over t of d1 h(t, t+sigma).
 
-    The scan is one numpy grid of grid_size(profile, 512) points;
-    circle_sup refines it with grad_h, so the value is one of grad_h's own.
+    The scan is one numpy grid of grid_size(profile, 512) points; circle_sup
+    refines it by golden section on grad_h, so the value is one of its own.
     """
     def d1h(t):
         return grad_h(ctx, t, t + ctx.sigma)[0]
 
-    _, value = circle_sup(d1h, d1h_edge_grid(ctx, grid_size(ctx.profile, _SIGMA_STAR_FLOOR)))
-    return value
+    n = grid_size(ctx.profile, _SIGMA_STAR_FLOOR)
+    return circle_sup(d1h, d1h_edge_grid(ctx, n), lambda a, b: golden_max(d1h, a, b)[0])[1]
 
 
 def _chord_start(ctx: GenFunContext, anchor: float, e, K: float, direction: int,

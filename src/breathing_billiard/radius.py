@@ -5,7 +5,7 @@ A profile is a mean radius plus finitely many sine harmonics,
     R(t) = M + sum_i  d_i * sin(2 pi k_i t),
 
 which is strictly positive, exactly 1-periodic and C-infinity, with
-analytic first and second derivatives.  On top of evaluation this module
+derivatives in closed form.  On top of evaluation this module
 computes the sup-norms entering the flight-window constant sigma,
 classifies profiles into the regularity classes "R" (sigma > 2, enough
 for the twist-map machinery) and "R_tilde" (additional deceleration
@@ -72,9 +72,9 @@ class RadiusProfile:
 
     @property
     def is_constant(self) -> bool:
-        """True when the amplitudes of each frequency sum to 0, exactly."""
-        return all(math.fsum(d for k, d in self.harmonics if k == freq) == 0.0
-                   for freq, _ in self.harmonics)
+        """True when each frequency's n amplitudes sum to 0 within n ulp of their magnitudes."""
+        return all(abs(math.fsum(ds)) <= len(ds) * _ULP * math.fsum(map(abs, ds))
+                   for ds in ([d for k, d in self.harmonics if k == f] for f, _ in self.harmonics))
 
     def eval(self, t: float) -> tuple[float, float, float]:
         """Exact (R, Rdot, Rddot) at time t."""
@@ -257,30 +257,60 @@ def _summed(mean: float, n: int, columns):
 
 
 def bounds(profile: RadiusProfile, eps: float) -> ProfileBounds:
-    """Sup-norms by dense sampling plus golden-section refinement.
-
-    grid_size(profile, 4096) points on one period, sampled with numpy; each
-    bracketed local extremum is refined with the scalar profile methods to
-    ~1e-13 in the argument, i.e. ~1e-10 relative in the value.
-    """
+    """Sup-norms, each read with the scalar method where its derivative is 0:
+    r_min and r_max at the stationary points (the mean, norms 0, if constant),
+    ||Rdot|| and ||(R^2)''|| at the root of their f' that solve_monotone finds
+    next to each local maximum of a grid_size(profile, 4096)-point grid."""
     if not (0.0 < eps < 1.0):
         raise PreconditionError(f"eps must lie in (0,1), got {eps}")
+    if profile.is_constant:
+        return ProfileBounds(profile, eps, profile.mean, profile.mean, 0.0, 0.0, math.inf)
     r, dr, ddr = _grid(profile, grid_size(profile, _BOUNDS_FLOOR))
-    return _bounds(profile, eps, r, dr, ddr, _dr_norm(profile, dr))
+    return _bounds(profile, eps, r, dr, ddr, _dr_norm(profile, dr), stationary_points(profile))
+
+
+def _slopes(profile: RadiusProfile, t: float):
+    """(Rdot, Rddot, R^(3)) and ((R^2)'', its first two derivatives) at time t."""
+    r, dr, ddr, d3r, d4r = profile.mean, 0.0, 0.0, 0.0, 0.0
+    for w, d, dw, dww in profile._terms:
+        s, c = math.sin(w * t), math.cos(w * t)
+        r, dr, ddr = r + d * s, dr + dw * c, ddr - dww * s
+        d3r, d4r = d3r - dww * w * c, d4r + dww * w * w * s
+    return ((dr, ddr, d3r), (2.0 * (dr * dr + r * ddr), 2.0 * (3.0 * dr * ddr + r * d3r),
+                             2.0 * (3.0 * ddr * ddr + 4.0 * dr * d3r + r * d4r)))
+
+
+def _sup(profile: RadiusProfile, g, which: int, vals, noise: float) -> float:
+    """||g|| from its grid vals, refined where |g|' = 0: _slopes(profile, t)[which]
+    is (g, g', g''), and noise the evaluation noise of g'."""
+    def fdf(t):
+        v, d1, d2 = _slopes(profile, t)[which]
+        return (d1, d2) if v >= 0.0 else (-d1, -d2)
+
+    return circle_sup(lambda t: abs(g(t)), abs(vals),
+                      lambda a, b: solve_monotone(fdf, a, b, True, noise)[0])[1]
+
+
+def _noise(profile: RadiusProfile, j: int) -> float:
+    """16 ulp of sum |d| w^j (1 + w), the rounding of R's j-th derivative: of its
+    terms |d| w^j and of their arguments' rounding |d| w^(j+1) t, t < 1."""
+    return 16.0 * _ULP * sum(abs(d) * w ** j * (1.0 + w) for w, d, *_ in profile._terms)
 
 
 def _dr_norm(profile: RadiusProfile, dr) -> float:
     """||Rdot||, refined from its grid dr."""
-    return circle_sup(lambda t: abs(profile.d_radius(t)), abs(dr))[1]
+    return _sup(profile, profile.d_radius, 0, dr, _noise(profile, 2))
 
 
-def _bounds(profile: RadiusProfile, eps: float, r, dr, ddr, dr_norm: float) -> ProfileBounds:
-    """bounds from the (R, Rdot, Rddot) grids of profile and ||Rdot||."""
-    _, r_max = circle_sup(profile.radius, r)
-    _, neg_min = circle_sup(lambda t: -profile.radius(t), -r)
-    r_min = -neg_min
-    _, dd2_norm = circle_sup(lambda t: abs(profile.dd_radius_sq(t)),
-                             abs(2.0 * (dr * dr + r * ddr)))
+def _bounds(profile: RadiusProfile, eps: float, r, dr, ddr, dr_norm: float,
+            stationary: list[tuple[float, float]]) -> ProfileBounds:
+    """bounds of a profile that is not constant, from its (R, Rdot, Rddot)
+    grids, ||Rdot|| and its stationary points."""
+    extremes = [profile.radius(t) for t, _ in stationary]
+    r_min, r_max = min(extremes), max(extremes)
+    # noise of the slope of (R^2)'': its terms are below 10 M sum |d| w^3, M > sum |d|
+    dd2_norm = _sup(profile, profile.dd_radius_sq, 1, 2.0 * (dr * dr + r * ddr),
+                    10.0 * profile.mean * _noise(profile, 3))
     return ProfileBounds(profile=profile, eps=eps, r_min=r_min, r_max=r_max,
                          dR_norm=dr_norm, ddR2_norm=dd2_norm,
                          sigma=min(sigma_limits(eps, r_min, dr_norm, dd2_norm)))
@@ -314,20 +344,18 @@ def stationary_points(profile: RadiusProfile) -> list[tuple[float, float]]:
     step = 1.0 / n
     _, vals, _ = _grid(profile, n)
     scale = sum(abs(d) * TWO_PI * k for k, d in profile.harmonics)
-    # numpy picks the brackets; a value within rounding of 0 may carry the
-    # wrong sign, so those brackets go to the scalar test as well
+    # numpy picks the brackets by sign (a product of tiny values underflows); a value
+    # within rounding of 0 may carry the wrong sign, so it goes to the scalar test too
     near0 = abs(vals) <= _NEAR_ZERO * scale
-    picked = (vals * np.roll(vals, -1) < 0) | near0 | np.roll(near0, -1)
-    # of Rdot: 16 ulp of its terms |d| w and of their arguments' rounding |d| w^2 t, t < 1
-    noise = 16.0 * _ULP * sum(abs(d) * TWO_PI * k * (1.0 + TWO_PI * k)
-                              for k, d in profile.harmonics)
+    picked = (np.sign(vals) * np.sign(np.roll(vals, -1)) < 0) | near0 | np.roll(near0, -1)
+    noise = _noise(profile, 1)
     roots = []
     for i in np.flatnonzero(picked).tolist():
         a = i * step
         fa, fb = f(a), f(((i + 1) % n) * step)
         if fa == 0.0:
             roots.append(a)
-        elif fa * fb < 0:
+        elif fa < 0.0 < fb or fb < 0.0 < fa:
             roots.append(solve_monotone(lambda x: profile.eval(x)[1:], a, a + step,
                                         fa > 0.0, noise)[0])
     return [(t, profile.dd_radius(t)) for t in roots]
@@ -455,7 +483,8 @@ def find_member(k: int, delta: float, eps: float,
     stationary = stationary_points(first)
 
     def accept(mean):
-        b = _bounds(family_profile(k, delta, mean), eps, *_summed(mean, n, columns), dr_norm)
+        b = _bounds(family_profile(k, delta, mean), eps, *_summed(mean, n, columns), dr_norm,
+                    stationary)
         v = _chain(b, stationary)
         if v.klass != "R_tilde":
             return False, v

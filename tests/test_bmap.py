@@ -190,7 +190,8 @@ def _scalar_sigma_star(ctx):
         return genfun.grad_h(ctx, t, t + ctx.sigma)[0]
 
     n = radius.grid_size(ctx.profile, bmap._SIGMA_STAR_FLOOR)
-    return _search.circle_sup(d1h, [d1h(i * (1.0 / n)) for i in range(n)])[1]
+    return _search.circle_sup(d1h, [d1h(i * (1.0 / n)) for i in range(n)],
+                              lambda a, b: _search.golden_max(d1h, a, b)[0])[1]
 
 
 def _sigma_star_cases(count, seed):

@@ -2,12 +2,13 @@ import dataclasses
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
-from breathing_billiard import _search, radius
+from breathing_billiard import _search, chaoscert, radius
 from breathing_billiard.errors import ConvergenceError, PreconditionError
 from breathing_billiard.radius import ProfileBounds, RadiusProfile
 
@@ -105,6 +106,21 @@ class TestCancellingHarmonics:
         assert not RadiusProfile(2.0, ((1, 0.1), (3, 0.01), (1, -0.1))).is_constant
         assert not RadiusProfile(2.0, ((1, 0.1), (1, -0.05))).is_constant
 
+    def test_cancelling_up_to_rounding_is_constant(self):
+        # 0.1 + 0.2 - 0.30000000000000004 is -2.8e-17 in exact arithmetic,
+        # below the rounding of the three terms: classify read 305 roots of
+        # rounding noise, called the profile R_tilde and certify certified it
+        p = RadiusProfile(2.0, ((1, 0.1), (1, 0.2), (1, -0.30000000000000004)))
+        assert p.is_constant
+        assert not RadiusProfile(2.0, ((1, 0.1), (1, -0.09999999999999))).is_constant
+        v = radius.classify(p, EPS)
+        assert (v.klass, v.degenerate, v.witnesses) == ("R", True, ())
+        b = v.bounds
+        assert (b.r_min, b.r_max, b.dR_norm, b.ddR2_norm, b.sigma) == (2.0, 2.0, 0.0, 0.0, math.inf)
+        cert = chaoscert.certify(p, EPS, 1e-12)
+        assert not cert.certified and cert.reason == "profile class is R, needs R_tilde"
+        assert chaoscert.c0_search(p, EPS).c0 is None
+
     def test_verdict_is_the_constant_profile_s(self):
         v = radius.classify(self.CANCELLING, EPS)
         const = radius.classify(RadiusProfile(2.0), EPS)
@@ -186,6 +202,11 @@ def _samples(f, n):
     return [f(i * (1.0 / n)) for i in range(n)]
 
 
+def _golden(f):
+    # the golden-section refinement of circle_sup's candidates
+    return lambda a, b: _search.golden_max(f, a, b)[0]
+
+
 class TestCircleSup:
     def test_constant_function_is_not_refined(self):
         calls = []
@@ -194,28 +215,42 @@ class TestCircleSup:
             calls.append(t)
             return 2.5
 
-        assert _search.circle_sup(f, [2.5] * 64) == (0.0, 2.5)
-        assert calls == [0.0]  # the winning grid point only, no golden-section search
+        def refine(a, b):
+            raise AssertionError("a constant function was refined")
 
-    def test_plateau_refined_once(self, monkeypatch):
+        assert _search.circle_sup(f, [2.5] * 64, refine) == (0.0, 2.5)
+        assert calls == [0.0]  # the winning grid point only
+
+    def test_plateau_refined_once(self):
         refined = []
-        golden_max = _search.golden_max
-
-        def spy(f, a, b, xtol):
-            refined.append((a, b))
-            return golden_max(f, a, b, xtol)
 
         def f(t):
             return min(math.sin(2 * math.pi * t), 0.5)
 
-        monkeypatch.setattr(_search, "golden_max", spy)
-        t, v = _search.circle_sup(f, _samples(f, 64))
+        def refine(a, b):
+            refined.append((a, b))
+            return _search.golden_max(f, a, b)[0]
+
+        t, v = _search.circle_sup(f, _samples(f, 64), refine)
         assert len(refined) == 1
         assert v == 0.5 and 1 / 12 <= t <= 5 / 12
 
+    def test_refinement_gets_the_two_cells_around_a_candidate(self):
+        # and the value at the refined time is f's, not the grid's
+        brackets = []
+
+        def refine(a, b):
+            brackets.append((a, b))
+            return 0.5 * (a + b)
+
+        vals = [0.0] * 16
+        vals[5] = 1.0
+        assert _search.circle_sup(lambda t: 7.0 * t, vals, refine) == (5 / 16, 7.0 * 5 / 16)
+        assert brackets == [(4 / 16, 6 / 16)]
+
     def test_too_few_values_rejected(self):
         with pytest.raises(PreconditionError):
-            _search.circle_sup(math.sin, [0.0, 1.0])
+            _search.circle_sup(math.sin, [0.0, 1.0], _golden(math.sin))
 
     def test_value_comes_from_f_not_the_grid(self):
         # grid values that round differently pick the bracket only: a
@@ -224,8 +259,13 @@ class TestCircleSup:
             return math.cos(2 * math.pi * t)
 
         vals = [v + 1e-15 for v in _samples(f, 64)]
-        assert _search.circle_sup(f, vals) == _search.circle_sup(f, _samples(f, 64))
-        assert _search.circle_sup(lambda t: 2.5, [2.5 + 1e-12] * 64) == (0.0, 2.5)
+        assert (_search.circle_sup(f, vals, _golden(f))
+                == _search.circle_sup(f, _samples(f, 64), _golden(f)))
+
+        def const(t):
+            return 2.5
+
+        assert _search.circle_sup(const, [2.5 + 1e-12] * 64, _golden(const)) == (0.0, 2.5)
 
 
 def _family_members(count, seed, ks=(1, 2, 3, 5, 8)):
@@ -315,6 +355,98 @@ class TestNumpyGridMatchesScalarOracle:
         assert run() == numpy_run
 
 
+# roots of Rdot whose rounding comes mostly from the arguments w t of its terms
+ROUNDED_ARGS = RadiusProfile(21.39621944108136, (
+    (88, 0.0006474653707743254), (165, 0.0057492653878457225), (192, -0.00462800911803962)))
+
+
+def _mp_jet(p, t):
+    # (R, Rdot, Rddot, R^(3), R^(4)) of p at the mpmath time t, with the exact pi
+    jet = [mpmath.mpf(p.mean), 0, 0, 0, 0]
+    for k, d in p.harmonics:
+        w, d = 2 * mpmath.pi * k, mpmath.mpf(d)
+        s, c = mpmath.sin(w * t), mpmath.cos(w * t)
+        jet = [jet[0] + d * s, jet[1] + d * w * c, jet[2] - d * w ** 2 * s,
+               jet[3] - d * w ** 3 * c, jet[4] + d * w ** 4 * s]
+    return jet
+
+
+# each norm is the sup of a g over one period (r_min is -sup(-R)): g of a
+# (R, Rdot, Rddot, ...) jet, float or mpmath; the scalar g; and (g', g'') up
+# to the sign of g
+_NORMS = {
+    "r_min": (lambda j: -j[0], lambda p: lambda t: -p.radius(t), lambda j: (j[1], j[2])),
+    "r_max": (lambda j: j[0], lambda p: p.radius, lambda j: (j[1], j[2])),
+    "dR_norm": (lambda j: abs(j[1]), lambda p: lambda t: abs(p.d_radius(t)),
+                lambda j: (j[2], j[3])),
+    "ddR2_norm": (lambda j: abs(2 * (j[1] * j[1] + j[0] * j[2])),
+                  lambda p: lambda t: abs(p.dd_radius_sq(t)),
+                  lambda j: (3 * j[1] * j[2] + j[0] * j[3],
+                             3 * j[2] ** 2 + 4 * j[1] * j[3] + j[0] * j[4])),
+}
+
+
+def _oracle(p, name):
+    """The norm in mpmath at 50 digits.  Every local maximum of g on a numpy
+    scan of 128 points per period of the top harmonic (4096 at least) is
+    refined in float by golden_max; those within 1e-12 relative of the
+    largest take six mpmath Newton steps on g' = 0, and g is read there."""
+    g, scalar, slopes = _NORMS[name]
+    n = max(4096, 128 * max(k for k, _ in p.harmonics))
+    t = np.arange(n) / n
+    jet = [np.full(n, p.mean), 0 * t, 0 * t]
+    for k, d in p.harmonics:
+        w = 2 * math.pi * k
+        jet = [jet[0] + d * np.sin(w * t), jet[1] + d * w * np.cos(w * t),
+               jet[2] - d * w * w * np.sin(w * t)]
+    vals = g(jet)
+    peaks = [_search.golden_max(scalar(p), (i - 1) / n, (i + 1) / n)
+             for i in np.flatnonzero((vals > np.roll(vals, 1)) & (vals >= np.roll(vals, -1)))]
+    top = max(v for _, v in peaks)
+    best = -mpmath.inf
+    with mpmath.workdps(50):
+        for t0, v in peaks:
+            if v >= top - 1e-12 * abs(top):
+                x = mpmath.mpf(t0)
+                for _ in range(6):
+                    d1, d2 = slopes(_mp_jet(p, x))
+                    x -= d1 / d2
+                best = max(best, g(_mp_jet(p, x)))
+    return -best if name == "r_min" else best
+
+
+def _noise(p, name):
+    """Evaluation noise of a norm: 16 ulp of the scale of its terms, the
+    rounding of their arguments w t, t < 1, included, as in the noise of
+    stationary_points.  With T_j = sum |d| w^j (1 + w): M + T_0 for r,
+    T_1 for ||Rdot||, 4 (T_1^2 + (M + T_0) T_2) for ||(R^2)''||."""
+    t = [sum(abs(d) * (2 * math.pi * k) ** j * (1 + 2 * math.pi * k) for k, d in p.harmonics)
+         for j in range(3)]
+    scale = {"r_min": p.mean + t[0], "r_max": p.mean + t[0], "dR_norm": t[1],
+             "ddR2_norm": 4 * (t[1] ** 2 + (p.mean + t[0]) * t[2])}[name]
+    return 16 * 2.3e-16 * scale
+
+
+def _golden_norm(p, name):
+    # the golden-section refinement of circle_sup's candidates on bounds' grid
+    r, dr, ddr = radius._grid(p, radius.grid_size(p, radius._BOUNDS_FLOOR))
+    g, scalar, _ = _NORMS[name]
+    f = scalar(p)
+    value = _search.circle_sup(f, g([r, dr, ddr]), _golden(f))[1]
+    return -value if name == "r_min" else value
+
+
+def _assert_near_the_oracle(p):
+    # each norm within its noise of the oracle, and no further from it than
+    # the golden-section refinement plus that noise
+    b = radius.bounds(p, EPS)
+    for name in _NORMS:
+        exact, noise = _oracle(p, name), _noise(p, name)
+        err = abs(getattr(b, name) - exact)
+        assert err <= noise, (p, name)
+        assert err <= abs(_golden_norm(p, name) - exact) + noise, (p, name)
+
+
 class TestGridSize:
     """Every profile grid has 32 points per period of the top harmonic, and
     at least its floor, so no root or extremum falls between grid points."""
@@ -339,16 +471,9 @@ class TestGridSize:
         assert len(radius.stationary_points(profile)) == roots
 
     def test_bounds_match_a_fine_scalar_scan(self):
-        # a fixed 4096-point grid read ||(R^2)''|| 1.05e-6 low, so sigma high
-        p = self.HIGH
-        r, dr, ddr = _scalar_grid(p, 128 * 2000)
-        scan = (-_search.circle_sup(lambda t: -p.radius(t), -r)[1],
-                _search.circle_sup(p.radius, r)[1],
-                _search.circle_sup(lambda t: abs(p.d_radius(t)), abs(dr))[1],
-                _search.circle_sup(lambda t: abs(p.dd_radius_sq(t)),
-                                   abs(2.0 * (dr * dr + r * ddr)))[1])
-        b = radius.bounds(p, EPS)
-        assert (b.r_min, b.r_max, b.dR_norm, b.ddR2_norm) == scan
+        # a fixed 4096-point grid read ||(R^2)''|| 1.05e-6 low, so sigma high;
+        # the reference is the mpmath oracle on a 128-per-period scan
+        _assert_near_the_oracle(self.HIGH)
 
     def test_cap_raises_before_any_grid(self, monkeypatch):
         def no_grid(*args):
@@ -361,6 +486,19 @@ class TestGridSize:
             for scan in (lambda: radius.bounds(p, EPS), lambda: radius.stationary_points(p)):
                 with pytest.raises(PreconditionError, match="more than 1048576"):
                     scan()
+
+
+class TestNormsAgainstMpmath:
+    """Each norm lies within its evaluation noise of the mpmath oracle, and
+    no further from it than the golden-section refinement plus that noise;
+    TestGridSize checks the k = 2000 profile HIGH the same way."""
+
+    def test_family_members(self):
+        for p, _ in _family_members(25, seed=15, ks=(1, 5, 6, 7, 8)):
+            _assert_near_the_oracle(p)
+
+    def test_rounded_arguments(self):
+        _assert_near_the_oracle(ROUNDED_ARGS)
 
 
 class TestStationaryPoints:

@@ -38,6 +38,8 @@ ROUNDED_ARGS = ('{"mean": 21.39621944108136, "harmonics": [[88, 0.00064746537077
 HUGE = str(2 ** 62)  # a grid count numpy refuses without allocating
 # two amplitudes of one frequency that cancel: R is the constant 2
 CANCELLING = '{"mean": 2, "harmonics": [[1, 0.1], [1, -0.1]]}'
+# three amplitudes of one frequency that cancel up to rounding: also constant
+ROUNDING_CONSTANT = '{"mean": 2, "harmonics": [[1, 0.1], [1, 0.2], [1, -0.30000000000000004]]}'
 
 CONFIGS = [
     ("classify-member", ["classify", "--profile", REF]),
@@ -45,6 +47,8 @@ CONFIGS = [
     # a multi-root profile: every witness time and the strongest one's margins
     ("classify-two-harmonic", ["classify", "--profile", TWO]),
     ("find-member", ["find-member", "--k", "1", "--delta", "0.05", "--min-window", "1.0"]),
+    # the two-harmonic family: 16 stationary points per member
+    ("find-member-two-harmonic", ["find-member", "--k", "8", "--delta", "0.01"]),
     ("flight-csv", ["flight", "--profile", REF, "--c", "1", "--t0", "0.1", "--t1", "50",
                     "--dt", "1.0", "--csv", "flight.csv"]),
     # the curvature limit (130.4) fails: the report reads ok: false
@@ -197,6 +201,9 @@ CONFIGS = [
                                "--t1", "1e308"]),
     ("c0-negative-iters", ["c0", "--profile", MEMBER, "--iters", "-1"]),
     ("c0-iters-past-resolution", ["c0", "--profile", CLAMPED, "--iters", "80"]),
+    # refused as a constant profile, not certified on roots of rounding noise
+    ("certify-rounding-constant", ["certify", "--profile", ROUNDING_CONSTANT, "--eps", "0.5",
+                                   "--c", "1e-12"]),
 ]
 
 
