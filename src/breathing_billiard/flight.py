@@ -103,7 +103,11 @@ def make_segment(profile: RadiusProfile, t0: float, t1: float, c: float,
         raise DomainError(
             f"window violation: R0^2 R1^2 - c^2 tau^2 = {disc} <= 0 for tau = {tau}")
     s = math.sqrt(disc)
-    a = (r0 * r0 + r1 * r1 + 2.0 * s) / (tau * tau)
+    tau2 = tau * tau
+    a = (r0 * r0 + r1 * r1 + 2.0 * s) / tau2 if tau2 > 0.0 else math.inf
+    if not math.isfinite(a):
+        raise DomainError(f"flight too short: A = (R0^2 + R1^2 + 2 S) / tau^2 "
+                          f"overflows for tau = {tau}")
     b_off = -(t0 + (r0 * r0 + s) / (tau * a))
     return FlightSegment(t0=t0, t1=t1, c=c, A=a, B=b_off, theta0=theta0,
                          dtheta=math.pi - math.atan(c * tau / s))

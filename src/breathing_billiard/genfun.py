@@ -52,6 +52,11 @@ class GenFunContext:
         if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise PreconditionError("context needs a finite positive sigma "
                                     "(constant profiles: pass a working sigma)")
+        # d1 h(t, t + sigma) is about 2 R^2 / sigma^2 at the strip edge
+        q = self.bounds.r_max / self.sigma
+        if not math.isfinite(2.0 * q * q):
+            raise PreconditionError(f"sigma = {self.sigma} too small: d1 h(t, t + sigma) "
+                                    f"~ 2 R^2 / sigma^2 overflows, with R <= {self.bounds.r_max}")
         c_max = self.bounds.eps * self.bounds.r_min ** 2 / self.sigma
         if self.c > c_max * _C_SLACK:
             raise PreconditionError(
@@ -121,11 +126,14 @@ def d1h_edge_grid(ctx: GenFunContext, n: int):
 
     The times and expressions are those of grad_h(ctx, t, t + ctx.sigma),
     on radius._grid arrays, so only np.sin and np.cos may round
-    differently.  A discriminant that is not positive at some grid point
-    raises DomainError, as _core does, instead of turning into a NaN.
+    differently.  A gap t + sigma - t that rounds to 0 or a discriminant
+    that is not positive at some grid point raises DomainError, as _core
+    does, instead of turning into a NaN.
     """
     t0 = np.arange(n) * (1.0 / n)
     tau = (t0 + ctx.sigma) - t0
+    if not (tau > 0.0).all():
+        raise DomainError(f"(t0, t1) outside strip: tau = {tau.min()}, sigma = {ctx.sigma}")
     r0, dr0, _ = _grid(ctx.profile, n)
     r1, _, _ = _grid(ctx.profile, n, ctx.sigma)
     c2 = ctx.c * ctx.c

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,12 +64,14 @@ class RadiusProfile:
         if amplitude >= self.mean:
             raise PreconditionError("profile not strictly positive: mean <= sum |amplitudes|")
         # the flight discriminant takes R0^2 R1^2, and |(R^2)''| <= 4 R |Rddot|
-        r_top = self.mean + amplitude
+        r_low, r_top = self.mean - amplitude, self.mean + amplitude
         ddr_top = sum(abs(d) * (TWO_PI * k) * (TWO_PI * k) for k, d in harm)
         if not (math.isfinite(r_top * r_top * r_top * r_top)
                 and math.isfinite(4.0 * r_top * ddr_top)):
             raise PreconditionError(f"profile too large: R^4 or 4 R |Rddot| overflows, "
                                     f"with R <= {r_top} and |Rddot| <= {ddr_top}")
+        if r_low * r_low * r_low * r_low < sys.float_info.min:
+            raise PreconditionError(f"profile too small: R^4 underflows, with R >= {r_low}")
 
     @property
     def is_constant(self) -> bool:
@@ -140,6 +143,7 @@ class ProfileBounds:
     sigma = min( r_min / (2 ||Rdot||),
                  2 sqrt(1 + sqrt(1 - eps^2)) r_min / sqrt(||(R^2)''||) ),
     with the convention +inf when a denominator vanishes (constant profile).
+    stationary holds the points r_min and r_max were read at; ==, hash, repr skip it.
     """
 
     profile: RadiusProfile  # the profile the norms were computed for
@@ -149,6 +153,7 @@ class ProfileBounds:
     dR_norm: float
     ddR2_norm: float
     sigma: float
+    stationary: tuple[tuple[float, float], ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         if not (0.0 < self.eps < 1.0):
@@ -265,8 +270,7 @@ def bounds(profile: RadiusProfile, eps: float) -> ProfileBounds:
         raise PreconditionError(f"eps must lie in (0,1), got {eps}")
     if profile.is_constant:
         return ProfileBounds(profile, eps, profile.mean, profile.mean, 0.0, 0.0, math.inf)
-    r, dr, ddr = _grid(profile, grid_size(profile, _BOUNDS_FLOOR))
-    return _bounds(profile, eps, r, dr, ddr, _dr_norm(profile, dr), stationary_points(profile))
+    return _bounds(profile, eps, _shape(profile))
 
 
 def _slopes(profile: RadiusProfile, t: float):
@@ -297,23 +301,29 @@ def _noise(profile: RadiusProfile, j: int) -> float:
     return 16.0 * _ULP * sum(abs(d) * w ** j * (1.0 + w) for w, d, *_ in profile._terms)
 
 
-def _dr_norm(profile: RadiusProfile, dr) -> float:
-    """||Rdot||, refined from its grid dr."""
-    return _sup(profile, profile.d_radius, 0, dr, _noise(profile, 2))
+def _shape(profile: RadiusProfile):
+    """The part of bounds that is free of the mean, for a profile that is not constant:
+    each harmonic's d sin grid column, the Rdot and Rddot grids, ||Rdot||, stationary points."""
+    n = grid_size(profile, _BOUNDS_FLOOR)
+    columns = list(_columns(profile, n))
+    _, dr, ddr = _summed(0.0, n, columns)
+    return ([s for s, _, _ in columns], dr, ddr,
+            _sup(profile, profile.d_radius, 0, dr, _noise(profile, 2)),
+            tuple(stationary_points(profile)))
 
 
-def _bounds(profile: RadiusProfile, eps: float, r, dr, ddr, dr_norm: float,
-            stationary: list[tuple[float, float]]) -> ProfileBounds:
-    """bounds of a profile that is not constant, from its (R, Rdot, Rddot)
-    grids, ||Rdot|| and its stationary points."""
+def _bounds(profile: RadiusProfile, eps: float, shape) -> ProfileBounds:
+    """bounds of a profile that is not constant, from the _shape of a profile
+    that differs from it at most in the mean; R's grid is summed here."""
+    sines, dr, ddr, dr_norm, stationary = shape
+    r = sum(sines, np.full(len(dr), float(profile.mean)))  # _summed's order
     extremes = [profile.radius(t) for t, _ in stationary]
     r_min, r_max = min(extremes), max(extremes)
     # noise of the slope of (R^2)'': its terms are below 10 M sum |d| w^3, M > sum |d|
     dd2_norm = _sup(profile, profile.dd_radius_sq, 1, 2.0 * (dr * dr + r * ddr),
                     10.0 * profile.mean * _noise(profile, 3))
-    return ProfileBounds(profile=profile, eps=eps, r_min=r_min, r_max=r_max,
-                         dR_norm=dr_norm, ddR2_norm=dd2_norm,
-                         sigma=min(sigma_limits(eps, r_min, dr_norm, dd2_norm)))
+    return ProfileBounds(profile, eps, r_min, r_max, dr_norm, dd2_norm,
+                         min(sigma_limits(eps, r_min, dr_norm, dd2_norm)), stationary)
 
 
 def sigma_limits(eps: float, r_min: float, dR_norm: float,
@@ -369,17 +379,17 @@ def classify(profile: RadiusProfile, eps: float) -> ClassVerdict:
         margins = {"sigma_gt_2": math.inf, "sigma_gt_4": math.inf}
         return ClassVerdict(klass="R", witnesses=(), margins=margins,
                             bounds=b, degenerate=True)
-    return _chain(b, stationary_points(profile))
+    return _chain(b)
 
 
-def _chain(b: ProfileBounds, stationary: list[tuple[float, float]]) -> ClassVerdict:
-    """classify's verdict on a profile that is not constant, from b and its stationary points."""
+def _chain(b: ProfileBounds) -> ClassVerdict:
+    """classify's verdict on a profile that is not constant, from its bounds b."""
     # rotation-number window of a stationary point with curvature ddr: its
     # lower edge needs the deceleration decel > 0, its upper edge is shared
     w_hi = -1.0 + math.sqrt(2.0 * b.r_min ** 2
                             / (2.0 * b.r_max ** 2 / b.sigma ** 2 + b.dR_norm * b.r_max))
     points = []  # (t, ddr, window, signed slack of the per-point chain)
-    for t_bar, ddr in stationary:
+    for t_bar, ddr in b.stationary:
         decel = -(ddr * b.r_min + b.dR_norm * b.r_max)
         edges = (1.0 + math.sqrt(2.0 * b.r_max ** 2 / decel), w_hi) if decel > 0.0 else None
         points.append((t_bar, ddr, edges, {
@@ -474,18 +484,11 @@ def find_member(k: int, delta: float, eps: float,
         raise PreconditionError(
             f"amplitude outside the admissible window ({lo_d:.6g}, {hi_d:.6g}): got {delta}")
 
-    # the columns, ||Rdot|| and the stationary points are the same for every mean
     lo, mean = None, max(1.0, 4.0 * delta)
-    first = family_profile(k, delta, mean)
-    n = grid_size(first, _BOUNDS_FLOOR)
-    columns = list(_columns(first, n))
-    dr_norm = _dr_norm(first, _summed(mean, n, columns)[1])
-    stationary = stationary_points(first)
+    shape = _shape(family_profile(k, delta, mean))  # the same for every mean
 
     def accept(mean):
-        b = _bounds(family_profile(k, delta, mean), eps, *_summed(mean, n, columns), dr_norm,
-                    stationary)
-        v = _chain(b, stationary)
+        v = _chain(_bounds(family_profile(k, delta, mean), eps, shape))
         if v.klass != "R_tilde":
             return False, v
         if min_window is not None and v.window[1] - v.window[0] <= min_window:

@@ -478,9 +478,16 @@ class TestErrorMessages:
           "--t-count", "1", "--k-count", "1", "--n", "2", "--csv", "{missing}"],
          "No such file or directory"),
         (["classify", "--profile", CONST, "--out", "{missing}"], "No such file or directory"),
+        # tiny inputs whose squares underflow: each ended in a traceback or in inf
+        (["classify", "--profile", '{"mean": 1e-200, "harmonics": [[1, 1e-201]]}'],
+         "profile too small"),
+        (["map", "--profile", MEMBER, "--c", "1", "--t0", "0.3", "--K", "13500",
+          "--sigma", "1e-200"], "too small"),
+        (FLIGHT + ["--t0", "0.0", "--t1", "1e-160"], "flight too short"),
     ], ids=["lyapunov-seeds-without-band", "lyapunov-single-without-K",
             "lyapunov-infinite-band", "classify-overflow", "flight-row-cap",
-            "simulate-row-cap", "portrait-csv-missing-dir", "out-missing-dir"])
+            "simulate-row-cap", "portrait-csv-missing-dir", "out-missing-dir",
+            "classify-underflow", "map-sigma-underflow", "flight-too-short"])
     def test_error_line(self, argv, message, tmp_path, capsys):
         missing = str(tmp_path / "missing" / "out")
         assert run_cli([missing if a == "{missing}" else a for a in argv]) == 1

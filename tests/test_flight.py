@@ -121,6 +121,12 @@ class TestFlightCoeffs:
         with pytest.raises(DomainError):
             flight.make_segment(static_profile, 0.0, 11.0, 0.1)
 
+    @pytest.mark.parametrize("t1", [1e-200, 1e-160])
+    def test_flight_too_short(self, small_profile, t1):
+        # tau^2 underflows (a ZeroDivisionError) or A overflows (an inf flight)
+        with pytest.raises(DomainError, match="flight too short"):
+            flight.make_segment(small_profile, 0.0, t1, 0.0)
+
     def test_check_order(self, static_profile):
         # ordering first, then the momentum sign, then the window
         with pytest.raises(PreconditionError, match="t1 > t0"):

@@ -43,6 +43,21 @@ class TestContext:
         with pytest.raises(PreconditionError):
             genfun.make_context(static_profile, 0.0, EPS)
 
+    @pytest.mark.parametrize("sigma", [1e-200, 1e-155])
+    def test_rejects_sigma_whose_edge_action_overflows(self, member, sigma):
+        # d1 h(t, t + sigma) ~ 2 R^2 / sigma^2: tau^2 underflowed to 0 in the
+        # kernels at 1e-200, and sigma_star read inf at 1e-155
+        with pytest.raises(PreconditionError, match="too small"):
+            genfun.make_context(member[0], 1.0, EPS, sigma=sigma)
+
+    def test_edge_gap_rounding_to_zero_is_a_domain_error(self, static_profile):
+        # t + sigma - t rounds to 0 on most of the grid: a NaN scan before
+        ctx = genfun.make_context(static_profile, 0.0, EPS, sigma=1e-17)
+        with pytest.raises(DomainError, match="outside strip: tau = 0.0"):
+            genfun.d1h_edge_grid(ctx, 512)
+        with pytest.raises(DomainError, match="outside strip: tau = 0.0"):
+            genfun.grad_h(ctx, 0.5, 0.5 + ctx.sigma)
+
     def test_reuses_given_bounds(self, small_profile, small_ctx):
         b = small_ctx.bounds
         ctx = genfun.make_context(small_profile, 0.3, EPS, bounds=b)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
-from breathing_billiard import _search, chaoscert, radius
+from breathing_billiard import _search, chaoscert, genfun, radius
 from breathing_billiard.errors import ConvergenceError, PreconditionError
 from breathing_billiard.radius import ProfileBounds, RadiusProfile
 
@@ -188,11 +188,13 @@ _EPS_RANGE = r"eps must lie in \(0,1\)"
     # the squares of these norms overflowed in classify and in the context
     (lambda: RadiusProfile(1e308, ((1, 1e307),)), "profile too large"),
     (lambda: RadiusProfile(1e200), "profile too large"),
+    # classify divided by 2 r_max^2 / sigma^2 + ||Rdot|| r_max, which underflowed to 0
+    (lambda: RadiusProfile(1e-200, ((1, 1e-201),)), "profile too small"),
     (lambda: radius.classify(RadiusProfile(1e70, ((1, 1e-300),)), EPS),
      "sigma = .* overflows when squared"),
 ], ids=["mean-zero", "mean-negative", "bounds-eps", "alpha-eps", "bounds-call-eps",
         "delta-window-k0", "mean-bound-below-window", "profile-overflow",
-        "constant-overflow", "sigma-overflow"])
+        "constant-overflow", "profile-underflow", "sigma-overflow"])
 def test_guard(call, message):
     with pytest.raises(PreconditionError, match=message):
         call()
@@ -445,6 +447,42 @@ def _assert_near_the_oracle(p):
         err = abs(getattr(b, name) - exact)
         assert err <= noise, (p, name)
         assert err <= abs(_golden_norm(p, name) - exact) + noise, (p, name)
+
+
+class TestOneScan:
+    """bounds reads r_min and r_max at the stationary points it carries, and
+    classify and find_member read them there instead of solving again."""
+
+    def test_bounds_carry_the_stationary_points(self):
+        for p, eps in _family_members(30, seed=16):
+            assert radius.bounds(p, eps).stationary == tuple(radius.stationary_points(p))
+        assert radius.bounds(RadiusProfile(3.0), EPS).stationary == ()
+
+    def test_equality_and_hash_skip_the_points(self, member):
+        b = member[2].bounds
+        bare = dataclasses.replace(b, stationary=())
+        assert b.stationary and bare == b and hash(bare) == hash(b)
+        assert "stationary" not in repr(b)
+        assert hash(genfun.GenFunContext(bare, 1.0, b.sigma)) == hash(
+            genfun.GenFunContext(b, 1.0, b.sigma))
+
+    def test_classify_solves_once(self, monkeypatch):
+        calls = []
+        original = radius.stationary_points
+        monkeypatch.setattr(radius, "stationary_points",
+                            lambda p: calls.append(p) or original(p))
+        p = radius.family_profile(5, 0.01, 225.0)
+        radius.classify(p, EPS)
+        assert calls == [p]
+
+    def test_find_member_builds_one_shape(self, monkeypatch):
+        shapes, means = [], []
+        original_shape, original_bounds = radius._shape, radius._bounds
+        monkeypatch.setattr(radius, "_shape", lambda p: shapes.append(p) or original_shape(p))
+        monkeypatch.setattr(radius, "_bounds", lambda p, eps, shape: means.append(
+            p.mean) or original_bounds(p, eps, shape))
+        radius.find_member(1, 0.05, EPS, min_window=1.0)
+        assert len(shapes) == 1 and len(means) > 30
 
 
 class TestGridSize:
@@ -720,9 +758,9 @@ class TestFindMember:
         means = []
         original = radius._chain
 
-        def never(b, stationary):
+        def never(b):
             means.append(b.profile.mean)
-            return dataclasses.replace(original(b, stationary), klass="none", window=None)
+            return dataclasses.replace(original(b), klass="none", window=None)
 
         monkeypatch.setattr(radius, "_chain", never)
         with pytest.raises(ConvergenceError) as info:
@@ -738,8 +776,8 @@ class TestFindMember:
         original = radius._chain
         passing = radius.family_profile(1, 0.05, 754.0)
         monkeypatch.setattr(radius, "_chain",
-                            lambda b, stationary: means.append(b.profile.mean) or original(
-                                radius.bounds(passing, EPS), radius.stationary_points(passing)))
+                            lambda b: means.append(b.profile.mean) or original(
+                                radius.bounds(passing, EPS)))
         mean, verdict = radius.find_member(1, 0.05, EPS)
         assert means == [1.0] and mean == 1.0 and verdict.klass == "R_tilde"
 
@@ -758,8 +796,7 @@ class TestFindMember:
                 continue
             seen = []
             original = radius._chain
-            monkeypatch.setattr(radius, "_chain", lambda b, stationary: seen.append(
-                original(b, stationary)) or seen[-1])
+            monkeypatch.setattr(radius, "_chain", lambda b: seen.append(original(b)) or seen[-1])
             got = radius.find_member(k, delta, eps, min_window)
             monkeypatch.setattr(radius, "_chain", original)
             expected = [radius.classify(v.bounds.profile, eps) for v in seen]

@@ -40,6 +40,8 @@ HUGE = str(2 ** 62)  # a grid count numpy refuses without allocating
 CANCELLING = '{"mean": 2, "harmonics": [[1, 0.1], [1, -0.1]]}'
 # three amplitudes of one frequency that cancel up to rounding: also constant
 ROUNDING_CONSTANT = '{"mean": 2, "harmonics": [[1, 0.1], [1, 0.2], [1, -0.30000000000000004]]}'
+# R^4 underflows: the class chain divided by 0
+TINY = '{"mean": 1e-200, "harmonics": [[1, 1e-201]]}'
 
 CONFIGS = [
     ("classify-member", ["classify", "--profile", REF]),
@@ -204,6 +206,14 @@ CONFIGS = [
     # refused as a constant profile, not certified on roots of rounding noise
     ("certify-rounding-constant", ["certify", "--profile", ROUNDING_CONSTANT, "--eps", "0.5",
                                    "--c", "1e-12"]),
+    # tiny inputs whose squares underflow are refused by name: a profile with
+    # R^4 below the least normal float, a working sigma whose edge action
+    # 2 R^2 / sigma^2 overflows, and a flight whose A overflows
+    ("classify-profile-too-small", ["classify", "--profile", TINY]),
+    ("map-sigma-too-small", ["map", "--profile", MEMBER, "--c", "1", "--t0", "0.3",
+                             "--K", "1100", "--sigma", "1e-200"]),
+    ("flight-too-short", ["flight", "--profile", MEMBER, "--c", "0", "--t0", "0",
+                          "--t1", "1e-160"]),
 ]
 
 
