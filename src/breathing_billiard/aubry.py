@@ -39,6 +39,7 @@ _SWEEP_STOP = 1e-3  # sweeping ends once no time moves by more than this
 _RESIDUAL_TOL = 1e-8  # a start counts only if its polished residual is below
 _POLISH_MAX_ITER = 40  # Newton steps of the polish
 _CF_MAX_TERMS = 32  # continued-fraction terms convergents expands at most
+_HESSIAN_CAP = 1 << 20  # most entries of the polish's dense q x q Hessian: q <= 1024
 _TIE_RTOL = 1e-13  # actions this close (relative) tie; rounding noise is ~4e-16
 
 
@@ -184,8 +185,9 @@ def periodic_orbit(ctx: GenFunContext, p: int, q: int,
                    workers: int = 1) -> MinimalOrbit:
     """Lowest-action stationary (p, q)-configuration over multi-start descent.
 
-    Requires 1 < p/q < sigma - 1, which implies sigma > 2.  Gaps are confined
-    to the spacing estimate [omega-1, omega+1].  Each start is swept coarsely
+    Requires 1 < p/q < sigma - 1, which implies sigma > 2, and q <= 1024, so
+    that the polish's dense q x q Hessian has at most 2^20 entries.  Gaps are
+    confined to the spacing estimate [omega-1, omega+1].  Each start is swept coarsely
     and polished by least-squares Newton; each converged orbit is labelled
     from its point of smallest t mod 1, with times[0] in [0, 1).  Actions
     within 1e-13 relative count as tied, and a tie goes to the smaller times[0].
@@ -209,6 +211,9 @@ def periodic_orbit(ctx: GenFunContext, p: int, q: int,
         raise PreconditionError(f"starts run serially: workers must be 1, got {workers}")
     if q < 1:
         raise PreconditionError(f"q must be positive, got {q}")
+    if q * q > _HESSIAN_CAP:
+        raise PreconditionError(f"q = {q} needs a {q} x {q} Hessian, "
+                                f"more than {_HESSIAN_CAP} entries")
     if starts < 1 or seed < 0:
         raise PreconditionError(f"need starts >= 1 and seed >= 0, got {starts} and {seed}")
     if math.gcd(p, q) != 1:

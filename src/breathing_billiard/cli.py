@@ -224,19 +224,23 @@ def _cmd_lyapunov(args, files):
 
 
 def _cmd_portrait(args, files):
-    if args.t_count < 1 or args.k_count < 1:
-        raise PreconditionError(f"--t-count and --k-count must be >= 1, got "
-                                f"{args.t_count} and {args.k_count}")
-    radius.check_grid_points("--t-count", args.t_count)
-    radius.check_grid_points("--k-count", args.k_count)
+    t_count, k_count, n = args.t_count, args.k_count, args.n
+    if min(t_count, k_count, n) < 1:
+        raise PreconditionError(f"--t-count, --k-count and --n must be >= 1, got "
+                                f"{t_count}, {k_count} and {n}")
+    # each orbit adds at most n rows, and all are held until the CSV is written
+    if t_count * k_count * n > flight._MAX_SAMPLE_ROWS:
+        raise PreconditionError(f"{t_count} x {k_count} orbits of --n {n} bounces ask for "
+                                f"{t_count * k_count * n} rows, more than "
+                                f"{flight._MAX_SAMPLE_ROWS}")
     ctx = _context(args)
     s_star = bmap.sigma_star(ctx)
     k_lo = args.k_lo if args.k_lo is not None else s_star * 1.05
     rows = []
-    for t0 in np.linspace(0.0, 1.0, args.t_count, endpoint=False):
-        for k0 in np.linspace(k_lo, args.k_hi, args.k_count):
+    for t0 in np.linspace(0.0, 1.0, t_count, endpoint=False):
+        for k0 in np.linspace(k_lo, args.k_hi, k_count):
             try:
-                orbit = bmap.Orbit(ctx, CylinderState(float(t0), float(k0)), args.n)
+                orbit = bmap.Orbit(ctx, CylinderState(float(t0), float(k0)), n)
             except DomainError:
                 continue  # grid point below the map domain
             rows += [(t1 % 1.0, k1) for _, _, _, t1, k1 in orbit]

@@ -28,8 +28,7 @@ from .errors import ConvergenceError, DomainError, PreconditionError
 TWO_PI = 2.0 * math.pi
 _MEAN_GRID_FACTOR = 1.25  # geometric scan step of find_member
 _MEAN_REL_TOL = 1e-3  # find_member refines the mean to 3 significant digits
-_BOUNDS_FLOOR = 4096  # least sup-norm grid of bounds
-_STATIONARY_FLOOR = 1024  # least sign-change grid of stationary_points
+_BOUNDS_FLOOR = 4096  # least profile grid of bounds
 _SAMPLES_PER_PERIOD = 32  # grid points per period of the top harmonic
 _GRID_CAP = 1 << 20  # most grid points of any profile scan
 _NEAR_ZERO = 1e-12  # |Rdot| below this times sum |d| 2 pi k is checked in scalar
@@ -308,8 +307,33 @@ def _shape(profile: RadiusProfile):
     columns = list(_columns(profile, n))
     _, dr, ddr = _summed(0.0, n, columns)
     return ([s for s, _, _ in columns], dr, ddr,
-            _sup(profile, profile.d_radius, 0, dr, _noise(profile, 2)),
-            tuple(stationary_points(profile)))
+            _sup(profile, profile.d_radius, 0, dr, _noise(profile, 2)), _stationary(profile, dr))
+
+
+def _stationary(profile: RadiusProfile, vals):
+    """The roots of Rdot in [0,1) and Rddot there: sign changes of its grid vals at
+    t = i/n, each confirmed with the scalar d_radius and solved by solve_monotone
+    (f = Rdot, f' = Rddot) down to the rounding floor of Rdot; tangential (double)
+    roots are outside the contract."""
+    f = profile.d_radius
+    n = len(vals)
+    step = 1.0 / n
+    scale = sum(abs(d) * TWO_PI * k for k, d in profile.harmonics)
+    # numpy picks the brackets by sign (a product of tiny values underflows); a value
+    # within rounding of 0 may carry the wrong sign, so it goes to the scalar test too
+    near0 = abs(vals) <= _NEAR_ZERO * scale
+    picked = (np.sign(vals) * np.sign(np.roll(vals, -1)) < 0) | near0 | np.roll(near0, -1)
+    noise = _noise(profile, 1)
+    roots = []
+    for i in np.flatnonzero(picked).tolist():
+        a = i * step
+        fa, fb = f(a), f(((i + 1) % n) * step)
+        if fa == 0.0:
+            roots.append(a)
+        elif fa < 0.0 < fb or fb < 0.0 < fa:
+            roots.append(solve_monotone(lambda x: profile.eval(x)[1:], a, a + step,
+                                        fa > 0.0, noise)[0])
+    return tuple((t, profile.dd_radius(t)) for t in roots)
 
 
 def _bounds(profile: RadiusProfile, eps: float, shape) -> ProfileBounds:
@@ -338,37 +362,11 @@ def sigma_limits(eps: float, r_min: float, dR_norm: float,
 
 
 def stationary_points(profile: RadiusProfile) -> list[tuple[float, float]]:
-    """All roots of Rdot in [0,1), each paired with Rddot there.
-
-    Sign-change bracketing on grid_size(profile, 1024) numpy-sampled
-    points, each bracket confirmed with the scalar d_radius, then solved by
-    the safeguarded Newton of _search.solve_monotone (f = Rdot, f' = Rddot)
-    down to the rounding floor of Rdot; tangential (double) roots are
-    outside the contract.
-    """
+    """All roots of Rdot in [0,1), each paired with Rddot there: the points
+    bounds carries, bracketed on its grid_size(profile, 4096)-point Rdot grid."""
     if profile.is_constant:
         raise PreconditionError("constant profile: every point is stationary")
-
-    f = profile.d_radius
-    n = grid_size(profile, _STATIONARY_FLOOR)
-    step = 1.0 / n
-    _, vals, _ = _grid(profile, n)
-    scale = sum(abs(d) * TWO_PI * k for k, d in profile.harmonics)
-    # numpy picks the brackets by sign (a product of tiny values underflows); a value
-    # within rounding of 0 may carry the wrong sign, so it goes to the scalar test too
-    near0 = abs(vals) <= _NEAR_ZERO * scale
-    picked = (np.sign(vals) * np.sign(np.roll(vals, -1)) < 0) | near0 | np.roll(near0, -1)
-    noise = _noise(profile, 1)
-    roots = []
-    for i in np.flatnonzero(picked).tolist():
-        a = i * step
-        fa, fb = f(a), f(((i + 1) % n) * step)
-        if fa == 0.0:
-            roots.append(a)
-        elif fa < 0.0 < fb or fb < 0.0 < fa:
-            roots.append(solve_monotone(lambda x: profile.eval(x)[1:], a, a + step,
-                                        fa > 0.0, noise)[0])
-    return [(t, profile.dd_radius(t)) for t in roots]
+    return list(_shape(profile)[-1])
 
 
 def classify(profile: RadiusProfile, eps: float) -> ClassVerdict:

@@ -48,8 +48,12 @@ def run(ctx: GenFunContext, s0: CylinderState, n: int) -> RunResult:
 
     The angular momentum is c identically along the run (it is a parameter
     of every segment's first integral).  An iterate leaving the map domain
-    truncates the run; the initial state being outside raises instead.
+    truncates the run; the initial state being outside raises instead, and
+    so does an n whose n + 1 records pass flight._MAX_SAMPLE_ROWS.
     """
+    if n + 1 > flight._MAX_SAMPLE_ROWS:
+        raise PreconditionError(f"n = {n} asks for {n + 1} bounce records, "
+                                f"more than {flight._MAX_SAMPLE_ROWS}")
     orbit = bmap.Orbit(ctx, s0, n)
     profile = ctx.profile
     records: list[BounceRecord] = []

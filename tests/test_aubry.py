@@ -82,6 +82,20 @@ class TestElResidual:
 
 
 class TestPeriodicOrbit:
+    def test_q_past_the_hessian_cap_is_refused_before_any_sweep(self, static_ctx,
+                                                                 monkeypatch):
+        # the polish's dense q x q Hessian: q = 1024 passes on to the first
+        # sweep, q = 1025 is refused before it
+        def no_sweep(*args):
+            raise AssertionError("a sweep ran")
+
+        monkeypatch.setattr(aubry, "h_ends", no_sweep)
+        with pytest.raises(AssertionError, match="a sweep ran"):
+            aubry.periodic_orbit(static_ctx, 2047, 1024, starts=1)
+        for p, q in [(2049, 1025), (3, 10 ** 6 + 1)]:
+            with pytest.raises(PreconditionError, match="more than 1048576 entries"):
+                aubry.periodic_orbit(static_ctx, p, q, starts=1)
+
     def test_static_equal_spacing(self, static_ctx):
         orbit = aubry.periodic_orbit(static_ctx, 3, 2, starts=4, seed=0)
         gaps = orbit.gaps()

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from breathing_billiard import aubry, chaoscert, cli
+from breathing_billiard import aubry, chaoscert, cli, flight
 from breathing_billiard.errors import ConvergenceError
 
 CONST = '{"mean": 1, "harmonics": []}'
@@ -331,6 +331,24 @@ class TestCertifyCommands:
         ks = [float(line.split(",")[1]) for line in csv_path.read_text().splitlines()[2:]]
         assert len(ks) == res["points"] and min(ks) > res["sigma_star"] > 0.05
 
+    def test_portrait_row_cap(self, tmp_path, monkeypatch, capsys):
+        # 4 x 5 orbits of 5 bounces fit a 100-row cap; of 6 bounces they are
+        # refused before the first orbit starts
+        monkeypatch.setattr(flight, "_MAX_SAMPLE_ROWS", 100)
+        argv = ["portrait", "--profile", CONST, "--c", "0.05", "--sigma", "4.0",
+                "--t-count", "4", "--k-count", "5", "--k-hi", "3.0",
+                "--csv", str(tmp_path / "portrait.csv")]
+        assert run_cli(argv + ["--n", "5"]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["points"] == 100
+
+        def no_orbit(*args):
+            raise AssertionError("an orbit started")
+
+        monkeypatch.setattr(cli.bmap, "Orbit", no_orbit)
+        assert run_cli(argv + ["--n", "6"]) == 1
+        assert capsys.readouterr().err == (
+            "error: 4 x 5 orbits of --n 6 bounces ask for 120 rows, more than 100\n")
+
     def test_portrait(self, tmp_path):
         csv_path = tmp_path / "portrait.csv"
         code = run_cli(["portrait", "--profile", CONST, "--eps", "0.5", "--c", "0.05",
@@ -404,6 +422,12 @@ class TestRejectedInput:
         # a finite flight time whose phase 2 pi k t overflows
         ["flight", "--profile", BREATHING, "--c", "0", "--t0", "0", "--t1", "1e308"],
         ["c0", "--profile", MEMBER, "--iters", "-1"],
+        # q past 1024: the polish's dense q x q Hessian; hull's last convergent is 2051/1025
+        ["orbit", "--profile", CONST, "--c", "0.0", "--sigma", "4.0", "--p", "2049",
+         "--q", "1025", "--starts", "1", "--seed", "0"],
+        ["hull", "--profile", CONST, "--c", "0.0", "--sigma", "8.0",
+         "--omega", "2.0009756097560976", "--denom-cap", "1025", "--starts", "1", "--seed", "0"],
+        PORTRAIT + ["--n", "-1"],
     ], ids=["certify-omega-grid-0", "certify-k-samples-0", "certify-k-samples-1",
             "c0-omega-grid-0", "hull-denom-cap-0", "orbit-starts-0", "lyapunov-seeds-neg",
             "orbit-seed-neg", "hull-seed-neg", "lyapunov-table-seed-neg",
@@ -414,7 +438,8 @@ class TestRejectedInput:
             "profile-nan-amplitude", "profile-huge-frequency", "flight-c-nan",
             "flight-t1-inf", "find-member-min-window-nan", "certify-k-samples-huge",
             "certify-omega-grid-huge", "c0-k-samples-huge", "portrait-t-count-huge",
-            "portrait-k-count-huge", "flight-phase-overflow", "c0-iters-neg"])
+            "portrait-k-count-huge", "flight-phase-overflow", "c0-iters-neg", "orbit-q-huge",
+            "hull-denom-cap-huge", "portrait-n-neg"])
     def test_precondition_exit(self, argv, capsys):
         assert run_cli(argv) == 1
         assert capsys.readouterr().err.startswith("error: ")
@@ -484,10 +509,17 @@ class TestErrorMessages:
         (["map", "--profile", MEMBER, "--c", "1", "--t0", "0.3", "--K", "13500",
           "--sigma", "1e-200"], "too small"),
         (FLIGHT + ["--t0", "0.0", "--t1", "1e-160"], "flight too short"),
+        # every row is held in memory: refused by the rows asked for, before
+        # the first step, even where the state lies below the map domain
+        (PORTRAIT + ["--t-count", "1", "--k-count", "1", "--k-lo", "0.01", "--k-hi", "0.02",
+                     "--n", "1000001"], "1000001 rows, more than 1000000"),
+        (["simulate", "--profile", CONST, "--c", "0.0", "--sigma", "4.0", "--t0", "0.0",
+          "--K", "0.01", "--n", "1000000"], "1000001 bounce records, more than 1000000"),
     ], ids=["lyapunov-seeds-without-band", "lyapunov-single-without-K",
             "lyapunov-infinite-band", "classify-overflow", "flight-row-cap",
             "simulate-row-cap", "portrait-csv-missing-dir", "out-missing-dir",
-            "classify-underflow", "map-sigma-underflow", "flight-too-short"])
+            "classify-underflow", "map-sigma-underflow", "flight-too-short",
+            "portrait-rows-huge", "simulate-n-huge"])
     def test_error_line(self, argv, message, tmp_path, capsys):
         missing = str(tmp_path / "missing" / "out")
         assert run_cli([missing if a == "{missing}" else a for a in argv]) == 1

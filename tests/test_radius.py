@@ -306,7 +306,7 @@ class TestNumpyGridMatchesScalarOracle:
         members = list(_family_members(210, seed=11))
         numpy_run = [(radius.classify(p, eps), radius.stationary_points(p))
                      for p, eps in members]
-        monkeypatch.setattr(radius, "_grid", _scalar_grid)
+        monkeypatch.setattr(radius, "_columns", _scalar_columns)
         scalar_run = [(radius.classify(p, eps), radius.stationary_points(p))
                       for p, eps in members]
         assert {v.klass for v, _ in numpy_run} == {"none", "R", "R_tilde"}
@@ -323,7 +323,6 @@ class TestNumpyGridMatchesScalarOracle:
             assert all(np.array_equal(a, b) for a, b in zip(
                 radius._summed(p.mean, n, _scalar_columns(p, n)), _scalar_grid(p, n)))
         monkeypatch.setattr(radius, "_columns", _scalar_columns)
-        monkeypatch.setattr(radius, "_grid", _scalar_grid)
         scalar_run = [radius.find_member(k, d, eps, min_window=w) for k, d, eps, w in cases]
         assert scalar_run == numpy_run
 
@@ -333,12 +332,17 @@ class TestNumpyGridMatchesScalarOracle:
         p = RadiusProfile(1.0, ((1, 0.05),))
         expected = radius.stationary_points(p)
 
-        def flipped(profile, n):
-            r, dr, ddr = _scalar_grid(profile, n)
-            return r, np.where(np.abs(dr) < 1e-15, -dr, dr), ddr
+        def flipped(profile, n, shift=0.0):
+            for s, c, ss in _scalar_columns(profile, n, shift):
+                yield s, np.where(np.abs(c) < 1e-15, -c, c), ss
 
-        monkeypatch.setattr(radius, "_grid", flipped)
+        monkeypatch.setattr(radius, "_columns", flipped)
         assert radius.stationary_points(p) == expected
+        # the Rdot grid the roots are bracketed on is the flipped one
+        n = radius.grid_size(p, radius._BOUNDS_FLOOR)
+        dr = radius._shape(p)[1]
+        assert np.flatnonzero(np.sign(dr) != np.sign(_scalar_grid(p, n)[1])).tolist() == [
+            n // 4, 3 * n // 4]
         assert [round(t, 9) for t, _ in expected] == [0.25, 0.75]
 
     def test_coarse_grid_and_constant_profile(self, monkeypatch):
@@ -353,7 +357,7 @@ class TestNumpyGridMatchesScalarOracle:
             return out
 
         numpy_run = run()
-        monkeypatch.setattr(radius, "_grid", _scalar_grid)
+        monkeypatch.setattr(radius, "_columns", _scalar_columns)
         assert run() == numpy_run
 
 
@@ -467,10 +471,11 @@ class TestOneScan:
             genfun.GenFunContext(b, 1.0, b.sigma))
 
     def test_classify_solves_once(self, monkeypatch):
+        # one profile grid: its Rdot column brackets the roots and gives ||Rdot||
         calls = []
-        original = radius.stationary_points
-        monkeypatch.setattr(radius, "stationary_points",
-                            lambda p: calls.append(p) or original(p))
+        original = radius._columns
+        monkeypatch.setattr(radius, "_columns",
+                            lambda p, n, shift=0.0: calls.append(p) or original(p, n, shift))
         p = radius.family_profile(5, 0.01, 225.0)
         radius.classify(p, EPS)
         assert calls == [p]
@@ -517,7 +522,7 @@ class TestGridSize:
         def no_grid(*args):
             raise AssertionError("a grid was built")
 
-        monkeypatch.setattr(radius, "_grid", no_grid)
+        monkeypatch.setattr(radius, "_columns", no_grid)
         assert radius.grid_size(RadiusProfile(2.0, ((2 ** 15, 1e-3),)), 512) == 2 ** 20
         for k in (2 ** 15 + 1, 10 ** 18):
             p = RadiusProfile(2.0, ((k, 1e-3),))
@@ -584,7 +589,7 @@ class TestStationaryPoints:
         points = radius.stationary_points(p)
         for t, ddr in points:
             assert abs(p.d_radius(t)) <= 4 * abs(ddr) * ulp + noise
-        n = radius.grid_size(p, radius._STATIONARY_FLOOR)
+        n = radius.grid_size(p, radius._BOUNDS_FLOOR)
         vals = [p.d_radius(i / n) for i in range(n + 1)]
         expected = [brentq(p.d_radius, i / n, (i + 1) / n, xtol=1e-15)
                     for i in range(n) if vals[i] * vals[i + 1] < 0]
@@ -594,7 +599,7 @@ class TestStationaryPoints:
     def test_roots_match_brentq(self):
         # oracle: brentq to 1e-15 on every scalar sign change of the grid
         for p, _ in _family_members(100, seed=14, ks=(1, 5, 6, 7, 8)):
-            n = radius.grid_size(p, radius._STATIONARY_FLOOR)
+            n = radius.grid_size(p, radius._BOUNDS_FLOOR)
             step = 1.0 / n
             f = p.d_radius
             vals = [f(i * step) for i in range(n + 1)]

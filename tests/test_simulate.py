@@ -34,6 +34,20 @@ class TestRun:
                 r, _, _ = flight.flight_state(rec.segment, float(t))
                 assert r < member_ctx.profile.radius(float(t))
 
+    def test_record_cap(self, static_ctx, monkeypatch):
+        # n + 1 records are kept: n = 99 fits a 100-row cap, n = 100 is
+        # refused before the first step
+        monkeypatch.setattr(flight, "_MAX_SAMPLE_ROWS", 100)
+        assert len(simulate.run(static_ctx, CylinderState(0.0, 2.0), 99).records) == 100
+
+        def no_step(*args):
+            raise AssertionError("a step was taken")
+
+        monkeypatch.setattr(bmap, "Orbit", no_step)
+        for n in (100, 10 ** 18):
+            with pytest.raises(PreconditionError, match="records, more than 100$"):
+                simulate.run(static_ctx, CylinderState(0.0, 2.0), n)
+
     def test_theta_increments(self, member_ctx):
         res = simulate.run(member_ctx, CylinderState(0.1, 5000.0), 40)
         for a, b in zip(res.records, res.records[1:]):

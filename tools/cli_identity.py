@@ -214,6 +214,21 @@ CONFIGS = [
                              "--K", "1100", "--sigma", "1e-200"]),
     ("flight-too-short", ["flight", "--profile", MEMBER, "--c", "0", "--t0", "0",
                           "--t1", "1e-160"]),
+    # q past 1024, whose dense q x q polish Hessian passes 2^20 entries, is
+    # refused before the first sweep: asked for directly, and as the last
+    # convergent 2051/1025 of omega
+    ("orbit-q-huge", ["orbit", "--profile", CONST, "--c", "0", "--sigma", "4", "--p", "2049",
+                      "--q", "1025", "--starts", "1", "--seed", "0"]),
+    ("hull-denom-cap-huge", ["hull", "--profile", CONST, "--c", "0", "--sigma", "8",
+                             "--omega", "2.0009756097560976", "--denom-cap", "1025",
+                             "--starts", "1", "--seed", "0"]),
+    # rows held in memory past the row cap are refused by the count asked
+    # for, before the first step: here every state lies below the map domain
+    ("portrait-rows-huge", ["portrait", "--profile", CONST, "--c", "0.05", "--sigma", "4",
+                            "--t-count", "1", "--k-count", "1", "--k-lo", "0.01",
+                            "--k-hi", "0.02", "--n", "1000001", "--csv", "portrait.csv"]),
+    ("simulate-n-huge", ["simulate", "--profile", CONST, "--c", "0", "--sigma", "4",
+                         "--t0", "0", "--K", "0.01", "--n", "1000000"]),
 ]
 
 
