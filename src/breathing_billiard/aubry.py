@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._search import golden_max
-from .errors import ConvergenceError, DomainError, PreconditionError
+from .errors import ConvergenceError, DomainError, PreconditionError, check_count
 from .genfun import GenFunContext, grad_h, grad_twist, h, h_ends, hess_h
 
 _SWEEP_BUDGET = 400  # Gauss-Seidel sweeps per start before the Newton polish
@@ -39,7 +39,6 @@ _SWEEP_STOP = 1e-3  # sweeping ends once no time moves by more than this
 _RESIDUAL_TOL = 1e-8  # a start counts only if its polished residual is below
 _POLISH_MAX_ITER = 40  # Newton steps of the polish
 _CF_MAX_TERMS = 32  # continued-fraction terms convergents expands at most
-_HESSIAN_CAP = 1 << 20  # most entries of the polish's dense q x q Hessian: q <= 1024
 _TIE_RTOL = 1e-13  # actions this close (relative) tie; rounding noise is ~4e-16
 
 
@@ -209,13 +208,9 @@ def periodic_orbit(ctx: GenFunContext, p: int, q: int,
     """
     if workers != 1:
         raise PreconditionError(f"starts run serially: workers must be 1, got {workers}")
-    if q < 1:
-        raise PreconditionError(f"q must be positive, got {q}")
-    if q * q > _HESSIAN_CAP:
-        raise PreconditionError(f"q = {q} needs a {q} x {q} Hessian, "
-                                f"more than {_HESSIAN_CAP} entries")
-    if starts < 1 or seed < 0:
-        raise PreconditionError(f"need starts >= 1 and seed >= 0, got {starts} and {seed}")
+    p = check_count("p", p)
+    q = check_count("q", q, 1, size=lambda q: q * q)  # the polish's dense q x q Hessian
+    starts, seed = check_count("starts", starts, 1), check_count("seed", seed, 0)
     if math.gcd(p, q) != 1:
         raise PreconditionError(f"(p, q) = ({p}, {q}) must be coprime")
     omega = p / q
@@ -261,8 +256,7 @@ def _canonical(ts, p):
 
 def convergents(omega: float, denom_cap: int):
     """Continued-fraction convergents p/q of omega with q <= denom_cap."""
-    if denom_cap < 1:
-        raise PreconditionError(f"denom_cap must be >= 1, got {denom_cap}")
+    denom_cap = check_count("denom_cap", denom_cap, 1)
     if not math.isfinite(omega):
         raise PreconditionError(f"omega must be finite, got {omega}")
     out = []

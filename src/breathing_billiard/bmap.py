@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from ._search import _ULP, circle_sup, golden_max, solve_monotone
-from .errors import ConvergenceError, DomainError, PreconditionError
+from .errors import ConvergenceError, DomainError, PreconditionError, check_count
 from .genfun import GenFunContext, d1h_edge_grid, grad_h, grad_twist, hess_h
 from .radius import grid_size
 
@@ -206,8 +206,7 @@ class Orbit:
     """
 
     def __init__(self, ctx: GenFunContext, s0: CylinderState, n: int):
-        if n < 1:
-            raise PreconditionError(f"need n >= 1 bounces, got {n}")
+        n = check_count("n", n, 1)
         self.s_star = _check_domain(ctx, s0.K, "initial state")
         self.ctx, self.n = ctx, n
         self.wind = math.floor(s0.t)

@@ -25,9 +25,9 @@ import numpy as np
 from . import bmap
 from ._version import VERSION
 from .bmap import CylinderState
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, PreconditionError, check_count
 from .genfun import GenFunContext, hess_h, make_context
-from .radius import ClassVerdict, ProfileBounds, RadiusProfile, check_grid_points, classify
+from .radius import ClassVerdict, ProfileBounds, RadiusProfile, classify
 
 DEFAULT_OMEGA_GRID = 33
 DEFAULT_K_SAMPLES = 257
@@ -179,13 +179,10 @@ def certify(profile: RadiusProfile, eps: float, c: float,
     inside the band.  verdict, when given, must be classify(profile, eps);
     the profile is classified otherwise.  omega_grid >= 1 and k_samples >= 2
     (one sample would check only the lower end of the K range), and neither
-    may exceed the 2^20-point cap of radius.check_grid_points.
+    may pass errors.MAX_COUNT.
     """
-    if omega_grid < 1 or k_samples < 2:
-        raise PreconditionError(f"need omega_grid >= 1 and k_samples >= 2, got "
-                                f"{omega_grid} and {k_samples}")
-    check_grid_points("omega_grid", omega_grid)
-    check_grid_points("k_samples", k_samples)
+    omega_grid = check_count("omega_grid", omega_grid, 1, size=lambda n: n)
+    k_samples = check_count("k_samples", k_samples, 2, size=lambda n: n)
 
     verdict = _verdict(profile, eps, verdict)
     cert = ChaosCertificate(profile=profile, eps=eps, c=c, margins=dict(verdict.margins))
@@ -266,8 +263,7 @@ def c0_search(profile: RadiusProfile, eps: float, iters: int = 20,
     reuses that verdict.  The bisection stops early once its midpoint rounds
     to one of its ends, both of them momenta already tested.
     """
-    if iters < 0:
-        raise PreconditionError(f"iters must be >= 0, got {iters}")
+    iters = check_count("iters", iters, 0)
     verdict = classify(profile, eps)
     if verdict.klass != "R_tilde":
         return C0SearchResult(c0=None, c_max=math.nan, tested=[],
@@ -334,7 +330,8 @@ def lyapunov(ctx: GenFunContext, s0: CylinderState, n: int) -> LyapunovEstimate:
 def lyapunov_table(ctx: GenFunContext, k_lo: float, k_hi: float,
                    seeds: int, n: int, seed: int = 0) -> list[dict]:
     """Lyapunov estimates for `seeds` random states in a K band."""
-    if not (-math.inf < k_lo < k_hi < math.inf) or seeds < 1 or seed < 0:
+    seeds, seed = check_count("seeds", seeds, 1), check_count("seed", seed, 0)
+    if not -math.inf < k_lo < k_hi < math.inf:
         raise PreconditionError(f"need finite k_lo < k_hi, seeds >= 1 and seed >= 0, got "
                                 f"({k_lo}, {k_hi}), {seeds} and {seed}")
     rng = np.random.default_rng(seed)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import aubry, bmap, chaoscert, flight, radius, simulate
 from .bmap import CylinderState
-from .errors import ConvergenceError, DomainError, PreconditionError
+from .errors import ConvergenceError, DomainError, PreconditionError, check_count
 from .genfun import make_context
 from .radius import RadiusProfile
 
@@ -224,15 +224,10 @@ def _cmd_lyapunov(args, files):
 
 
 def _cmd_portrait(args, files):
-    t_count, k_count, n = args.t_count, args.k_count, args.n
-    if min(t_count, k_count, n) < 1:
-        raise PreconditionError(f"--t-count, --k-count and --n must be >= 1, got "
-                                f"{t_count}, {k_count} and {n}")
+    t_count = check_count("--t-count", args.t_count, 1)
+    k_count = check_count("--k-count", args.k_count, 1)
     # each orbit adds at most n rows, and all are held until the CSV is written
-    if t_count * k_count * n > flight._MAX_SAMPLE_ROWS:
-        raise PreconditionError(f"{t_count} x {k_count} orbits of --n {n} bounces ask for "
-                                f"{t_count * k_count * n} rows, more than "
-                                f"{flight._MAX_SAMPLE_ROWS}")
+    n = check_count("--n", args.n, 1, size=lambda n: t_count * k_count * n)
     ctx = _context(args)
     s_star = bmap.sigma_star(ctx)
     k_lo = args.k_lo if args.k_lo is not None else s_star * 1.05

@@ -18,10 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import errors
 from .errors import DomainError, PreconditionError
 from .radius import RadiusProfile, _ends, bounds, sigma_limits
-
-_MAX_SAMPLE_ROWS = 1_000_000  # most rows of segment_samples: 40 MB
 
 
 @dataclass(frozen=True)
@@ -136,8 +135,8 @@ def sample_count(seg: FlightSegment, dt: float) -> int:
     """Rows of segment_samples(seg, dt); a dt past the row cap is refused."""
     if not dt > 0:
         raise PreconditionError(f"dt must be positive, got {dt}")
-    if not seg.duration / dt <= _MAX_SAMPLE_ROWS - 1:  # so at most _MAX_SAMPLE_ROWS rows
-        raise PreconditionError(f"dt = {dt} asks for more than {_MAX_SAMPLE_ROWS} samples "
+    if not seg.duration / dt <= errors.MAX_COUNT - 1:  # so at most MAX_COUNT rows
+        raise PreconditionError(f"dt = {dt} asks for more than {errors.MAX_COUNT} samples "
                                 f"of a flight of duration {seg.duration}")
     return max(1, int(math.ceil(seg.duration / dt))) + 1
 

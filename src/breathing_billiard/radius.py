@@ -23,14 +23,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._search import _ULP, circle_sup, solve_monotone
-from .errors import ConvergenceError, DomainError, PreconditionError
+from .errors import ConvergenceError, DomainError, PreconditionError, check_count
 
 TWO_PI = 2.0 * math.pi
 _MEAN_GRID_FACTOR = 1.25  # geometric scan step of find_member
 _MEAN_REL_TOL = 1e-3  # find_member refines the mean to 3 significant digits
 _BOUNDS_FLOOR = 4096  # least profile grid of bounds
 _SAMPLES_PER_PERIOD = 32  # grid points per period of the top harmonic
-_GRID_CAP = 1 << 20  # most grid points of any profile scan
 _NEAR_ZERO = 1e-12  # |Rdot| below this times sum |d| 2 pi k is checked in scalar
 
 
@@ -218,17 +217,9 @@ def alpha_constant(eps: float) -> float:
 
 def grid_size(profile: RadiusProfile, floor: int) -> int:
     """Points on one period for a scan of profile: floor, or 32 per period of
-    its top harmonic.  Past 2^20 points it raises PreconditionError instead."""
+    its top harmonic, checked by check_count before any grid is built."""
     n = max(floor, _SAMPLES_PER_PERIOD * max((k for k, d in profile.harmonics if d), default=0))
-    check_grid_points("the top harmonic", n)
-    return n
-
-
-def check_grid_points(what: str, n: int) -> None:
-    """Raise PreconditionError if what asks for more than the 2^20 points of
-    any profile scan; a count is checked before its grid is built."""
-    if n > _GRID_CAP:
-        raise PreconditionError(f"{what} needs {n} grid points, more than {_GRID_CAP}")
+    return check_count("the profile grid", n, 1, size=lambda n: n)
 
 
 def _columns(profile: RadiusProfile, n: int, shift: float = 0.0):
@@ -399,6 +390,15 @@ def _chain(b: ProfileBounds) -> ClassVerdict:
     points.sort(key=lambda pt: -abs(pt[1]))  # stable: ties keep their order
     # all(), not min(): a NaN slack fails the chain wherever it sits
     witnesses = [pt for pt in points if all(m > 0.0 for m in pt[3].values())]
+    # a witness whose |Rddot| is within rounding noise of the one before it
+    # ties with it, and a run of ties is ordered by time, not by last bits
+    noise, runs = _noise(b.profile, 2), []
+    for pt in witnesses:
+        if runs and abs(runs[-1][-1][1]) - abs(pt[1]) <= noise:
+            runs[-1].append(pt)
+        else:
+            runs.append([pt])
+    witnesses = [pt for run in runs for pt in sorted(run, key=lambda pt: pt[0])]
     best = (witnesses or points)[0]
 
     if b.sigma > 4.0 and witnesses:
@@ -427,8 +427,7 @@ def two_harmonic_k_threshold(eps: float) -> float:
 
 def delta_window(k: int) -> tuple[float, float]:
     """Admissible amplitude range (open interval) for frequency k."""
-    if k < 1:
-        raise PreconditionError(f"k must be a positive integer, got {k}")
+    k = check_count("k", k, 1)
     return 1.0 / (4.0 * math.pi ** 2 * (k * k + 1)), 1.0 / (TWO_PI * (k + 1))
 
 

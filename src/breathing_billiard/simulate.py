@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bmap, flight
 from .bmap import CylinderState
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, PreconditionError, check_count
 from .genfun import GenFunContext, grad_h
 
 
@@ -49,11 +49,9 @@ def run(ctx: GenFunContext, s0: CylinderState, n: int) -> RunResult:
     The angular momentum is c identically along the run (it is a parameter
     of every segment's first integral).  An iterate leaving the map domain
     truncates the run; the initial state being outside raises instead, and
-    so does an n whose n + 1 records pass flight._MAX_SAMPLE_ROWS.
+    so does an n whose n + 1 records pass errors.MAX_COUNT.
     """
-    if n + 1 > flight._MAX_SAMPLE_ROWS:
-        raise PreconditionError(f"n = {n} asks for {n + 1} bounce records, "
-                                f"more than {flight._MAX_SAMPLE_ROWS}")
+    n = check_count("n", n, 1, size=lambda n: n + 1)
     orbit = bmap.Orbit(ctx, s0, n)
     profile = ctx.profile
     records: list[BounceRecord] = []
@@ -113,7 +111,7 @@ def reflection_residual(ctx: GenFunContext, records: list[BounceRecord]) -> floa
 
 def trajectory_samples(records: list[BounceRecord], dt: float) -> np.ndarray:
     """Cartesian polyline rows (t, x, y) sampled every dt along each segment;
-    at most flight._MAX_SAMPLE_ROWS rows in all, checked before any is built."""
+    at most errors.MAX_COUNT rows in all, checked before any is built."""
     if not records:
         raise PreconditionError("empty record list")
     if not dt > 0:
@@ -121,10 +119,8 @@ def trajectory_samples(records: list[BounceRecord], dt: float) -> np.ndarray:
     sampled = [rec for rec in records if rec.segment is not None]
     if not sampled:
         raise PreconditionError("no segments to sample")
-    total = sum(flight.sample_count(rec.segment, dt) for rec in sampled)
-    if total > flight._MAX_SAMPLE_ROWS:
-        raise PreconditionError(f"dt = {dt} asks for {total} samples, "
-                                f"more than {flight._MAX_SAMPLE_ROWS}")
+    check_count("rows", sum(flight.sample_count(rec.segment, dt) for rec in sampled),
+                size=lambda n: n)
     chunks = []
     for rec in sampled:
         rows = flight.segment_samples(rec.segment, dt)[:, [0, 3, 4]]

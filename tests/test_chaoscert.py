@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from breathing_billiard import bmap, chaoscert, cli, genfun, radius
+from breathing_billiard import bmap, chaoscert, cli, errors, genfun, radius
 from breathing_billiard.bmap import CylinderState
 from breathing_billiard.errors import DomainError, PreconditionError
 from breathing_billiard.radius import RadiusProfile
@@ -305,9 +305,9 @@ class TestGridCounts:
         # count between the real cap of 2^20 and numpy's limit would
         # allocate gigabytes before it failed
         profile, _, verdict = member
-        monkeypatch.setattr(radius, "_GRID_CAP", 512)
+        monkeypatch.setattr(errors, "MAX_COUNT", 512)
         for counts in ({"omega_grid": 513}, {"k_samples": 513}):
-            with pytest.raises(PreconditionError, match="513 grid points, more than 512"):
+            with pytest.raises(PreconditionError, match="513 entries, more than 512$"):
                 chaoscert.certify(profile, EPS, 1.0, verdict=verdict, **counts)
         cert = chaoscert.certify(profile, EPS, 1.0, omega_grid=1, k_samples=512,
                                  verdict=verdict)
@@ -453,7 +453,7 @@ class TestC0Search:
 
     def test_negative_iters_refused(self, member):
         profile, _, _ = member
-        with pytest.raises(PreconditionError, match="iters must be >= 0"):
+        with pytest.raises(PreconditionError, match="iters must be an integer >= 0, got -1"):
             chaoscert.c0_search(profile, EPS, iters=-1)
 
     def test_monotone_means_no_success_above_a_failure(self):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from breathing_billiard import aubry, chaoscert, cli, flight
+from breathing_billiard import aubry, chaoscert, cli, errors
 from breathing_billiard.errors import ConvergenceError
 
 CONST = '{"mean": 1, "harmonics": []}'
@@ -334,7 +334,7 @@ class TestCertifyCommands:
     def test_portrait_row_cap(self, tmp_path, monkeypatch, capsys):
         # 4 x 5 orbits of 5 bounces fit a 100-row cap; of 6 bounces they are
         # refused before the first orbit starts
-        monkeypatch.setattr(flight, "_MAX_SAMPLE_ROWS", 100)
+        monkeypatch.setattr(errors, "MAX_COUNT", 100)
         argv = ["portrait", "--profile", CONST, "--c", "0.05", "--sigma", "4.0",
                 "--t-count", "4", "--k-count", "5", "--k-hi", "3.0",
                 "--csv", str(tmp_path / "portrait.csv")]
@@ -347,7 +347,7 @@ class TestCertifyCommands:
         monkeypatch.setattr(cli.bmap, "Orbit", no_orbit)
         assert run_cli(argv + ["--n", "6"]) == 1
         assert capsys.readouterr().err == (
-            "error: 4 x 5 orbits of --n 6 bounces ask for 120 rows, more than 100\n")
+            "error: --n = 6 asks for 120 entries, more than 100\n")
 
     def test_portrait(self, tmp_path):
         csv_path = tmp_path / "portrait.csv"
@@ -495,10 +495,10 @@ class TestErrorMessages:
         (["classify", "--profile", '{"mean": 1e308, "harmonics": [[1, 1e307]]}'],
          "profile too large"),
         (FLIGHT + ["--t0", "0.0", "--t1", "1.0", "--dt", "1e-300", "--csv", "{missing}"],
-         "more than 1000000 samples"),
+         "more than 1048576 samples"),
         (["simulate", "--profile", CONST, "--c", "0.0", "--sigma", "4.0", "--t0", "0.0",
           "--K", "2.0", "--n", "2", "--dt", "1e-300", "--trajectory-csv", "{missing}"],
-         "more than 1000000 samples"),
+         "more than 1048576 samples"),
         (["portrait", "--profile", CONST, "--c", "0.05", "--sigma", "4.0", "--k-hi", "3.0",
           "--t-count", "1", "--k-count", "1", "--n", "2", "--csv", "{missing}"],
          "No such file or directory"),
@@ -512,9 +512,9 @@ class TestErrorMessages:
         # every row is held in memory: refused by the rows asked for, before
         # the first step, even where the state lies below the map domain
         (PORTRAIT + ["--t-count", "1", "--k-count", "1", "--k-lo", "0.01", "--k-hi", "0.02",
-                     "--n", "1000001"], "1000001 rows, more than 1000000"),
+                     "--n", "1048577"], "1048577 entries, more than 1048576"),
         (["simulate", "--profile", CONST, "--c", "0.0", "--sigma", "4.0", "--t0", "0.0",
-          "--K", "0.01", "--n", "1000000"], "1000001 bounce records, more than 1000000"),
+          "--K", "0.01", "--n", "1048576"], "1048577 entries, more than 1048576"),
     ], ids=["lyapunov-seeds-without-band", "lyapunov-single-without-K",
             "lyapunov-infinite-band", "classify-overflow", "flight-row-cap",
             "simulate-row-cap", "portrait-csv-missing-dir", "out-missing-dir",

@@ -183,7 +183,7 @@ _EPS_RANGE = r"eps must lie in \(0,1\)"
                            dR_norm=0.0, ddR2_norm=0.0, sigma=math.inf), _EPS_RANGE),
     (lambda: radius.alpha_constant(0.0), _EPS_RANGE),
     (lambda: radius.bounds(RadiusProfile(1.0), 1.5), _EPS_RANGE),
-    (lambda: radius.delta_window(0), "k must be a positive integer"),
+    (lambda: radius.delta_window(0), "k must be an integer >= 1, got 0"),
     (lambda: radius.sufficient_mean_bound(1, 0.01), "amplitude below the admissible window"),
     # the squares of these norms overflowed in classify and in the context
     (lambda: RadiusProfile(1e308, ((1, 1e307),)), "profile too large"),
@@ -633,6 +633,18 @@ class TestClassify:
         assert v.klass == "R_tilde"
         assert v.bounds.sigma > 2  # the class-R test passes a fortiori
         assert v.margins["sigma_gt_2"] > 0
+
+    def test_witnesses_tied_within_noise_are_ordered_by_time(self):
+        # a mirror pair t and 1.5 - t of a k = 5 member has equal |Rddot| in
+        # exact arithmetic; in float the later one is 1 ulp stronger
+        p = RadiusProfile(56.91004961141098,
+                          ((5, 0.0011492566187772482), (1, 0.0011492566187772482)))
+        v, noise = radius.classify(p, EPS), radius._noise(p, 2)
+        (t_a, dd_a), (t_b, dd_b) = v.witnesses[-2:]
+        assert 0.0 < abs(dd_b) - abs(dd_a) <= noise
+        assert t_a == pytest.approx(0.6461, abs=1e-4) and t_b == pytest.approx(0.8539, abs=1e-4)
+        for (t0, dd0), (t1, dd1) in zip(v.witnesses, v.witnesses[1:]):
+            assert abs(dd0) - abs(dd1) > noise or t0 < t1
 
 
 class TestClassVerdictWindow:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from breathing_billiard import bmap, flight, simulate
+from breathing_billiard import bmap, errors, flight, simulate
 from breathing_billiard.bmap import CylinderState
 from breathing_billiard.errors import DomainError, PreconditionError
 
@@ -37,7 +37,7 @@ class TestRun:
     def test_record_cap(self, static_ctx, monkeypatch):
         # n + 1 records are kept: n = 99 fits a 100-row cap, n = 100 is
         # refused before the first step
-        monkeypatch.setattr(flight, "_MAX_SAMPLE_ROWS", 100)
+        monkeypatch.setattr(errors, "MAX_COUNT", 100)
         assert len(simulate.run(static_ctx, CylinderState(0.0, 2.0), 99).records) == 100
 
         def no_step(*args):
@@ -45,7 +45,7 @@ class TestRun:
 
         monkeypatch.setattr(bmap, "Orbit", no_step)
         for n in (100, 10 ** 18):
-            with pytest.raises(PreconditionError, match="records, more than 100$"):
+            with pytest.raises(PreconditionError, match="entries, more than 100$"):
                 simulate.run(static_ctx, CylinderState(0.0, 2.0), n)
 
     def test_theta_increments(self, member_ctx):
@@ -201,18 +201,18 @@ class TestExport:
         res = simulate.run(member_ctx, CylinderState(0.3, 1100.0), 1)
         seg = res.records[0].segment
         # duration / (cap - 0.5) asks for exactly one row more than the cap
-        for dt in (seg.duration / (flight._MAX_SAMPLE_ROWS - 0.5),
-                   seg.duration / (2 * flight._MAX_SAMPLE_ROWS), 1e-9, 1e-300, 5e-324):
-            with pytest.raises(PreconditionError, match="more than 1000000 samples"):
+        for dt in (seg.duration / (errors.MAX_COUNT - 0.5),
+                   seg.duration / (2 * errors.MAX_COUNT), 1e-9, 1e-300, 5e-324):
+            with pytest.raises(PreconditionError, match="more than 1048576 samples"):
                 flight.segment_samples(seg, dt)
-            with pytest.raises(PreconditionError, match="more than 1000000 samples"):
+            with pytest.raises(PreconditionError, match="more than 1048576 samples"):
                 simulate.trajectory_samples(res.records, dt)
 
     @pytest.fixture
     def capped(self, member_ctx, monkeypatch):
         """Five flights of the member under a 100-row cap, and a dt at which
         each takes at most 45 rows."""
-        monkeypatch.setattr(flight, "_MAX_SAMPLE_ROWS", 100)
+        monkeypatch.setattr(errors, "MAX_COUNT", 100)
         res = simulate.run(member_ctx, CylinderState(0.3, 1100.0), 5)
         longest = max(rec.segment.duration for rec in res.records[:-1])
         return res.records, longest / 44
@@ -224,7 +224,7 @@ class TestExport:
             raise AssertionError("a row was built")
 
         monkeypatch.setattr(flight, "segment_samples", refused)
-        with pytest.raises(PreconditionError, match="asks for .* samples, more than 100$"):
+        with pytest.raises(PreconditionError, match="rows = .* asks for .* entries, more than 100$"):
             simulate.trajectory_samples(records, dt)
 
     def test_rows_are_counted_exactly(self, capped):

@@ -222,13 +222,13 @@ CONFIGS = [
     ("hull-denom-cap-huge", ["hull", "--profile", CONST, "--c", "0", "--sigma", "8",
                              "--omega", "2.0009756097560976", "--denom-cap", "1025",
                              "--starts", "1", "--seed", "0"]),
-    # rows held in memory past the row cap are refused by the count asked
+    # rows held in memory past the 2^20 cap are refused by the count asked
     # for, before the first step: here every state lies below the map domain
     ("portrait-rows-huge", ["portrait", "--profile", CONST, "--c", "0.05", "--sigma", "4",
                             "--t-count", "1", "--k-count", "1", "--k-lo", "0.01",
-                            "--k-hi", "0.02", "--n", "1000001", "--csv", "portrait.csv"]),
+                            "--k-hi", "0.02", "--n", "1048577", "--csv", "portrait.csv"]),
     ("simulate-n-huge", ["simulate", "--profile", CONST, "--c", "0", "--sigma", "4",
-                         "--t0", "0", "--K", "0.01", "--n", "1000000"]),
+                         "--t0", "0", "--K", "0.01", "--n", "1048576"]),
 ]
 
 
