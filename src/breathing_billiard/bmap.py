@@ -268,11 +268,9 @@ def rdot_plus_from_action(ctx: GenFunContext, t: float, K: float) -> float:
     return dr - math.sqrt(rad)
 
 
-def jacobian(ctx: GenFunContext, s: CylinderState,
-             t1: float | None = None) -> MapJacobian:
-    """Tangent map by implicit differentiation of the defining equations."""
-    if t1 is None:
-        t1 = forward(ctx, s).t
+def jacobian(ctx: GenFunContext, s: CylinderState, t1: float) -> MapJacobian:
+    """Tangent map at s by implicit differentiation of the defining equations;
+    t1 is the time of the image, forward(ctx, s).t."""
     shift = math.floor(s.t)
     d11, d12, d22 = hess_h(ctx, s.t - shift, t1 - shift)
     dt1_dt0 = -d11 / d12

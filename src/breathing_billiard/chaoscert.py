@@ -25,7 +25,7 @@ import numpy as np
 from . import bmap
 from ._version import VERSION
 from .bmap import CylinderState
-from .errors import DomainError, PreconditionError, check_count
+from .errors import ConvergenceError, DomainError, PreconditionError, check_count
 from .genfun import GenFunContext, hess_h, make_context
 from .radius import ClassVerdict, ProfileBounds, RadiusProfile, classify
 
@@ -136,8 +136,8 @@ def alpha_limit(bounds: ProfileBounds, t_bar: float, K: float) -> tuple[float, f
     Returns (limit value, upper bound 2 sqrt(2K) (Rddot + K / r_min)), for
     the profile and r_min that bounds carries.
     The limit uses the c -> 0 neighbour spacings t +- (R(t) + R(nbr)) /
-    sqrt(2K), solved by fixed point; the neighbour radii are the radii at
-    those bounce times.
+    sqrt(2K), solved by fixed point (ConvergenceError past 64 steps, as at
+    small K where sqrt(2K) <= ||Rdot||); the neighbour radii are R there.
     """
     profile = bounds.profile
     r_t, dr_t, ddr_t = profile.eval(t_bar)
@@ -153,11 +153,14 @@ def alpha_limit(bounds: ProfileBounds, t_bar: float, K: float) -> tuple[float, f
     for _ in range(64):
         t_next_new = t_bar + (r_t + profile.radius(t_next)) / speed
         t_prev_new = t_bar - (r_t + profile.radius(t_prev)) / speed
-        if (abs(t_next_new - t_next) < 1e-14 * max(1.0, abs(t_next))
-                and abs(t_prev_new - t_prev) < 1e-14 * max(1.0, abs(t_prev))):
-            t_next, t_prev = t_next_new, t_prev_new
-            break
+        done = (abs(t_next_new - t_next) < 1e-14 * max(1.0, abs(t_next))
+                and abs(t_prev_new - t_prev) < 1e-14 * max(1.0, abs(t_prev)))
         t_next, t_prev = t_next_new, t_prev_new
+        if done:
+            break
+    else:
+        raise ConvergenceError(f"alpha_limit: neighbour times at K = {K} did not converge in "
+                               "64 steps", {"t_next": t_next, "t_prev": t_prev})
     r_next = profile.radius(t_next)
     r_prev = profile.radius(t_prev)
     limit = 2.0 * speed * (ddr_t + K * (1.0 / (r_prev + r_t) + 1.0 / (r_next + r_t)))

@@ -30,7 +30,6 @@ _MEAN_GRID_FACTOR = 1.25  # geometric scan step of find_member
 _MEAN_REL_TOL = 1e-3  # find_member refines the mean to 3 significant digits
 _BOUNDS_FLOOR = 4096  # least profile grid of bounds
 _SAMPLES_PER_PERIOD = 32  # grid points per period of the top harmonic
-_NEAR_ZERO = 1e-12  # |Rdot| below this times sum |d| 2 pi k is checked in scalar
 
 
 @dataclass(frozen=True)
@@ -182,11 +181,12 @@ class ProfileBounds:
 class ClassVerdict:
     """Outcome of the class-R / class-R_tilde test.
 
-    witnesses are the stationary points (t, Rddot(t)) whose per-point chain
-    (deceleration, window ordering, curvature) has positive slack throughout,
-    sorted by |Rddot| descending; margins hold the signed slack of every
-    inequality (positive = satisfied), evaluated at the strongest witness, or
-    at the strongest stationary point when there is none.  An R_tilde
+    One ranking covers every stationary point (t, Rddot(t)): |Rddot| descending,
+    a run of points each within _noise(profile, 2) of the one before ordered by
+    time.  witnesses are the points of it whose per-point chain (deceleration,
+    window ordering, curvature) has positive slack throughout; margins hold the
+    signed slack of every inequality (positive = satisfied) at the first witness,
+    or at the first point of the ranking when there is none.  An R_tilde
     verdict has a witness, and its window lies inside (3, sigma - 1), or it
     raises PreconditionError; classify's upper edge is sigma (r_min / r_max)
     / sqrt(1 + ||Rdot|| sigma^2 / (2 r_max)) - 1, and its chain does the rest.
@@ -303,18 +303,17 @@ def _shape(profile: RadiusProfile):
 
 def _stationary(profile: RadiusProfile, vals):
     """The roots of Rdot in [0,1) and Rddot there: sign changes of its grid vals at
-    t = i/n, each confirmed with the scalar d_radius and solved by solve_monotone
-    (f = Rdot, f' = Rddot) down to the rounding floor of Rdot; tangential (double)
-    roots are outside the contract."""
+    t = i/n and values within _noise(profile, 1) of 0, each decided with the scalar
+    d_radius and solved by solve_monotone (f = Rdot, f' = Rddot) down to that same
+    noise; tangential (double) roots are outside the contract."""
     f = profile.d_radius
     n = len(vals)
     step = 1.0 / n
-    scale = sum(abs(d) * TWO_PI * k for k, d in profile.harmonics)
-    # numpy picks the brackets by sign (a product of tiny values underflows); a value
-    # within rounding of 0 may carry the wrong sign, so it goes to the scalar test too
-    near0 = abs(vals) <= _NEAR_ZERO * scale
-    picked = (np.sign(vals) * np.sign(np.roll(vals, -1)) < 0) | near0 | np.roll(near0, -1)
     noise = _noise(profile, 1)
+    # numpy picks the brackets by sign (a product of tiny values underflows); a value
+    # within the noise of Rdot may carry the wrong sign, so it goes to the scalar test too
+    near0 = abs(vals) <= noise
+    picked = (np.sign(vals) * np.sign(np.roll(vals, -1)) < 0) | near0 | np.roll(near0, -1)
     roots = []
     for i in np.flatnonzero(picked).tolist():
         a = i * step
@@ -387,18 +386,18 @@ def _chain(b: ProfileBounds) -> ClassVerdict:
             "window_nonempty": (edges[1] - edges[0]) if edges else -math.inf,
             "curvature": (-2.0 * b.r_max ** 2 / (b.sigma ** 2 * b.r_min)) - ddr,
         }))
-    points.sort(key=lambda pt: -abs(pt[1]))  # stable: ties keep their order
-    # all(), not min(): a NaN slack fails the chain wherever it sits
-    witnesses = [pt for pt in points if all(m > 0.0 for m in pt[3].values())]
-    # a witness whose |Rddot| is within rounding noise of the one before it
+    points.sort(key=lambda pt: -abs(pt[1]))
+    # a point whose |Rddot| is within rounding noise of the one before it
     # ties with it, and a run of ties is ordered by time, not by last bits
     noise, runs = _noise(b.profile, 2), []
-    for pt in witnesses:
+    for pt in points:
         if runs and abs(runs[-1][-1][1]) - abs(pt[1]) <= noise:
             runs[-1].append(pt)
         else:
             runs.append([pt])
-    witnesses = [pt for run in runs for pt in sorted(run, key=lambda pt: pt[0])]
+    points = [pt for run in runs for pt in sorted(run, key=lambda pt: pt[0])]
+    # all(), not min(): a NaN slack fails the chain wherever it sits
+    witnesses = [pt for pt in points if all(m > 0.0 for m in pt[3].values())]
     best = (witnesses or points)[0]
 
     if b.sigma > 4.0 and witnesses:

@@ -10,7 +10,7 @@ import pytest
 
 from breathing_billiard import bmap, chaoscert, cli, errors, genfun, radius
 from breathing_billiard.bmap import CylinderState
-from breathing_billiard.errors import DomainError, PreconditionError
+from breathing_billiard.errors import ConvergenceError, DomainError, PreconditionError
 from breathing_billiard.radius import RadiusProfile
 
 EPS = 0.5
@@ -144,9 +144,17 @@ class TestAlphaLimit:
     def test_small_action_sign_matches_curvature(self, member):
         _, _, verdict = member
         t_bar, ddr = verdict.witnesses[0]
-        lim, upper = chaoscert.alpha_limit(verdict.bounds, t_bar, 1e-6)
+        lim, upper = chaoscert.alpha_limit(verdict.bounds, t_bar, 1.0)
         assert (upper < 0) == (ddr < 0)
         assert (lim < 0) == (ddr < 0)
+
+    def test_fixed_point_that_does_not_converge_raises(self, member):
+        # at K = 1e-6, sqrt(2K) is far below ||Rdot||: the neighbour times
+        # run off instead of converging, and no limit is returned
+        _, _, verdict = member
+        assert math.sqrt(2e-6) < verdict.bounds.dR_norm
+        with pytest.raises(ConvergenceError, match="did not converge in 64 steps"):
+            chaoscert.alpha_limit(verdict.bounds, verdict.witnesses[0][0], 1e-6)
 
     def test_upper_bound_root(self, member):
         _, _, verdict = member

@@ -68,7 +68,7 @@ class TestClients:
         seen = []
         jacobian = bmap.jacobian
 
-        def spy(ctx, s, t1=None):
+        def spy(ctx, s, t1):
             seen.append((s.t, t1))
             return jacobian(ctx, s, t1=t1)
 

@@ -328,13 +328,15 @@ class TestNumpyGridMatchesScalarOracle:
 
     def test_sign_near_zero_is_decided_in_scalar(self, monkeypatch):
         # Rdot is ~1e-17 at the grid points t = 1/4 and 3/4; a grid that
-        # rounds those values to the other sign must not lose either root
+        # rounds every value within the noise of Rdot to the other sign
+        # must not lose either root
         p = RadiusProfile(1.0, ((1, 0.05),))
         expected = radius.stationary_points(p)
+        noise = radius._noise(p, 1)
 
         def flipped(profile, n, shift=0.0):
             for s, c, ss in _scalar_columns(profile, n, shift):
-                yield s, np.where(np.abs(c) < 1e-15, -c, c), ss
+                yield s, np.where(np.abs(c) <= noise, -c, c), ss
 
         monkeypatch.setattr(radius, "_columns", flipped)
         assert radius.stationary_points(p) == expected
@@ -645,6 +647,42 @@ class TestClassify:
         assert t_a == pytest.approx(0.6461, abs=1e-4) and t_b == pytest.approx(0.8539, abs=1e-4)
         for (t0, dd0), (t1, dd1) in zip(v.witnesses, v.witnesses[1:]):
             assert abs(dd0) - abs(dd1) > noise or t0 < t1
+
+    @staticmethod
+    def _curvature(v, ddr):
+        # the curvature slack of a stationary point; the margins depend on it
+        # only through Rddot
+        b = v.bounds
+        return -2.0 * b.r_max ** 2 / (b.sigma ** 2 * b.r_min) - ddr
+
+    def test_tie_without_witness_reports_the_earlier_point(self):
+        # a k = 6 member is odd about t = 1/2, so its strongest pair t and
+        # 1 - t has equal |Rddot| in exact arithmetic; in float the later
+        # one is 1 ulp stronger, and the verdict has no witness
+        p = RadiusProfile(68.8594919076202,
+                          ((6, 0.00808371426758667), (1, 0.00808371426758667)))
+        v = radius.classify(p, EPS)
+        assert v.klass == "R" and v.witnesses == ()
+        (t_b, dd_b), (t_a, dd_a) = sorted(v.bounds.stationary, key=lambda pt: -abs(pt[1]))[:2]
+        assert t_a == pytest.approx(0.2094, abs=1e-4) and t_b == pytest.approx(0.7906, abs=1e-4)
+        assert 0.0 < abs(dd_b) - abs(dd_a) <= radius._noise(p, 2)
+        assert v.margins["curvature"] == self._curvature(v, dd_a)
+        assert v.margins["deceleration"] == pytest.approx(787.00, abs=0.005)
+        assert v.margins["curvature"] == pytest.approx(5.46, abs=0.005)
+
+    def test_verdict_without_witness_reports_the_first_of_its_ties(self):
+        # the margins are those of the earliest stationary point whose
+        # |Rddot| is within rounding noise of the strongest one
+        ties = 0
+        for p, eps in _family_members(200, seed=31, ks=(1, 5, 6, 7, 8)):
+            v, noise = radius.classify(p, eps), radius._noise(p, 2)
+            if v.witnesses or v.degenerate:
+                continue
+            top = max(abs(dd) for _, dd in v.bounds.stationary)
+            run = sorted(pt for pt in v.bounds.stationary if top - abs(pt[1]) <= noise)
+            ties += len(run) > 1
+            assert v.margins["curvature"] == self._curvature(v, run[0][1])
+        assert ties > 10
 
 
 class TestClassVerdictWindow:

@@ -35,6 +35,10 @@ HIGH = '{"mean": 1e6, "harmonics": [[40, 0.001], [1, 0.01]]}'
 # roots of Rdot whose rounding comes mostly from the arguments w t of its terms
 ROUNDED_ARGS = ('{"mean": 21.39621944108136, "harmonics": [[88, 0.0006474653707743254], '
                 '[165, 0.0057492653878457225], [192, -0.00462800911803962]]}')
+# odd about t = 1/2: its strongest stationary pair t = 0.2094 and 0.7906 ties in
+# |Rddot|, and at eps 0.5 the verdict is R with no witness
+MIRROR_TIE = ('{"mean": 68.8594919076202, "harmonics": [[6, 0.00808371426758667], '
+              '[1, 0.00808371426758667]]}')
 HUGE = str(2 ** 62)  # a grid count numpy refuses without allocating
 # two amplitudes of one frequency that cancel: R is the constant 2
 CANCELLING = '{"mean": 2, "harmonics": [[1, 0.1], [1, -0.1]]}'
@@ -173,6 +177,8 @@ CONFIGS = [
     # the noise of the stationary-point solve includes the argument rounding
     ("classify-rounded-args", ["classify", "--profile", ROUNDED_ARGS,
                                "--eps", "0.062226760471634626"]),
+    # a verdict without a witness reports the earlier point of a tied pair
+    ("classify-mirror-tie", ["classify", "--profile", MIRROR_TIE, "--eps", "0.5"]),
     # grid counts past 2^20 points are refused before any array is built
     ("certify-k-samples-huge", ["certify", "--profile", MEMBER, "--c", "1",
                                 "--k-samples", HUGE]),
