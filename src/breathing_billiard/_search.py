@@ -1,7 +1,8 @@
 """Search helpers: golden-section maximisation, sup-norms on the circle from
 a sampled grid, and the one bracketed Newton solve for monotone functions
-that serves every map step, warm or cold, forward or backward, and every
-stationary point and sup-norm critical point of a profile."""
+that serves every map step, warm or cold, forward or backward, every
+stationary point and sup-norm critical point of a profile, and the
+zero-momentum neighbour times of the certificate's widening."""
 
 from __future__ import annotations
 

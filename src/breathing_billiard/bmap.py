@@ -255,13 +255,13 @@ def radial_velocity(ctx: GenFunContext, t: float, K: float) -> tuple[float, floa
     """
     _check_domain(ctx, K)
     rdot_plus = rdot_plus_from_action(ctx, t, K)
-    return rdot_plus, -rdot_plus + 2.0 * ctx.profile.d_radius(t)
+    return rdot_plus, -rdot_plus + 2.0 * ctx.profile.d_radius(t - math.floor(t))
 
 
 def rdot_plus_from_action(ctx: GenFunContext, t: float, K: float) -> float:
     """Outgoing radial velocity directly from the action variable:
     the inward root of K = rdot^2/2 + c^2/(2R^2) - rdot*Rdot."""
-    r, dr, _ = ctx.profile.eval(t)
+    r, dr, _ = ctx.profile.eval(t - math.floor(t))
     rad = dr * dr + 2.0 * K - ctx.c * ctx.c / (r * r)
     if rad < 0:
         raise DomainError(f"no real radial velocity at (t, K) = ({t}, {K})")
@@ -285,11 +285,11 @@ def jacobian(ctx: GenFunContext, s: CylinderState, t1: float) -> MapJacobian:
 
 def action_to_impact(ctx: GenFunContext, t: float, K: float) -> float:
     """I = -R(t) * rdot(t+), the impact variable paired with the bounce time."""
-    return -ctx.profile.radius(t) * rdot_plus_from_action(ctx, t, K)
+    return -ctx.profile.radius(t - math.floor(t)) * rdot_plus_from_action(ctx, t, K)
 
 
 def impact_to_action(ctx: GenFunContext, t: float, I: float) -> float:
-    r, dr, _ = ctx.profile.eval(t)
+    r, dr, _ = ctx.profile.eval(t - math.floor(t))
     rdot = -I / r
     return 0.5 * rdot * rdot + 0.5 * ctx.c * ctx.c / (r * r) - rdot * dr
 

@@ -23,11 +23,12 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bmap
+from ._search import solve_monotone
 from ._version import VERSION
 from .bmap import CylinderState
-from .errors import ConvergenceError, DomainError, PreconditionError, check_count
+from .errors import DomainError, PreconditionError, check_count
 from .genfun import GenFunContext, hess_h, make_context
-from .radius import ClassVerdict, ProfileBounds, RadiusProfile, classify
+from .radius import ClassVerdict, RadiusProfile, classify
 
 DEFAULT_OMEGA_GRID = 33
 DEFAULT_K_SAMPLES = 257
@@ -130,41 +131,36 @@ def a_exact(ctx: GenFunContext, t_bar: float, K: float) -> float:
     return d11 + d22
 
 
-def alpha_limit(bounds: ProfileBounds, t_bar: float, K: float) -> tuple[float, float]:
-    """Zero-momentum limit of the diagnostic at a stationary witness.
+def alpha_limit(verdict: ClassVerdict, K: float) -> tuple[float, float]:
+    """Zero-momentum limit of the diagnostic at the first witness of an
+    R_tilde verdict: (limit, upper bound 2 sqrt(2K) (Rddot + K / r_min)).
 
-    Returns (limit value, upper bound 2 sqrt(2K) (Rddot + K / r_min)), for
-    the profile and r_min that bounds carries.
-    The limit uses the c -> 0 neighbour spacings t +- (R(t) + R(nbr)) /
-    sqrt(2K), solved by fixed point (ConvergenceError past 64 steps, as at
-    small K where sqrt(2K) <= ||Rdot||); the neighbour radii are R there.
+    Its neighbour times t = t_bar +- (R(t_bar) + R(t)) / sqrt(2K), where the
+    neighbour radii are R, are solve_monotone roots on [t_bar +- 2 r_min,
+    t_bar +- 2 r_max] / sqrt(2K); the precondition ||Rdot||^2 < 2K < inf
+    makes the slope 1 -+ Rdot / sqrt(2K) positive, so each root unique.
     """
-    profile = bounds.profile
-    r_t, dr_t, ddr_t = profile.eval(t_bar)
-    if abs(dr_t) > 1e-8 * max(1.0, abs(profile.mean)):
-        raise PreconditionError(f"t_bar = {t_bar} is not stationary: Rdot = {dr_t}")
-    if K <= 0:
-        raise PreconditionError(f"need K > 0, got {K}")
+    _window(verdict)  # refuses a verdict without a witness, as k_band does
+    t_bar, ddr = verdict.witnesses[0]
+    b = verdict.bounds
+    if not b.dR_norm ** 2 < 2.0 * K < math.inf:
+        raise PreconditionError(f"need ||Rdot||^2 = {b.dR_norm ** 2} < 2K < inf, got K = {K}")
+    profile = b.profile
     speed = math.sqrt(2.0 * K)
-    upper = 2.0 * speed * (ddr_t + K / bounds.r_min)
+    r_t = profile.radius(t_bar)
 
-    t_next = t_bar + 2.0 * r_t / speed
-    t_prev = t_bar - 2.0 * r_t / speed
-    for _ in range(64):
-        t_next_new = t_bar + (r_t + profile.radius(t_next)) / speed
-        t_prev_new = t_bar - (r_t + profile.radius(t_prev)) / speed
-        done = (abs(t_next_new - t_next) < 1e-14 * max(1.0, abs(t_next))
-                and abs(t_prev_new - t_prev) < 1e-14 * max(1.0, abs(t_prev)))
-        t_next, t_prev = t_next_new, t_prev_new
-        if done:
-            break
-    else:
-        raise ConvergenceError(f"alpha_limit: neighbour times at K = {K} did not converge in "
-                               "64 steps", {"t_next": t_next, "t_prev": t_prev})
-    r_next = profile.radius(t_next)
-    r_prev = profile.radius(t_prev)
-    limit = 2.0 * speed * (ddr_t + K * (1.0 / (r_prev + r_t) + 1.0 / (r_next + r_t)))
-    return limit, upper
+    def neighbour_radius(side: float) -> float:
+        def fdf(t):
+            r, dr, _ = profile.eval(t)
+            return t - t_bar - side * (r_t + r) / speed, 1.0 - side * dr / speed, r
+
+        lo, hi = sorted(t_bar + side * 2.0 * r / speed for r in (b.r_min, b.r_max))
+        # the bracket holds the one root, so a collapse to rounding width is it too
+        return solve_monotone(fdf, lo, hi, False, 0.0)[2][2]
+
+    r_next, r_prev = neighbour_radius(1.0), neighbour_radius(-1.0)
+    limit = 2.0 * speed * (ddr + K * (1.0 / (r_prev + r_t) + 1.0 / (r_next + r_t)))
+    return limit, 2.0 * speed * (ddr + K / b.r_min)
 
 
 def certify(profile: RadiusProfile, eps: float, c: float,
@@ -199,7 +195,7 @@ def certify(profile: RadiusProfile, eps: float, c: float,
         cert.reason = f"momentum c = {c} outside (0, {b.c_max})"
         return cert
 
-    w_lo, w_hi = cert.omega_window = _window(verdict)
+    w_lo, w_hi = cert.omega_window = verdict.window
     omegas = np.linspace(w_lo, w_hi, omega_grid + 2)[1:-1]
     bands = cert.bands = [k_band(verdict, float(w)) for w in omegas]
 
@@ -221,7 +217,7 @@ def certify(profile: RadiusProfile, eps: float, c: float,
         for band in bands:
             for k_val in (band.k_lo, band.k_hi):
                 a_val = a_exact(ctx, t_bar, k_val)
-                lim, _ = alpha_limit(b, t_bar, k_val)
+                lim, _ = alpha_limit(verdict, k_val)
                 gap = max(gap, abs(a_val - lim))
     except DomainError as exc:
         cert.reason = f"diagnostic left the map domain on the band grid: {exc}"
@@ -335,8 +331,7 @@ def lyapunov_table(ctx: GenFunContext, k_lo: float, k_hi: float,
     """Lyapunov estimates for `seeds` random states in a K band."""
     seeds, seed = check_count("seeds", seeds, 1), check_count("seed", seed, 0)
     if not -math.inf < k_lo < k_hi < math.inf:
-        raise PreconditionError(f"need finite k_lo < k_hi, seeds >= 1 and seed >= 0, got "
-                                f"({k_lo}, {k_hi}), {seeds} and {seed}")
+        raise PreconditionError(f"need finite k_lo < k_hi, got ({k_lo}, {k_hi})")
     rng = np.random.default_rng(seed)
     rows = []
     for i in range(seeds):

@@ -89,8 +89,9 @@ def _core(ctx: GenFunContext, t0: float, e0, t1: float, e1):
     evaluates it once.
     """
     tau = t1 - t0
-    # the closed upper edge tolerates the rounding of t0 + sigma - t0
-    if not (0.0 < tau <= ctx.sigma * (1.0 + 1e-12)):
+    # the closed upper edge tolerates the rounding of t0 + sigma - t0; a gap
+    # whose square underflows to 0 is too short for the kernels' 1 / tau^2
+    if not (0.0 < tau <= ctx.sigma * (1.0 + 1e-12) and tau * tau > 0.0):
         raise DomainError(f"(t0, t1) outside strip: tau = {tau}, sigma = {ctx.sigma}")
     r0, dr0, ddr0 = e0
     r1, dr1, ddr1 = e1

@@ -174,6 +174,16 @@ class TestChordStart:
         with pytest.raises(DomainError, match="no preimage"):
             bmap.backward(ctx, CylinderState(0.5, 0.0))
 
+    def test_grazing_flight_keeps_the_guess(self, member_ctx):
+        # at t = 0 the wall moves out (Rdot > 0); at 2K = c^2 / R^2 the
+        # outgoing velocity matches it, so I = 0 and A tau^2 = R_far^2 - R^2
+        # has no positive root for a far radius not above R
+        r, dr, _ = e = member_ctx.profile.eval(0.0)
+        K = 0.5 * (member_ctx.c ** 2 / (r * r))
+        assert dr > 0.0 and member_ctx.profile.radius(0.75) < r
+        assert bmap._chord_start(member_ctx, 0.0, e, K, 1, None) is None
+        assert bmap._chord_start(member_ctx, 0.0, e, K, 1, 0.75) == 0.75
+
     def test_lands_near_the_impact_map_time(self, member_ctx):
         # the chord relation is laederich_map's: its fixed point is the
         # impact-map bounce time
@@ -399,6 +409,17 @@ class TestRadialVelocity:
     def test_below_domain_raises(self, member_ctx):
         with pytest.raises(DomainError):
             bmap.radial_velocity(member_ctx, 0.3, bmap.sigma_star(member_ctx))
+
+    def test_lift_is_read_at_its_phase(self, member_ctx):
+        # R at t = 2^52 has no fractional digits left to round: the
+        # velocities and the impact variable must be those of t = 0
+        K = 1100.0
+        assert bmap.radial_velocity(member_ctx, 2.0**52, K) == bmap.radial_velocity(
+            member_ctx, 0.0, K)
+        i0 = bmap.action_to_impact(member_ctx, 0.0, K)
+        assert bmap.action_to_impact(member_ctx, 2.0**52, K) == i0
+        assert bmap.impact_to_action(member_ctx, 2.0**52, i0) == bmap.impact_to_action(
+            member_ctx, 0.0, i0)
 
 
 class TestJacobian:

@@ -10,7 +10,7 @@ import pytest
 
 from breathing_billiard import bmap, chaoscert, cli, errors, genfun, radius
 from breathing_billiard.bmap import CylinderState
-from breathing_billiard.errors import ConvergenceError, DomainError, PreconditionError
+from breathing_billiard.errors import DomainError, PreconditionError
 from breathing_billiard.radius import RadiusProfile
 
 EPS = 0.5
@@ -128,7 +128,7 @@ class TestAExact:
         for c in (1e-1, 1e-3):
             ctx = genfun.make_context(profile, c, EPS)
             a_val = chaoscert.a_exact(ctx, t_bar, k_mid)
-            lim, _ = chaoscert.alpha_limit(verdict.bounds, t_bar, k_mid)
+            lim, _ = chaoscert.alpha_limit(verdict, k_mid)
             gaps.append(abs(a_val - lim))
         assert gaps[1] < gaps[0]
 
@@ -143,31 +143,43 @@ class TestAExact:
 class TestAlphaLimit:
     def test_small_action_sign_matches_curvature(self, member):
         _, _, verdict = member
-        t_bar, ddr = verdict.witnesses[0]
-        lim, upper = chaoscert.alpha_limit(verdict.bounds, t_bar, 1.0)
+        _, ddr = verdict.witnesses[0]
+        lim, upper = chaoscert.alpha_limit(verdict, 1.0)
         assert (upper < 0) == (ddr < 0)
         assert (lim < 0) == (ddr < 0)
 
-    def test_fixed_point_that_does_not_converge_raises(self, member):
-        # at K = 1e-6, sqrt(2K) is far below ||Rdot||: the neighbour times
-        # run off instead of converging, and no limit is returned
+    def test_action_below_the_slope_bound_rejected(self, member):
+        # at K = 1e-6, sqrt(2K) is far below ||Rdot||: the neighbour relation
+        # t - t_bar -+ (R(t_bar) + R(t)) / sqrt(2K) is not monotone in t
         _, _, verdict = member
         assert math.sqrt(2e-6) < verdict.bounds.dR_norm
-        with pytest.raises(ConvergenceError, match="did not converge in 64 steps"):
-            chaoscert.alpha_limit(verdict.bounds, verdict.witnesses[0][0], 1e-6)
+        with pytest.raises(PreconditionError, match=r"need \|\|Rdot\|\|\^2 = .* < 2K < inf"):
+            chaoscert.alpha_limit(verdict, 1e-6)
+
+    @pytest.mark.parametrize("K", [math.inf, math.nan])
+    def test_action_that_is_not_finite_rejected(self, member, K):
+        _, _, verdict = member
+        with pytest.raises(PreconditionError, match=r"< 2K < inf, got K = "):
+            chaoscert.alpha_limit(verdict, K)
+
+    def test_verdict_without_witness_rejected(self, member):
+        # as k_band refuses it: only an R_tilde verdict carries a witness
+        _, _, verdict = member
+        plain = dataclasses.replace(verdict, klass="R", witnesses=(), window=None)
+        with pytest.raises(PreconditionError, match="not in class R_tilde"):
+            chaoscert.alpha_limit(plain, 1000.0)
 
     def test_upper_bound_root(self, member):
         _, _, verdict = member
-        t_bar, ddr = verdict.witnesses[0]
+        _, ddr = verdict.witnesses[0]
         k_root = -ddr * verdict.bounds.r_min
-        _, upper = chaoscert.alpha_limit(verdict.bounds, t_bar, k_root)
+        _, upper = chaoscert.alpha_limit(verdict, k_root)
         assert abs(upper) < 1e-9 * max(1.0, k_root)
 
     def test_reference_value_negative(self, reference_profile):
         # 2 sqrt(2*13500) (ddR(1/4) + 13500 / r_min) < 0 for the worked profile
         v = radius.classify(reference_profile, EPS)
-        t_bar, _ = v.witnesses[0]
-        lim, upper = chaoscert.alpha_limit(v.bounds, t_bar, 13500.0)
+        lim, upper = chaoscert.alpha_limit(v, 13500.0)
         expected_upper = 2 * math.sqrt(27000) * (-0.05 * 4 * math.pi**2
                                                  + 13500 / v.bounds.r_min)
         assert upper == pytest.approx(expected_upper, rel=1e-9)
@@ -175,21 +187,15 @@ class TestAlphaLimit:
 
     def test_limit_below_upper_bound(self, member):
         _, _, verdict = member
-        t_bar, _ = verdict.witnesses[0]
         for k in np.linspace(900, 1300, 9):
-            lim, upper = chaoscert.alpha_limit(verdict.bounds, t_bar, float(k))
+            lim, upper = chaoscert.alpha_limit(verdict, float(k))
             assert lim <= upper + 1e-12
-
-    def test_non_stationary_rejected(self, member):
-        _, _, verdict = member
-        with pytest.raises(PreconditionError):
-            chaoscert.alpha_limit(verdict.bounds, 0.1, 1000.0)
 
     @pytest.mark.parametrize("K", [0.0, -1.0])
     def test_non_positive_action_rejected(self, member, K):
         _, _, verdict = member
-        with pytest.raises(PreconditionError, match="need K > 0"):
-            chaoscert.alpha_limit(verdict.bounds, verdict.witnesses[0][0], K)
+        with pytest.raises(PreconditionError, match=r"< 2K < inf, got K = "):
+            chaoscert.alpha_limit(verdict, K)
 
     def test_is_the_diagnostic_at_zero_momentum(self, member):
         # a_exact at c = 0 equals the limit to rounding at every band edge of
@@ -203,7 +209,7 @@ class TestAlphaLimit:
         edges = [k for band in bands for k in (band.k_lo, band.k_hi)]
         assert len(edges) == 2 * chaoscert.DEFAULT_OMEGA_GRID
         for K in edges:
-            lim, _ = chaoscert.alpha_limit(b, t_bar, K)
+            lim, _ = chaoscert.alpha_limit(verdict, K)
             assert chaoscert.a_exact(ctx0, t_bar, K) == pytest.approx(lim, rel=1e-13, abs=0)
 
 

@@ -97,6 +97,14 @@ class TestContext:
                 with pytest.raises(DomainError):
                     kernel(ctx, t0, t1)
 
+    @pytest.mark.parametrize("tau", [1e-170, 1e-320])
+    def test_gap_whose_square_underflows_is_a_domain_error(self, tau):
+        # tau * tau is 0, so 1 / tau^2 would divide by zero in each kernel
+        ctx = genfun.make_context(RadiusProfile(2.0, ((1, 0.02),)), 0.0, EPS)
+        for kernel in (genfun.h, genfun.grad_h, genfun.hess_h):
+            with pytest.raises(DomainError, match=f"outside strip: tau = {tau}"):
+                kernel(ctx, 0.0, tau)
+
     def test_infinite_time_names_both_times(self):
         ctx = genfun.make_context(RadiusProfile(2.0, ((1, 0.02),)), 0.0, EPS)
         for kernel in (genfun.h, genfun.grad_h, genfun.hess_h):

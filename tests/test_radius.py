@@ -250,6 +250,18 @@ class TestCircleSup:
         assert _search.circle_sup(lambda t: 7.0 * t, vals, refine) == (5 / 16, 7.0 * 5 / 16)
         assert brackets == [(4 / 16, 6 / 16)]
 
+    def test_golden_max_below_xtol_takes_the_midpoint(self):
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return -t
+
+        a, b = 0.25, 0.25 + 1e-14  # narrower than the default xtol, 1e-13
+        m = 0.5 * (a + b)
+        assert _search.golden_max(f, a, b) == (m, -m)
+        assert calls == [m]
+
     def test_too_few_values_rejected(self):
         with pytest.raises(PreconditionError):
             _search.circle_sup(math.sin, [0.0, 1.0], _golden(math.sin))

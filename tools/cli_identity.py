@@ -153,6 +153,9 @@ CONFIGS = [
                                    "--K", "1100", "--inverse"]),
     ("map-inverse-no-preimage", ["map", "--profile", MEMBER, "--c", "1", "--t0", "0.3",
                                  "--K", "500", "--inverse"]),
+    # radial velocities from a lift far from 0: read at the phase in [0, 1)
+    ("map-member-lifted", ["map", "--profile", MEMBER, "--c", "1", "--t0", "1e15",
+                           "--K", "1100"]),
     ("simulate-below-domain", ["simulate", "--profile", MEMBER, "--c", "1", "--t0", "0.3",
                                "--K", "500", "--n", "3"]),
     # the context's momentum check, whose eps is read off the profile bounds
