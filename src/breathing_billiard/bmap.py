@@ -270,7 +270,9 @@ def rdot_plus_from_action(ctx: GenFunContext, t: float, K: float) -> float:
 
 def jacobian(ctx: GenFunContext, s: CylinderState, t1: float) -> MapJacobian:
     """Tangent map at s by implicit differentiation of the defining equations;
-    t1 is the time of the image, forward(ctx, s).t."""
+    t1 is the image time of the step taken from the phase of s.t, on the
+    winding of s.t (Orbit's t1 at its fraction), since a lifted image time
+    has lost the digits of a far s.t."""
     shift = math.floor(s.t)
     d11, d12, d22 = hess_h(ctx, s.t - shift, t1 - shift)
     dt1_dt0 = -d11 / d12

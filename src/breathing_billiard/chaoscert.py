@@ -131,6 +131,12 @@ def a_exact(ctx: GenFunContext, t_bar: float, K: float) -> float:
     return d11 + d22
 
 
+def _sweep(ctx: GenFunContext, t_bar: float, ks):
+    """(K, a_exact(ctx, t_bar, K)) for each K of ks in turn: the one loop of
+    certify's a(K) samples, at the band edges and on the K grid."""
+    return ((k_val, a_exact(ctx, t_bar, k_val)) for k_val in ks)
+
+
 def alpha_limit(verdict: ClassVerdict, K: float) -> tuple[float, float]:
     """Zero-momentum limit of the diagnostic at the first witness of an
     R_tilde verdict: (limit, upper bound 2 sqrt(2K) (Rddot + K / r_min)).
@@ -209,41 +215,29 @@ def certify(profile: RadiusProfile, eps: float, c: float,
         "band_nonempty": min(band.k_hi - band.k_lo for band in bands),
     }
     ctx = make_context(profile, c, eps, bounds=b)
-
-    # empirical widening: gap between exact diagnostic and its c->0 limit,
-    # observed at the band edges of the omega grid
-    gap = 0.0
+    where = "band grid"
     try:
-        for band in bands:
-            for k_val in (band.k_lo, band.k_hi):
-                a_val = a_exact(ctx, t_bar, k_val)
-                lim, _ = alpha_limit(verdict, k_val)
-                gap = max(gap, abs(a_val - lim))
+        # empirical widening: twice the largest gap between the exact diagnostic
+        # and its c->0 limit, observed at the band edges of the omega grid
+        edges = [k_val for band in bands for k_val in (band.k_lo, band.k_hi)]
+        widen = 2.0 * max(0.0, *(abs(a_val - alpha_limit(verdict, k_val)[0])
+                                 for k_val, a_val in _sweep(ctx, t_bar, edges)))
+        k_min = min(band.k_lo for band in bands) - widen
+        k_max = max(band.k_hi for band in bands) + widen
+        s_star = bmap.sigma_star(ctx)
+        if k_min <= s_star:
+            margins["k_range_clamped_at"] = s_star
+            k_min = s_star * (1.0 + 1e-9)
+        where = "K grid"
+        a_grid = list(_sweep(ctx, t_bar, np.linspace(k_min, k_max, k_samples).tolist()))
     except DomainError as exc:
-        cert.reason = f"diagnostic left the map domain on the band grid: {exc}"
+        cert.reason = f"diagnostic left the map domain on the {where}: {exc}"
         return cert
-    widen = 2.0 * gap
-
-    k_min = min(band.k_lo for band in bands) - widen
-    k_max = max(band.k_hi for band in bands) + widen
-    s_star = bmap.sigma_star(ctx)
-    if k_min <= s_star:
-        margins["k_range_clamped_at"] = s_star
-        k_min = s_star * (1.0 + 1e-9)
-
-    ks = np.linspace(k_min, k_max, k_samples)
-    a_vals = []
-    try:
-        for k_val in ks:
-            a_vals.append(a_exact(ctx, t_bar, float(k_val)))
-    except DomainError as exc:
-        cert.reason = f"diagnostic left the map domain on the K grid: {exc}"
-        return cert
-    a_max = max(a_vals)
+    a_max = max(a for _, a in a_grid)
     cert.margins = {**margins, "a_max_negative": -a_max, **verdict.margins}
-    cert.k_range = (float(k_min), float(k_max))
+    cert.k_range = (k_min, k_max)
     cert.widen_margin = widen
-    cert.a_grid = [(float(k), float(a)) for k, a in zip(ks, a_vals)]
+    cert.a_grid = a_grid
     cert.a_max = a_max
     cert.certified = bool(a_max < 0.0)
     return cert

@@ -140,19 +140,22 @@ def _cmd_flight(args, files):
 
 
 def _cmd_map(args, files):
+    # the step is taken from the phase of t0, as Orbit takes it; the winding
+    # is added back to t1 alone, whose lift has lost the digits of a far t0
     ctx = _context(args)
-    s = CylinderState(args.t0, args.K)
+    lifted = CylinderState(args.t0, args.K)  # refuses a t0 or K that is not finite
+    shift = math.floor(lifted.t)
+    s = CylinderState(lifted.t - shift, lifted.K)
     s1 = bmap.backward(ctx, s) if args.inverse else bmap.forward(ctx, s)
     result = {"sigma_star": bmap.sigma_star(ctx),
-              "t1": s1.t, "K1": s1.K,
+              "t1": s1.t + shift, "K1": s1.K,
               "t1_mod1": s1.t % 1.0}
     if not args.inverse:
         jac = bmap.jacobian(ctx, s, t1=s1.t)
         result["jacobian"] = {"dt1_dt0": jac.dt1_dt0, "dt1_dK0": jac.dt1_dK0,
                               "dK1_dt0": jac.dK1_dt0, "dK1_dK0": jac.dK1_dK0,
                               "det": jac.det}
-        result["rdot_plus"], result["rdot_minus"] = bmap.radial_velocity(
-            ctx, args.t0, args.K)
+        result["rdot_plus"], result["rdot_minus"] = bmap.radial_velocity(ctx, s.t, s.K)
     return result
 
 

@@ -351,14 +351,6 @@ def sigma_limits(eps: float, r_min: float, dR_norm: float,
     return slope, curvature
 
 
-def stationary_points(profile: RadiusProfile) -> list[tuple[float, float]]:
-    """All roots of Rdot in [0,1), each paired with Rddot there: the points
-    bounds carries, bracketed on its grid_size(profile, 4096)-point Rdot grid."""
-    if profile.is_constant:
-        raise PreconditionError("constant profile: every point is stationary")
-    return list(_shape(profile)[-1])
-
-
 def classify(profile: RadiusProfile, eps: float) -> ClassVerdict:
     """Class test: "R" needs sigma > 2 only; "R_tilde" needs sigma > 4 plus a
     stationary point passing the deceleration, window and curvature chain."""
@@ -435,13 +427,21 @@ def single_harmonic_eps_max() -> float:
     return math.sqrt(1.0 - 1.0 / (math.pi - 1.0) ** 2)
 
 
+def _inside(delta: float, window: tuple[float, float]) -> float:
+    """The lower edge of window, after raising PreconditionError unless delta
+    lies inside that open window."""
+    lo, hi = window
+    if not (lo < delta < hi):
+        raise PreconditionError(
+            f"amplitude outside the admissible window ({lo:.6g}, {hi:.6g}): got {delta}")
+    return lo
+
+
 def sufficient_mean_bound(k: int, delta: float) -> float:
     """Closed-form sufficient lower bound on M (far more conservative than
-    the exact classifier)."""
+    the exact classifier), for a k and delta that find_member accepts."""
+    g = delta / _inside(delta, delta_window(k))  # 4 pi^2 delta (k^2 + 1) > 1
     m1 = max(34.0 * delta, 2.0 * delta + 216.0 * math.pi ** 2 * (k + 1) ** 2)
-    g = 4.0 * math.pi ** 2 * delta * (k * k + 1)
-    if g <= 1.0:
-        raise PreconditionError("amplitude below the admissible window")
     m3 = 2.0 * delta * (g + 1.0) / (g - 1.0)
     return max(m1, m3)
 
@@ -466,7 +466,7 @@ def find_member(k: int, delta: float, eps: float,
     """
     if min_window is not None and not math.isfinite(min_window):
         raise PreconditionError(f"min_window must be finite, got {min_window}")
-    lo_d, hi_d = delta_window(k)
+    window = delta_window(k)  # a k that is no count is refused first
     if k == 1:
         if eps >= single_harmonic_eps_max():
             raise PreconditionError(
@@ -476,9 +476,7 @@ def find_member(k: int, delta: float, eps: float,
         if k <= k_bar:
             raise PreconditionError(
                 f"two-harmonic family needs k > k_bar(eps) = {k_bar:.6f}, got k = {k}")
-    if not (lo_d < delta < hi_d):
-        raise PreconditionError(
-            f"amplitude outside the admissible window ({lo_d:.6g}, {hi_d:.6g}): got {delta}")
+    _inside(delta, window)
 
     lo, mean = None, max(1.0, 4.0 * delta)
     shape = _shape(family_profile(k, delta, mean))  # the same for every mean

@@ -226,6 +226,49 @@ class TestPeriodicOrbit:
             aubry.hull_samples(ctx, 1.5)
 
 
+class TestGapBox:
+    """Sweeps and polish keep every gap inside the box [g_lo, g_hi]."""
+
+    def test_polish_halves_a_step_that_leaves_the_box(self, member_ctx, monkeypatch):
+        # the full Newton step from gaps (32, 31, 32) takes a gap past the box
+        # (omega - 1, omega + 1): that trial costs no residual, and the halved
+        # steps still polish the configuration to the residual tolerance
+        p, omega = 95, 95 / 3
+        pairs, residual = aubry._pairs, aubry._residual
+        outside, evaluated = [], []
+
+        def inside(ts):
+            return all(omega - 1 < b - a < omega + 1 for a, b in pairs(ts, p))
+
+        def recorded_pairs(ts, p):
+            if not inside(ts):
+                outside.append(list(ts))
+            return pairs(ts, p)
+
+        def recorded_residual(ctx, ts, p):
+            evaluated.append(inside(ts))
+            return residual(ctx, ts, p)
+
+        monkeypatch.setattr(aubry, "_pairs", recorded_pairs)
+        monkeypatch.setattr(aubry, "_residual", recorded_residual)
+        ts, best = aubry._newton_polish(member_ctx, [0.0, 32.0, 63.0], p,
+                                        omega - 1.0, omega + 1.0)
+        assert outside and all(evaluated) and inside(ts)
+        assert best < aubry._RESIDUAL_TOL
+
+    def test_sweep_skips_a_time_with_no_room(self, static_ctx, monkeypatch):
+        # t_0's neighbours t_2 - p = -2 and t_1 = 0.5 are closer than 2 g_lo,
+        # so no t_0 keeps both of its gaps in the box: it is not searched
+        searched, golden_max = [], aubry.golden_max
+        monkeypatch.setattr(aubry, "golden_max", lambda f, a, b, xtol: searched.append(
+            (a, b)) or golden_max(f, a, b, xtol=xtol))
+        ts = [0.0, 0.5, 4.0]
+        moved = aubry._sweep(static_ctx, ts, 6, 1.5, 2.5)
+        assert ts[0] == 0.0 and len(searched) == 2
+        # the other two times move into the box, and with them every gap
+        assert moved >= 1.0 and all(1.5 < b - a < 2.5 for a, b in aubry._pairs(ts, 6))
+
+
 class TestFusedSweep:
     """The sweeps and the polish evaluate each endpoint once and reuse it."""
 

@@ -46,6 +46,14 @@ class TestSolveMonotone:
                                                 0.0, 1.0, decreasing=decreasing, noise=1e-15)
         assert not found and root == pytest.approx(end, abs=1e-15)
 
+    def test_budget_exhausted_raises(self):
+        # a slope far too small sends every Newton step out of the bracket,
+        # and bisection from [-1e308, 1e308] needs about 1000 halvings to x = 1
+        with pytest.raises(ConvergenceError, match="did not converge") as info:
+            _search.solve_monotone(lambda x: (x - 1.0, 1e-300), -1e308, 1e308,
+                                   decreasing=False, noise=0.0)
+        assert info.value.diagnostics["lo"] < 1.0 < info.value.diagnostics["hi"]
+
     def test_returns_at_the_floor(self):
         calls = []
         root, found, value = _search.solve_monotone(
@@ -462,6 +470,13 @@ class TestImpactMap:
         t1, i1 = bmap.laederich_map(static_ctx, 0.0, 2.0)
         assert t1 == pytest.approx(1.0, abs=1e-12)
         assert i1 == pytest.approx(2.0, abs=1e-12)
+
+    def test_negative_discriminant_raises(self, small_ctx):
+        # a flight leaving the widest radius R(1/4) = 2.02 almost tangentially
+        # (I0 = 1e-3, c = 0.3) passes outside the boundary a moment later
+        with pytest.raises(DomainError, match=r"no real flight time from t0 = 0.25: "
+                                              r"discriminant .* < 0"):
+            bmap.laederich_map(small_ctx, 0.25, 1e-3)
 
     def test_sum_rule(self, member_ctx):
         # I1 + I0 = -2 R1 Rdot(t1) + tau * A(t0, t1)

@@ -12,6 +12,8 @@ from breathing_billiard.errors import ConvergenceError
 
 CONST = '{"mean": 1, "harmonics": []}'
 MEMBER = '{"mean": 9000, "harmonics": [[1, 0.05]]}'
+# find_member(1, 0.05, 0.5, min_window=1.0)
+WIDE_MEMBER = '{"mean": 754.0403145397167, "harmonics": [[1, 0.05]]}'
 
 
 def run_cli(args):
@@ -88,6 +90,22 @@ class TestMapCommands:
         assert res["t1"] == pytest.approx(1.0, abs=1e-12)
         assert res["K1"] == 2.0
         assert res["jacobian"]["det"] == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("t0", ["1e15", str(2 ** 52)])
+    def test_far_lift_steps_from_its_phase(self, t0, capsys):
+        # both lifts have phase 0; stepped from the rounded lift, t1_mod1 read
+        # 0.375 and 0.0, dK1_dK0 0.039 at 1e15 (0.00502 at t0 = 0) and dK1_dt0
+        # -1.05e-11 at 2^52 (67.48 at t0 = 0)
+        def result(t, *flags):
+            assert run_cli(["map", "--profile", WIDE_MEMBER, "--c", "1", "--t0", t,
+                            "--K", "1100", *flags]) == 0
+            return json.loads(capsys.readouterr().out)["result"]
+
+        base, far = result("0"), result(t0)
+        for key in ("t1_mod1", "K1", "jacobian", "rdot_plus", "rdot_minus", "sigma_star"):
+            assert far[key] == base[key], key
+        assert far["t1"] == base["t1"] + float(t0)
+        assert result(t0, "--inverse")["t1_mod1"] == result("0", "--inverse")["t1_mod1"]
 
     def test_domain_error_exit_code(self):
         code = run_cli(["map", "--profile", CONST, "--eps", "0.5", "--c", "0.0",

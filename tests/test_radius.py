@@ -127,8 +127,7 @@ class TestCancellingHarmonics:
         assert (v.klass, v.degenerate, v.margins, v.witnesses, v.window) == (
             const.klass, const.degenerate, const.margins, const.witnesses, const.window)
         assert (v.bounds.dR_norm, v.bounds.ddR2_norm, v.bounds.sigma) == (0.0, 0.0, math.inf)
-        with pytest.raises(PreconditionError, match="constant profile"):
-            radius.stationary_points(self.CANCELLING)
+        assert v.bounds.stationary == ()
 
 
 class TestBounds:
@@ -181,10 +180,24 @@ _EPS_RANGE = r"eps must lie in \(0,1\)"
     (lambda: RadiusProfile(-1.0, ((1, 0.05),)), "mean radius must be positive"),
     (lambda: ProfileBounds(profile=RadiusProfile(1.0), eps=1.0, r_min=1.0, r_max=1.0,
                            dR_norm=0.0, ddR2_norm=0.0, sigma=math.inf), _EPS_RANGE),
+    (lambda: ProfileBounds(profile=RadiusProfile(1.0), eps=0.5, r_min=1.5, r_max=1.0,
+                           dR_norm=0.0, ddR2_norm=0.0, sigma=math.inf),
+     "bounds require 0 < r_min <= r_max"),
+    (lambda: ProfileBounds(profile=RadiusProfile(1.0), eps=0.5, r_min=1.0, r_max=1.0,
+                           dR_norm=0.0, ddR2_norm=0.0, sigma=0.0), "sigma must be positive"),
+    (lambda: ProfileBounds(profile=RadiusProfile(1.0), eps=0.5, r_min=1.0, r_max=1.0,
+                           dR_norm=0.0, ddR2_norm=0.0, sigma=math.nan), "sigma must be positive"),
     (lambda: radius.alpha_constant(0.0), _EPS_RANGE),
     (lambda: radius.bounds(RadiusProfile(1.0), 1.5), _EPS_RANGE),
     (lambda: radius.delta_window(0), "k must be an integer >= 1, got 0"),
-    (lambda: radius.sufficient_mean_bound(1, 0.01), "amplitude below the admissible window"),
+    (lambda: radius.sufficient_mean_bound(1, 0.01), "amplitude outside the admissible window"),
+    # k and delta are refused as find_member refuses them: the bound read
+    # 2131.9 at k = 0 and k = -2, 13324.1 at k = 1.5, and 8527.7 at a delta
+    # above the k = 1 window (0.0127, 0.0796)
+    (lambda: radius.sufficient_mean_bound(0, 0.05), "k must be an integer >= 1, got 0"),
+    (lambda: radius.sufficient_mean_bound(-2, 0.05), "k must be an integer >= 1, got -2"),
+    (lambda: radius.sufficient_mean_bound(1.5, 0.05), "k must be an integer >= 1, got 1.5"),
+    (lambda: radius.sufficient_mean_bound(1, 0.2), "amplitude outside the admissible window"),
     # the squares of these norms overflowed in classify and in the context
     (lambda: RadiusProfile(1e308, ((1, 1e307),)), "profile too large"),
     (lambda: RadiusProfile(1e200), "profile too large"),
@@ -192,8 +205,10 @@ _EPS_RANGE = r"eps must lie in \(0,1\)"
     (lambda: RadiusProfile(1e-200, ((1, 1e-201),)), "profile too small"),
     (lambda: radius.classify(RadiusProfile(1e70, ((1, 1e-300),)), EPS),
      "sigma = .* overflows when squared"),
-], ids=["mean-zero", "mean-negative", "bounds-eps", "alpha-eps", "bounds-call-eps",
-        "delta-window-k0", "mean-bound-below-window", "profile-overflow",
+], ids=["mean-zero", "mean-negative", "bounds-eps", "bounds-r-min-above-r-max",
+        "bounds-sigma-zero", "bounds-sigma-nan", "alpha-eps", "bounds-call-eps",
+        "delta-window-k0", "mean-bound-below-window", "mean-bound-k0", "mean-bound-k-negative",
+        "mean-bound-k-fraction", "mean-bound-above-window", "profile-overflow",
         "constant-overflow", "profile-underflow", "sigma-overflow"])
 def test_guard(call, message):
     with pytest.raises(PreconditionError, match=message):
@@ -316,10 +331,10 @@ class TestNumpyGridMatchesScalarOracle:
 
     def test_family_members(self, monkeypatch):
         members = list(_family_members(210, seed=11))
-        numpy_run = [(radius.classify(p, eps), radius.stationary_points(p))
+        numpy_run = [(radius.classify(p, eps), radius.bounds(p, eps).stationary)
                      for p, eps in members]
         monkeypatch.setattr(radius, "_columns", _scalar_columns)
-        scalar_run = [(radius.classify(p, eps), radius.stationary_points(p))
+        scalar_run = [(radius.classify(p, eps), radius.bounds(p, eps).stationary)
                       for p, eps in members]
         assert {v.klass for v, _ in numpy_run} == {"none", "R", "R_tilde"}
         assert [i for i, (a, b) in enumerate(zip(numpy_run, scalar_run)) if a != b] == []
@@ -343,7 +358,7 @@ class TestNumpyGridMatchesScalarOracle:
         # rounds every value within the noise of Rdot to the other sign
         # must not lose either root
         p = RadiusProfile(1.0, ((1, 0.05),))
-        expected = radius.stationary_points(p)
+        expected = radius.bounds(p, EPS).stationary
         noise = radius._noise(p, 1)
 
         def flipped(profile, n, shift=0.0):
@@ -351,7 +366,7 @@ class TestNumpyGridMatchesScalarOracle:
                 yield s, np.where(np.abs(c) <= noise, -c, c), ss
 
         monkeypatch.setattr(radius, "_columns", flipped)
-        assert radius.stationary_points(p) == expected
+        assert radius.bounds(p, EPS).stationary == expected
         # the Rdot grid the roots are bracketed on is the flipped one
         n = radius.grid_size(p, radius._BOUNDS_FLOOR)
         dr = radius._shape(p)[1]
@@ -438,7 +453,7 @@ def _oracle(p, name):
 def _noise(p, name):
     """Evaluation noise of a norm: 16 ulp of the scale of its terms, the
     rounding of their arguments w t, t < 1, included, as in the noise of
-    stationary_points.  With T_j = sum |d| w^j (1 + w): M + T_0 for r,
+    the stationary-point solve.  With T_j = sum |d| w^j (1 + w): M + T_0 for r,
     T_1 for ||Rdot||, 4 (T_1^2 + (M + T_0) T_2) for ||(R^2)''||."""
     t = [sum(abs(d) * (2 * math.pi * k) ** j * (1 + 2 * math.pi * k) for k, d in p.harmonics)
          for j in range(3)]
@@ -472,8 +487,13 @@ class TestOneScan:
     classify and find_member read them there instead of solving again."""
 
     def test_bounds_carry_the_stationary_points(self):
+        # classify's witnesses are points of the bounds it carries, and
+        # those are the points bounds itself computes
         for p, eps in _family_members(30, seed=16):
-            assert radius.bounds(p, eps).stationary == tuple(radius.stationary_points(p))
+            stationary = radius.bounds(p, eps).stationary
+            v = radius.classify(p, eps)
+            assert stationary and v.bounds.stationary == stationary
+            assert set(v.witnesses) <= set(stationary)
         assert radius.bounds(RadiusProfile(3.0), EPS).stationary == ()
 
     def test_equality_and_hash_skip_the_points(self, member):
@@ -525,7 +545,7 @@ class TestGridSize:
         n = 256 * max(k for k, _ in profile.harmonics)
         dr = _scalar_grid(profile, n)[1]
         assert int(np.sum(np.roll(dr, 1) * dr < 0)) == roots
-        assert len(radius.stationary_points(profile)) == roots
+        assert len(radius.bounds(profile, EPS).stationary) == roots
 
     def test_bounds_match_a_fine_scalar_scan(self):
         # a fixed 4096-point grid read ||(R^2)''|| 1.05e-6 low, so sigma high;
@@ -540,9 +560,8 @@ class TestGridSize:
         assert radius.grid_size(RadiusProfile(2.0, ((2 ** 15, 1e-3),)), 512) == 2 ** 20
         for k in (2 ** 15 + 1, 10 ** 18):
             p = RadiusProfile(2.0, ((k, 1e-3),))
-            for scan in (lambda: radius.bounds(p, EPS), lambda: radius.stationary_points(p)):
-                with pytest.raises(PreconditionError, match="more than 1048576"):
-                    scan()
+            with pytest.raises(PreconditionError, match="more than 1048576"):
+                radius.bounds(p, EPS)
 
 
 class TestNormsAgainstMpmath:
@@ -561,7 +580,7 @@ class TestNormsAgainstMpmath:
 class TestStationaryPoints:
     def test_single_harmonic(self):
         p = RadiusProfile(1.0, ((1, 0.05),))
-        pts = radius.stationary_points(p)
+        pts = radius.bounds(p, EPS).stationary
         ts = sorted(t for t, _ in pts)
         assert ts == pytest.approx([0.25, 0.75], abs=1e-10)
         dd = dict((round(t, 6), v) for t, v in pts)
@@ -570,12 +589,8 @@ class TestStationaryPoints:
 
     def test_root_residual(self):
         p = RadiusProfile(5.0, ((7, 0.01), (1, 0.05)))
-        for t, _ in radius.stationary_points(p):
+        for t, _ in radius.bounds(p, EPS).stationary:
             assert abs(p.d_radius(t)) < 1e-10
-
-    def test_constant_rejected(self):
-        with pytest.raises(PreconditionError):
-            radius.stationary_points(RadiusProfile(1.0))
 
     def test_roots_reach_the_rounding_floor(self):
         # |Rdot| within the floor of the Newton solve: 4 |Rddot| ulp(t) plus
@@ -583,7 +598,7 @@ class TestStationaryPoints:
         ulp = 2.3e-16
         for p, _ in _family_members(100, seed=13, ks=(1, 5, 6, 7, 8)):
             noise = 16 * ulp * sum(abs(d) * 2 * math.pi * k for k, d in p.harmonics)
-            for t, ddr in radius.stationary_points(p):
+            for t, ddr in radius.bounds(p, EPS).stationary:
                 assert abs(p.d_radius(t)) <= 4 * abs(ddr) * ulp * max(1.0, abs(t)) + noise
 
     @pytest.mark.parametrize("mean, harmonics, eps", [
@@ -600,7 +615,7 @@ class TestStationaryPoints:
         ulp = 2.3e-16
         noise = 16 * ulp * sum(abs(d) * 2 * math.pi * k * (1 + 2 * math.pi * k)
                                for k, d in harmonics)
-        points = radius.stationary_points(p)
+        points = radius.bounds(p, eps).stationary
         for t, ddr in points:
             assert abs(p.d_radius(t)) <= 4 * abs(ddr) * ulp + noise
         n = radius.grid_size(p, radius._BOUNDS_FLOOR)
@@ -619,7 +634,7 @@ class TestStationaryPoints:
             vals = [f(i * step) for i in range(n + 1)]
             expected = [brentq(f, i * step, (i + 1) * step, xtol=1e-15)
                         for i in range(n) if vals[i] * vals[i + 1] < 0]
-            got = [t for t, _ in radius.stationary_points(p)]
+            got = [t for t, _ in radius.bounds(p, EPS).stationary]
             assert got == pytest.approx(expected, rel=0, abs=1e-12)
 
 

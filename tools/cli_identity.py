@@ -156,6 +156,9 @@ CONFIGS = [
     # radial velocities from a lift far from 0: read at the phase in [0, 1)
     ("map-member-lifted", ["map", "--profile", MEMBER, "--c", "1", "--t0", "1e15",
                            "--K", "1100"]),
+    # a lift with no fraction digits left: the step is still taken from its phase
+    ("map-member-2p52", ["map", "--profile", MEMBER, "--c", "1", "--t0", str(2 ** 52),
+                         "--K", "1100"]),
     ("simulate-below-domain", ["simulate", "--profile", MEMBER, "--c", "1", "--t0", "0.3",
                                "--K", "500", "--n", "3"]),
     # the context's momentum check, whose eps is read off the profile bounds
