@@ -13,8 +13,8 @@ outside the strip is ever needed.
 Coarse projected Gauss-Seidel sweeps (each time minimised on its feasible
 interval by golden section to 1e-4, one profile evaluation a step) rough out
 the configuration until no time moves by more than 1e-3; a damped global
-Newton solve on the stationarity system, with least-squares steps because the
-Hessian is singular on orbit families, polishes it to machine precision.  Every
+Newton solve on the stationarity system, one O(q) solve of its cyclic
+tridiagonal Hessian a step, polishes it to machine precision.  Every
 converged configuration is labelled from its point of smallest t mod 1, so
 an isolated minimum is reported the same whichever start found it.  Where
 minimal orbits form a continuous family (every translate of one on a
@@ -133,31 +133,50 @@ def _residual(ctx, ts, p):
 
 
 def _hessian(ctx, ts, p):
-    """Hessian (cyclic tridiagonal, kept dense) of the (p, q)-periodic
-    action: one hess_h call per pair."""
-    q = len(ts)
-    hess = np.zeros((q, q))
+    """Hessian of the (p, q)-periodic action, cyclic tridiagonal, as lists
+    (diag, off) with off[j] coupling t_j and t_{j+1 mod q}: one hess_h per pair."""
+    diag, off = [0.0] * len(ts), []
     for j, (a, b) in enumerate(_pairs(ts, p)):
-        k = (j + 1) % q
         d11, d12, d22 = hess_h(ctx, a, b)
-        hess[j, j] += d11
-        hess[k, k] += d22
-        hess[j, k] += d12
-        hess[k, j] += d12
-    return hess
+        diag[j] += d11
+        diag[(j + 1) % len(ts)] += d22
+        off.append(d12)
+    return diag, off
+
+
+def _newton_step(diag, off, f):
+    """The solution x of H x = f, in O(q), for the Hessian (diag, off) of
+    _hessian.  t_0 is eliminated by its Schur complement s = H_00 - r^T B^-1 r:
+    B is the tridiagonal block of t_1..t_{q-1}, r is H's column 0 below t_0
+    (at q = 2 both couplings), and one unpivoted Thomas factorisation of B
+    serves f[1:] and r.  Where |s| <= 1e-12 |H_00|, as on a family of minimal
+    orbits (every translate of one on a constant profile), t_0 stays fixed."""
+    q = len(diag)
+    h00 = diag[0] + 2.0 * off[0] if q == 1 else diag[0]
+    r = [(off[0] if i == 1 else 0.0) + (off[-1] if i == q - 1 else 0.0) for i in range(1, q)]
+    c, y, z = [0.0], [0.0], [0.0]  # a zero row above B starts the elimination
+    for i in range(1, q):  # Thomas on B, whose row i - 1 is t_i's
+        w = diag[i] - off[i - 1] * c[-1]
+        c.append(off[i] / w)
+        y.append((f[i] - off[i - 1] * y[-1]) / w)
+        z.append((r[i - 1] - off[i - 1] * z[-1]) / w)
+    for i in range(q - 2, 0, -1):
+        y[i] -= c[i] * y[i + 1]
+        z[i] -= c[i] * z[i + 1]
+    s = h00 - sum(a * b for a, b in zip(r, z[1:]))
+    x0 = 0.0 if abs(s) <= 1e-12 * abs(h00) else (f[0] - sum(a * b for a, b in zip(r, y[1:]))) / s
+    return [x0, *(a - x0 * b for a, b in zip(y[1:], z[1:]))]
 
 
 def _newton_polish(ctx, ts, p, g_lo, g_hi):
-    """Damped Newton on the full periodic stationarity system.  Steps are
-    least-squares solutions: the Hessian is singular where minimal orbits
-    come in a family (every translate of one on a constant profile).  A
-    failed halving costs one residual: only a step's start builds a Hessian."""
+    """Damped Newton on the full periodic stationarity system by _newton_step.
+    A failed halving costs one residual: only a step's start builds a Hessian."""
     f = _residual(ctx, ts, p)
     best = float(np.max(np.abs(f)))
     for _ in range(_POLISH_MAX_ITER):
         if best == 0.0:
             break
-        step = np.linalg.lstsq(_hessian(ctx, ts, p), f, rcond=None)[0]
+        step = _newton_step(*_hessian(ctx, ts, p), f)
         for k in range(8):  # halve the step until the residual drops
             trial = [t - 0.5 ** k * d for t, d in zip(ts, step)]
             if not all(g_lo < t1 - t0 < g_hi for t0, t1 in _pairs(trial, p)):
@@ -184,10 +203,10 @@ def periodic_orbit(ctx: GenFunContext, p: int, q: int,
                    workers: int = 1) -> MinimalOrbit:
     """Lowest-action stationary (p, q)-configuration over multi-start descent.
 
-    Requires 1 < p/q < sigma - 1, which implies sigma > 2, and q <= 1024, so
-    that the polish's dense q x q Hessian has at most 2^20 entries.  Gaps are
-    confined to the spacing estimate [omega-1, omega+1].  Each start is swept coarsely
-    and polished by least-squares Newton; each converged orbit is labelled
+    Requires 1 < p/q < sigma - 1, which implies sigma > 2, and q <= 1024, which
+    bounds the run time: up to 400 sweeps of q golden-section searches a start.
+    Gaps are confined to the spacing estimate [omega-1, omega+1].  Each start
+    is swept coarsely and polished by Newton; each converged orbit is labelled
     from its point of smallest t mod 1, with times[0] in [0, 1).  Actions
     within 1e-13 relative count as tied, and a tie goes to the smaller times[0].
     An isolated minimum is therefore reported whichever start found it; on
@@ -209,7 +228,7 @@ def periodic_orbit(ctx: GenFunContext, p: int, q: int,
     if workers != 1:
         raise PreconditionError(f"starts run serially: workers must be 1, got {workers}")
     p = check_count("p", p)
-    q = check_count("q", q, 1, size=lambda q: q * q)  # the polish's dense q x q Hessian
+    q = check_count("q", q, 1, size=lambda q: q * q)  # caps the sweeps' run time
     starts, seed = check_count("starts", starts, 1), check_count("seed", seed, 0)
     if math.gcd(p, q) != 1:
         raise PreconditionError(f"(p, q) = ({p}, {q}) must be coprime")

@@ -269,12 +269,13 @@ def rdot_plus_from_action(ctx: GenFunContext, t: float, K: float) -> float:
 
 
 def jacobian(ctx: GenFunContext, s: CylinderState, t1: float) -> MapJacobian:
-    """Tangent map at s by implicit differentiation of the defining equations;
-    t1 is the image time of the step taken from the phase of s.t, on the
-    winding of s.t (Orbit's t1 at its fraction), since a lifted image time
-    has lost the digits of a far s.t."""
-    shift = math.floor(s.t)
-    d11, d12, d22 = hess_h(ctx, s.t - shift, t1 - shift)
+    """Tangent map at the phase state s, 0 <= s.t < 1, by implicit
+    differentiation of the defining equations; t1 is the image time of the
+    step from s (Orbit's t1 at its fraction).  A lifted s.t raises
+    PreconditionError: its image time has lost the digits of a far s.t."""
+    if not 0.0 <= s.t < 1.0:
+        raise PreconditionError(f"jacobian takes a phase state, 0 <= s.t < 1; got t = {s.t}")
+    d11, d12, d22 = hess_h(ctx, s.t, t1)
     dt1_dt0 = -d11 / d12
     dt1_dK0 = 1.0 / d12
     dK1_dK0 = -d22 / d12

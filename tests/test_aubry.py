@@ -84,8 +84,9 @@ class TestElResidual:
 class TestPeriodicOrbit:
     def test_q_past_the_hessian_cap_is_refused_before_any_sweep(self, static_ctx,
                                                                  monkeypatch):
-        # the polish's dense q x q Hessian: q = 1024 passes on to the first
-        # sweep, q = 1025 is refused before it
+        # a cap on run time, up to 400 sweeps of q golden-section searches a
+        # start: q = 1024 passes on to the first sweep, q = 1025 is refused
+        # before it
         def no_sweep(*args):
             raise AssertionError("a sweep ran")
 
@@ -340,6 +341,85 @@ class TestFusedSweep:
                     steps, best = steps + 1, r
         assert len(polishes) == 8 and steps > 0
         assert len(hess_calls) == q * (steps + len(polishes))
+
+
+def dense_hessian(diag, off):
+    """The q x q matrix of the lists (diag, off) of aubry._hessian."""
+    q = len(diag)
+    hess = np.diag(np.array(diag, dtype=float))
+    for j, d12 in enumerate(off):
+        hess[j, (j + 1) % q] += d12
+        hess[(j + 1) % q, j] += d12
+    return hess
+
+
+class TestNewtonStep:
+    """The polish's O(q) Newton step against a dense solve of the same H."""
+
+    # member configurations 1e-4 off a (p, q) orbit, q = 1 and 2 the corner
+    # cases: at q = 1 H_00 gains 2 d12, at q = 2 the two couplings add.  H has
+    # condition number below 5 there; next to the circles at (69, 8) and
+    # (349, 21) it reads 5e5 and 2e5
+    PQ = [(32, 1), (63, 2), (95, 3), (253, 8), (664, 21)]
+    SOFT = [(69, 8), (349, 21)]
+
+    @pytest.fixture(scope="class")
+    def configs(self, member_ctx):
+        out = {}
+        for p, q in self.PQ + self.SOFT:
+            ts = aubry.periodic_orbit(member_ctx, p, q, starts=8, seed=0).times
+            out[p, q] = [t + 1e-4 * math.sin(3 * j + 1) for j, t in enumerate(ts)]
+        return out
+
+    def solved(self, ctx, configs, p, q):
+        diag, off = aubry._hessian(ctx, configs[p, q], p)
+        f = aubry._residual(ctx, configs[p, q], p)
+        return dense_hessian(diag, off), np.array(aubry._newton_step(diag, off, f)), f
+
+    @pytest.mark.parametrize("p, q", PQ)
+    def test_matches_the_dense_solve(self, member_ctx, configs, p, q):
+        hess, x, f = self.solved(member_ctx, configs, p, q)
+        exact = np.linalg.solve(hess, f)
+        assert np.max(np.abs(x - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+    @pytest.mark.parametrize("p, q", SOFT)
+    def test_solves_next_to_circles(self, member_ctx, configs, p, q):
+        # the forward error there is the condition number times the rounding
+        # (4e-12 against the dense solve); the step's residual stays at it
+        hess, x, f = self.solved(member_ctx, configs, p, q)
+        assert np.max(np.abs(hess @ x - f)) <= 1e-14 * np.max(np.abs(f))
+
+    @pytest.mark.parametrize("p, q", PQ[:3])
+    def test_lists_are_the_hessian_of_the_residual(self, member_ctx, configs, p, q):
+        # central differences of the residual, step 1e-6, at the matrix scale
+        ts = configs[p, q]
+        hess = dense_hessian(*aubry._hessian(member_ctx, ts, p))
+        for k in range(q):
+            up = [t + 1e-6 * (j == k) for j, t in enumerate(ts)]
+            down = [t - 1e-6 * (j == k) for j, t in enumerate(ts)]
+            column = (aubry._residual(member_ctx, up, p)
+                      - aubry._residual(member_ctx, down, p)) / 2e-6
+            assert np.max(np.abs(column - hess[:, k])) <= 1e-5 * np.max(np.abs(hess))
+
+    def test_an_orbit_family_keeps_t0_fixed(self, static_ctx):
+        # on a constant profile every translate of a configuration has its
+        # action, so H is singular: t_0 stays and rows 1..q-1 are solved
+        p, q = 17, 8
+        ts = [0.3 + p / q * j + 0.05 * math.sin(2 * j) for j in range(q)]
+        diag, off = aubry._hessian(static_ctx, ts, p)
+        f = aubry._residual(static_ctx, ts, p)
+        x = aubry._newton_step(diag, off, f)
+        assert x[0] == 0.0
+        rows = (dense_hessian(diag, off) @ np.array(x))[1:]
+        assert np.max(np.abs(rows - f[1:])) <= 1e-12 * np.max(np.abs(f))
+
+    def test_q_1024_on_a_constant_profile(self, static_ctx):
+        # the largest q the count cap lets through: q flights of p/q, each
+        # with action 2 / (p/q) at R = 1
+        p, q = 2047, 1024
+        orbit = aubry.periodic_orbit(static_ctx, p, q, starts=1)
+        assert orbit.residual <= aubry._RESIDUAL_TOL
+        assert orbit.action == pytest.approx(2 * q * q / p, rel=1e-13)
 
 
 class TestConvergents:

@@ -437,6 +437,17 @@ class TestJacobian:
         assert j.dt1_dK0 == pytest.approx(-0.25, rel=1e-12)
         assert j.det == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("t", [1e15, 1.0, -0.25])
+    def test_lifted_state_is_refused(self, member_ctx, t):
+        # from s.t = 1e15 at K = 1100 the image time had lost its digits:
+        # dK1_dK0 read 0.0390 against 0.00502 at s.t = 0, and det still 1
+        s = CylinderState(t, 1100.0)
+        with pytest.raises(PreconditionError, match="phase state"):
+            bmap.jacobian(member_ctx, s, t1=bmap.forward(member_ctx, s).t)
+        edge = CylinderState(math.nextafter(1.0, 0.0), 1100.0)
+        assert bmap.jacobian(member_ctx, edge, t1=bmap.forward(member_ctx, edge).t).det == \
+            pytest.approx(1.0, abs=1e-12)
+
     def test_unit_determinant(self, member_ctx):
         for s in domain_states(member_ctx, 10_000, seed=8):
             t1 = bmap.forward(member_ctx, s).t

@@ -488,13 +488,16 @@ class TestLyapunov:
         # the renormalised log-norms sum to the full tangent growth
         est = chaoscert.lyapunov(member_ctx, CylinderState(0.2, 2000.0), 100)
         assert est.completed
+        # each step is taken from the phase of s.t, the winding added back
         s = CylinderState(0.2, 2000.0)
         v = np.array([1.0, 0.0])
         for _ in range(100):
-            t1 = bmap.forward(member_ctx, s).t
-            jac = bmap.jacobian(member_ctx, s, t1=t1)
+            shift = math.floor(s.t)
+            phase = CylinderState(s.t - shift, s.K)
+            s1 = bmap.forward(member_ctx, phase)
+            jac = bmap.jacobian(member_ctx, phase, t1=s1.t)
             v = np.array(jac.apply((v[0], v[1])))
-            s = bmap.forward(member_ctx, s)
+            s = CylinderState(s1.t + shift, s1.K)
         direct = math.log(np.hypot(*v))
         assert est.lam * est.steps == pytest.approx(direct, rel=1e-6)
 

@@ -440,7 +440,7 @@ class TestRejectedInput:
         # a finite flight time whose phase 2 pi k t overflows
         ["flight", "--profile", BREATHING, "--c", "0", "--t0", "0", "--t1", "1e308"],
         ["c0", "--profile", MEMBER, "--iters", "-1"],
-        # q past 1024: the polish's dense q x q Hessian; hull's last convergent is 2051/1025
+        # q past 1024, capped for run time; hull's last convergent is 2051/1025
         ["orbit", "--profile", CONST, "--c", "0.0", "--sigma", "4.0", "--p", "2049",
          "--q", "1025", "--starts", "1", "--seed", "0"],
         ["hull", "--profile", CONST, "--c", "0.0", "--sigma", "8.0",

@@ -226,7 +226,7 @@ CONFIGS = [
                              "--K", "1100", "--sigma", "1e-200"]),
     ("flight-too-short", ["flight", "--profile", MEMBER, "--c", "0", "--t0", "0",
                           "--t1", "1e-160"]),
-    # q past 1024, whose dense q x q polish Hessian passes 2^20 entries, is
+    # q past 1024, whose q * q passes 2^20 (a cap on the sweeps' run time), is
     # refused before the first sweep: asked for directly, and as the last
     # convergent 2051/1025 of omega
     ("orbit-q-huge", ["orbit", "--profile", CONST, "--c", "0", "--sigma", "4", "--p", "2049",
