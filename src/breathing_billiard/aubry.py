@@ -49,8 +49,7 @@ class MinimalOrbit:
     times: tuple[float, ...]  # q times, lift normalised so times[0] in [0, 1)
     Ks: tuple[float, ...]
     action: float
-    residual: float
-    monotone: bool
+    residual: float  # el_residual of times
 
     def gaps(self) -> list[float]:
         return [b - a for a, b in _pairs(self.times, self.p)]
@@ -86,7 +85,7 @@ def el_residual(ctx: GenFunContext, times, p: int) -> float:
         raise PreconditionError("need at least one time")
     if not all(map(math.isfinite, ts)):
         raise DomainError(f"times {ts} outside strip: not finite")
-    return float(np.max(np.abs(_residual(ctx, ts, p))))
+    return max(map(abs, _residual(ctx, ts, p)))
 
 
 def _pairs(ts, p):
@@ -124,7 +123,7 @@ def _residual(ctx, ts, p):
     """Stationarity residual of the (p, q)-periodic action: q + 1 profile
     evaluations (eval(t_0 + p) rounds apart from eval(t_0)) and one grad_twist per pair."""
     ends = [ctx.profile.eval(t) for t in [*ts, ts[0] + p]]
-    f = np.zeros(len(ts))
+    f = [0.0] * len(ts)
     for j, (a, b) in enumerate(_pairs(ts, p)):
         d1, d2, _ = grad_twist(ctx, a, ends[j], b, ends[j + 1])
         f[j] += d1
@@ -172,7 +171,7 @@ def _newton_polish(ctx, ts, p, g_lo, g_hi):
     """Damped Newton on the full periodic stationarity system by _newton_step.
     A failed halving costs one residual: only a step's start builds a Hessian."""
     f = _residual(ctx, ts, p)
-    best = float(np.max(np.abs(f)))
+    best = max(map(abs, f))
     for _ in range(_POLISH_MAX_ITER):
         if best == 0.0:
             break
@@ -182,13 +181,13 @@ def _newton_polish(ctx, ts, p, g_lo, g_hi):
             if not all(g_lo < t1 - t0 < g_hi for t0, t1 in _pairs(trial, p)):
                 continue
             f_trial = _residual(ctx, trial, p)
-            r = float(np.max(np.abs(f_trial)))
+            r = max(map(abs, f_trial))
             if r < best:
                 ts, f, best = trial, f_trial, r
                 break
         else:
             break
-    return ts, best
+    return ts
 
 
 def _check_window(omega, sigma):
@@ -206,8 +205,10 @@ def periodic_orbit(ctx: GenFunContext, p: int, q: int,
     Requires 1 < p/q < sigma - 1, which implies sigma > 2, and q <= 1024, which
     bounds the run time: up to 400 sweeps of q golden-section searches a start.
     Gaps are confined to the spacing estimate [omega-1, omega+1].  Each start
-    is swept coarsely and polished by Newton; each converged orbit is labelled
-    from its point of smallest t mod 1, with times[0] in [0, 1).  Actions
+    is swept coarsely, polished by Newton and labelled from its point of
+    smallest t mod 1, with times[0] in [0, 1); its residual is el_residual
+    of those times, which a start must bring to 1e-8 to count, and every
+    field reported is read off the returned times.  Actions
     within 1e-13 relative count as tied, and a tie goes to the smaller times[0].
     An isolated minimum is therefore reported whichever start found it; on
     a continuous family of minimal orbits (a constant profile) only the
@@ -221,9 +222,8 @@ def periodic_orbit(ctx: GenFunContext, p: int, q: int,
     sweeps order-preserving, so every start descends to a Birkhoff orbit.
     On the find_member(1, 0.05, min_window=1) member at c = 1 with
     starts=8, seeds 0-5 give one action (to 2.4e-10) at (445, 14),
-    (571, 18), (664, 21) and (667, 21), where jittered starts used to miss
-    the minimum by up to 0.4.  A single start still misses it at (445, 14)
-    and (667, 21).
+    (571, 18), (664, 21) and (667, 21).  A single start still misses it at
+    (445, 14) and (667, 21).
     """
     if workers != 1:
         raise PreconditionError(f"starts run serially: workers must be 1, got {workers}")
@@ -244,10 +244,10 @@ def periodic_orbit(ctx: GenFunContext, p: int, q: int,
         for _ in range(_SWEEP_BUDGET):
             if _sweep(ctx, ts, p, g_lo, g_hi) <= _SWEEP_STOP:
                 break
-        ts, residual = _newton_polish(ctx, ts, p, g_lo, g_hi)
+        ts = _canonical(_newton_polish(ctx, ts, p, g_lo, g_hi), p)
+        residual = el_residual(ctx, ts, p)
         best_residual = min(best_residual, residual)
         if residual <= _RESIDUAL_TOL:
-            ts = _canonical(ts, p)
             converged.append((action(ctx, ts + [ts[0] + p]), ts, residual))
     if not converged:
         raise ConvergenceError(
@@ -258,11 +258,9 @@ def periodic_orbit(ctx: GenFunContext, p: int, q: int,
     act, ts, residual = min((c for c in converged
                              if c[0] - act_min <= _TIE_RTOL * abs(act_min)),
                             key=lambda c: c[1][0])
-    pairs = _pairs(ts, p)
-    return MinimalOrbit(p=p, q=q, times=tuple(float(t) for t in ts),
-                        Ks=tuple(float(grad_h(ctx, a, b)[0]) for a, b in pairs),
-                        action=float(act), residual=float(residual),
-                        monotone=all(b > a for a, b in pairs))
+    return MinimalOrbit(p=p, q=q, times=tuple(ts),
+                        Ks=tuple(grad_h(ctx, a, b)[0] for a, b in _pairs(ts, p)),
+                        action=act, residual=residual)
 
 
 def _canonical(ts, p):

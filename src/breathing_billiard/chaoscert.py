@@ -209,7 +209,6 @@ def certify(profile: RadiusProfile, eps: float, c: float,
     floor_k = 2.0 * b.r_max ** 2 / b.sigma ** 2
     ceil_k = -ddr * b.r_min
     margins = {
-        "window_width": w_hi - w_lo,
         "band_above_floor": min(band.k_lo - floor_k for band in bands),
         "band_below_ceiling": min(ceil_k - band.k_hi for band in bands),
         "band_nonempty": min(band.k_hi - band.k_lo for band in bands),

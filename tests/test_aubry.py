@@ -61,17 +61,36 @@ class TestElResidual:
         with pytest.raises(DomainError):
             aubry.el_residual(static_ctx, (0.0, t), p=3)
 
+    @staticmethod
+    def configs(ctx, p, q):
+        """A member orbit's times and two configurations 1e-4 off it."""
+        ts = list(aubry.periodic_orbit(ctx, p, q, starts=8, seed=0).times)
+        return [ts, [t + 1e-4 * math.sin(3 * j) for j, t in enumerate(ts)],
+                [t + 1e-4 * math.cos(5 * j + 2) for j, t in enumerate(ts)]]
+
+    @pytest.mark.parametrize("p, q", [(32, 1), (63, 2), (95, 3),
+                                      (69, 8), (349, 21), (664, 21)])
+    def test_equals_el_defect_on_the_same_closing_pair(self, member_ctx, p, q):
+        # the open chain of the pairs (t_0, t_1), ..., (t_{q-1}, t_0 + p)
+        # closed by (t_0, t_1) again: row 0 is the same d1 h + d2 h sum
+        for config in self.configs(member_ctx, p, q):
+            pairs = aubry._pairs(config, p)
+            assert aubry.el_residual(member_ctx, config, p) == simulate.el_defect(
+                member_ctx, [*pairs, pairs[0]])
+
     @pytest.mark.parametrize("p, q", [(69, 8), (349, 21), (664, 21)])
     def test_matches_el_defect_on_the_wrapped_pairs(self, member_ctx, p, q):
-        # the polish's residual against the open-chain defect of the flights
-        # (t_{q-1} - p, t_0), (t_0, t_1), ..., (t_{q-1}, t_0 + p), on the
-        # orbit and on a configuration off it
-        ts = list(aubry.periodic_orbit(member_ctx, p, q, starts=8, seed=0).times)
-        for config in (ts, [t + 1e-4 * math.sin(3 * j) for j, t in enumerate(ts)]):
-            wrapped = [(config[-1] - p, config[0]),
-                       *zip(config, [*config[1:], config[0] + p])]
-            assert aubry.el_residual(member_ctx, config, p) == pytest.approx(
-                simulate.el_defect(member_ctx, wrapped), rel=0, abs=1e-12)
+        # the flights (t_{q-1} - p, t_0), (t_0, t_1), ..., (t_{q-1}, t_0 + p):
+        # row 0 reads h one period back, so the two differ by the rounding
+        # of t_0 + p and t_{q-1} - p, half an ulp(p) each, times a
+        # second derivative of h.  The cos offset reads 0.08 of the bound
+        # at (69, 8)
+        for config in self.configs(member_ctx, p, q):
+            wrapped = [(config[-1] - p, config[0]), *aubry._pairs(config, p)]
+            diag, off = aubry._hessian(member_ctx, config, p)
+            bound = math.ulp(p) * max(map(abs, diag + off))
+            assert abs(aubry.el_residual(member_ctx, config, p)
+                       - simulate.el_defect(member_ctx, wrapped)) <= bound
 
     def test_aubry_imports_only_the_generating_function(self):
         # aubry stands on genfun and _search: no map step, flight or simulate
@@ -103,8 +122,27 @@ class TestPeriodicOrbit:
         assert gaps == pytest.approx([1.5, 1.5], abs=1e-9)
         # K = 2 M^2 / tau^2 at M = 1, tau = 3/2
         assert list(orbit.Ks) == pytest.approx([8 / 9, 8 / 9], rel=1e-9)
-        assert orbit.monotone
         assert 0.0 <= orbit.times[0] < 1.0
+
+    @pytest.mark.parametrize("p, q", [(133, 8), (349, 21), (664, 21)])
+    def test_residual_is_that_of_the_returned_times(self, member_ctx, p, q):
+        orbit = aubry.periodic_orbit(member_ctx, p, q, starts=8, seed=0)
+        assert orbit.residual == aubry.el_residual(member_ctx, orbit.times, orbit.p)
+
+    def test_kernels_receive_plain_floats(self, member_ctx, monkeypatch):
+        # np.float64 subclasses float, so isinstance would let it through
+        seen = []
+        for name in ("grad_twist", "hess_h", "h_ends"):
+            kernel = getattr(aubry, name)
+
+            def recorded(ctx, *args, kernel=kernel):
+                # (t0, t1) or (t0, e0, t1, e1)
+                seen.extend(args[::2] if len(args) == 4 else args)
+                return kernel(ctx, *args)
+
+            monkeypatch.setattr(aubry, name, recorded)
+        aubry.periodic_orbit(member_ctx, 349, 21, starts=8, seed=0)
+        assert seen and {type(t) for t in seen} == {float}
 
     def test_reference_profile_two_bounce(self, reference_ctx):
         # rotation number 109.5 inside the (105.1, 113.5) window
@@ -252,10 +290,10 @@ class TestGapBox:
 
         monkeypatch.setattr(aubry, "_pairs", recorded_pairs)
         monkeypatch.setattr(aubry, "_residual", recorded_residual)
-        ts, best = aubry._newton_polish(member_ctx, [0.0, 32.0, 63.0], p,
-                                        omega - 1.0, omega + 1.0)
+        ts = aubry._newton_polish(member_ctx, [0.0, 32.0, 63.0], p,
+                                  omega - 1.0, omega + 1.0)
         assert outside and all(evaluated) and inside(ts)
-        assert best < aubry._RESIDUAL_TOL
+        assert aubry.el_residual(member_ctx, ts, p) < aubry._RESIDUAL_TOL
 
     def test_sweep_skips_a_time_with_no_room(self, static_ctx, monkeypatch):
         # t_0's neighbours t_2 - p = -2 and t_1 = 0.5 are closer than 2 g_lo,
@@ -311,8 +349,9 @@ class TestFusedSweep:
 
     def test_one_hessian_per_newton_step(self, member_ctx, monkeypatch):
         # residual norms of each polish in call order; a trial is a step
-        # taken exactly when its norm is below the polish's best so far
-        hess_calls, polishes = [], []
+        # taken exactly when its norm is below the polish's best so far.
+        # The el_residual of each polished start is not one of them
+        hess_calls, polishes, polishing = [], [], [False]
         hess_h, residual, polish = aubry.hess_h, aubry._residual, aubry._newton_polish
 
         def counted_hess_h(*args):
@@ -321,12 +360,17 @@ class TestFusedSweep:
 
         def recorded_residual(*args):
             f = residual(*args)
-            polishes[-1].append(float(np.max(np.abs(f))))
+            if polishing[0]:
+                polishes[-1].append(max(map(abs, f)))
             return f
 
         def recorded_polish(*args):
             polishes.append([])
-            return polish(*args)
+            polishing[0] = True
+            try:
+                return polish(*args)
+            finally:
+                polishing[0] = False
 
         monkeypatch.setattr(aubry, "hess_h", counted_hess_h)
         monkeypatch.setattr(aubry, "_residual", recorded_residual)
@@ -397,8 +441,8 @@ class TestNewtonStep:
         for k in range(q):
             up = [t + 1e-6 * (j == k) for j, t in enumerate(ts)]
             down = [t - 1e-6 * (j == k) for j, t in enumerate(ts)]
-            column = (aubry._residual(member_ctx, up, p)
-                      - aubry._residual(member_ctx, down, p)) / 2e-6
+            column = (np.array(aubry._residual(member_ctx, up, p))
+                      - np.array(aubry._residual(member_ctx, down, p))) / 2e-6
             assert np.max(np.abs(column - hess[:, k])) <= 1e-5 * np.max(np.abs(hess))
 
     def test_an_orbit_family_keeps_t0_fixed(self, static_ctx):
@@ -492,8 +536,7 @@ class TestChoiceOfPQ:
         # static_ctx has sigma = 4: the rotation window is (1, 3)
         def stand_in(ctx, p, q, **kwargs):
             return aubry.MinimalOrbit(p=p, q=q, times=tuple(n * p / q for n in range(q)),
-                                      Ks=(1.0,) * q, action=0.0, residual=0.0,
-                                      monotone=True)
+                                      Ks=(1.0,) * q, action=0.0, residual=0.0)
 
         monkeypatch.setattr(aubry, "periodic_orbit", stand_in)
 
