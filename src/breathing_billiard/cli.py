@@ -37,7 +37,17 @@ class _UsageError(Exception):
     pass
 
 
+class _Formatter(argparse.HelpFormatter):
+    # a fixed width, the one a pipe gets, so the usage text does not depend
+    # on $COLUMNS or the terminal
+    def __init__(self, prog):
+        super().__init__(prog, width=78)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        super().__init__(formatter_class=_Formatter, **kwargs)
+
     def error(self, message):
         raise _UsageError(message)
 
@@ -229,8 +239,9 @@ def _cmd_lyapunov(args, files):
 def _cmd_portrait(args, files):
     t_count = check_count("--t-count", args.t_count, 1)
     k_count = check_count("--k-count", args.k_count, 1)
+    n = check_count("--n", args.n, 1)
     # each orbit adds at most n rows, and all are held until the CSV is written
-    n = check_count("--n", args.n, 1, size=lambda n: t_count * k_count * n)
+    check_count("--t-count * --k-count * --n", t_count * k_count * n, size=lambda rows: rows)
     ctx = _context(args)
     s_star = bmap.sigma_star(ctx)
     k_lo = args.k_lo if args.k_lo is not None else s_star * 1.05

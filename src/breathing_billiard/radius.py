@@ -115,10 +115,21 @@ class RadiusProfile:
 
     @classmethod
     def from_json(cls, text: str) -> "RadiusProfile":
+        """The profile of {"mean": M, "harmonics": [[k, d], ...]}, harmonics
+        optional; any other key, and a number given as a bool or a string,
+        is refused."""
         try:
             obj = json.loads(text)
-            return cls(mean=float(obj["mean"]),
-                       harmonics=tuple((k, d) for k, d in obj.get("harmonics", [])))
+            if not isinstance(obj, dict):
+                raise TypeError(f"not a JSON object: {text}")
+            unknown = sorted(set(obj) - {"mean", "harmonics"})
+            if unknown:
+                raise ValueError(f"unknown keys {unknown}, the keys are mean and harmonics")
+            harmonics = [(k, d) for k, d in obj.get("harmonics", [])]
+            for x in (obj["mean"], *(x for h in harmonics for x in h)):
+                if isinstance(x, bool) or not isinstance(x, (int, float)):
+                    raise TypeError(f"{json.dumps(x)} is not a number")
+            return cls(mean=float(obj["mean"]), harmonics=tuple(harmonics))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise PreconditionError(f"malformed profile literal: {exc}") from exc
 

@@ -78,6 +78,15 @@ class TestUsageErrors:
     def test_unknown_subcommand(self):
         assert run_cli(["frobnicate"]) == 64
 
+    def test_usage_text_does_not_depend_on_the_terminal(self, monkeypatch, capsys):
+        # argparse wraps its usage text at $COLUMNS unless given a width
+        errs = []
+        for columns in ("40", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            assert run_cli(["classify", "--profile", '{"mean": 1}', "--bogus"]) == 64
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+
 
 class TestMapCommands:
     def test_map_step(self, tmp_path):
@@ -365,7 +374,7 @@ class TestCertifyCommands:
         monkeypatch.setattr(cli.bmap, "Orbit", no_orbit)
         assert run_cli(argv + ["--n", "6"]) == 1
         assert capsys.readouterr().err == (
-            "error: --n = 6 asks for 120 entries, more than 100\n")
+            "error: --t-count * --k-count * --n = 120 asks for 120 entries, more than 100\n")
 
     def test_portrait(self, tmp_path):
         csv_path = tmp_path / "portrait.csv"

@@ -94,6 +94,26 @@ class TestEval:
         with pytest.raises(PreconditionError):
             RadiusProfile.from_json("{not json")
 
+    @pytest.mark.parametrize("text", [
+        '{"mean": 754, "harmonic": [[1, 0.05]]}',  # else the constant profile, class R
+        '{"mean": 754, "harmonics": [], "amplitude": 0.05}',
+        '{"mean": true}',  # else mean 1.0
+        '{"mean": "754"}',
+        '{"mean": 754, "harmonics": [[true, "0.05"]]}',  # else the harmonic (1, 0.05)
+        '{"mean": 754, "harmonics": [[1, "0.05"]]}',
+        '{"mean": 754, "harmonics": [[1, false]]}',
+        '{"mean": 754, "harmonics": [[1, null]]}',
+    ])
+    def test_literal_takes_only_its_contract(self, text):
+        # {"mean": M, "harmonics": [[k, d], ...]}: no other key, and numbers as numbers
+        with pytest.raises(PreconditionError, match="malformed profile literal"):
+            RadiusProfile.from_json(text)
+
+    def test_literal_without_harmonics_and_with_a_whole_float_frequency(self):
+        assert RadiusProfile.from_json('{"mean": 2}') == RadiusProfile(2.0)
+        assert (RadiusProfile.from_json('{"mean": 754, "harmonics": [[1.0, 0.05]]}')
+                == RadiusProfile(754.0, ((1, 0.05),)))
+
 
 class TestCancellingHarmonics:
     # amplitudes of one frequency that sum to 0 leave R constant: its norms

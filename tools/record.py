@@ -1,22 +1,32 @@
-"""Byte-identity check of the command line between two source trees.
+"""One record of the reproduction's outputs, and the comparison of two.
 
-    python3 tools/cli_identity.py OLD_SRC NEW_SRC
+    python3 tools/record.py SRC > tests/record.json    # the record of a tree
+    python3 tools/record.py OLD_SRC NEW_SRC            # two trees compared
 
-Runs every config of CONFIGS as
-`python3 -m breathing_billiard.cli ...` with PYTHONPATH=OLD_SRC and then
-PYTHONPATH=NEW_SRC, each run in a fresh temporary directory, and compares
-the exit code, stdout, stderr and every file the run wrote there (the
-CSVs).  Prints one line per config and exits 1 if any config differs.
-A second tree to compare against can be made with, for example,
+A tree's record is computed in one fresh process with PYTHONPATH=SRC.  It
+holds per config of CONFIGS the exit code of cli.main(argv), run in a fresh
+temporary directory, and sha256 digests of its stdout, its stderr and each
+file it wrote.  In-process runs give the bytes of one process per config:
+cli fixes prog, and the calls share only bmap.sigma_star's lru_cache of a
+pure function.  Per orbit of the gate set it holds the status, action and
+times, or the best residual of an orbit that did not converge: each
+convergent p/q with q <= DENOM_CAP and 1 < p/q < sigma - 1 of n + the golden
+mean, n in N_SET, by periodic_orbit(ctx, p, q, starts=8, seed=0) on the
+member find_member(1, 0.05, 0.5, min_window=1.0) at c = 1.  That is 72 orbits.
 
-    git archive HEAD~1 | tar -x -C /tmp/parent
-
-and then passing /tmp/parent/src.  This is a script, not a test module:
-pytest does not collect it.
+Two trees compared print a line per config and per orbit, and exit 1 if a
+config differs, or an orbit changes status or moves its action by more than
+the new tree's aubry._TIE_RTOL.  tests/test_record.py applies that rule to
+the tree under test and tests/record.json.  A tree to compare against:
+`git archive HEAD~1 | tar -x -C /tmp/parent`, then pass /tmp/parent/src.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
+import json
 import os
 import subprocess
 import sys
@@ -241,42 +251,121 @@ CONFIGS = [
                             "--k-hi", "0.02", "--n", "1048577", "--csv", "portrait.csv"]),
     ("simulate-n-huge", ["simulate", "--profile", CONST, "--c", "0", "--sigma", "4",
                          "--t0", "0", "--K", "0.01", "--n", "1048576"]),
+    # a misspelled key is refused, not read as the constant profile
+    ("profile-unknown-key", ["classify", "--profile",
+                             '{"mean": 754, "harmonic": [[1, 0.05]]}']),
 ]
 
 
-def run(src: str, argv: list[str]) -> tuple:
-    """(exit code, stdout, stderr, {file name: bytes}) of one CLI run."""
+N_SET = (3, 8, 16, 20, 24, 28, 31, 34)
+DENOM_CAP = 34
+
+
+def outputs(code: int, stdout: bytes, stderr: bytes, cwd: Path) -> dict:
+    """A config's entry: its exit code and the digests of its outputs."""
+    def sha(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    entry = {"exit": code, "stdout": sha(stdout), "stderr": sha(stderr)}
+    return entry | {f"file {p.name}": sha(p.read_bytes()) for p in cwd.iterdir()}
+
+
+def run_config(argv: list[str]) -> dict:
+    """The entry of cli.main(argv), run in a fresh temporary directory."""
+    from breathing_billiard import cli
+
+    out, err, home = io.StringIO(), io.StringIO(), os.getcwd()
     with tempfile.TemporaryDirectory() as cwd:
-        env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
-        proc = subprocess.run([sys.executable, "-m", "breathing_billiard.cli", *argv],
-                              cwd=cwd, env=env, capture_output=True)
-        files = {p.name: p.read_bytes() for p in sorted(Path(cwd).iterdir())}
-    return proc.returncode, proc.stdout, proc.stderr, files
+        os.chdir(cwd)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+        finally:
+            os.chdir(home)
+        return outputs(code, out.getvalue().encode(), err.getvalue().encode(), Path(cwd))
 
 
-def compare(old: tuple, new: tuple) -> list[str]:
-    parts = ["exit code", "stdout", "stderr"]
-    diffs = [part for part, a, b in zip(parts, old, new) if a != b]
-    old_files, new_files = old[3], new[3]
-    diffs += [f"file {name}" for name in sorted(set(old_files) | set(new_files))
-              if old_files.get(name) != new_files.get(name)]
-    return diffs
+def gate_set() -> dict:
+    """The gate set's orbits, by "p/q"."""
+    import math
+
+    from breathing_billiard import aubry, genfun, radius
+    from breathing_billiard.errors import ConvergenceError
+
+    mean, _ = radius.find_member(1, 0.05, 0.5, min_window=1.0)
+    ctx = genfun.make_context(radius.family_profile(1, 0.05, mean), 1.0, 0.5)
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    orbits = {}
+    for n in N_SET:
+        for p, q in aubry.convergents(n + golden, DENOM_CAP):
+            if not 1.0 < p / q < ctx.sigma - 1.0:
+                continue
+            try:
+                orbit = aubry.periodic_orbit(ctx, p, q, starts=8, seed=0)
+                row = {"status": "converged", "action": orbit.action,
+                       "times": list(orbit.times)}
+            except ConvergenceError as err:
+                row = {"status": "no convergence",
+                       "best_residual": err.diagnostics["best_residual"]}
+            orbits[f"{p}/{q}"] = row
+    return orbits
+
+
+def record() -> dict:
+    """The record of the tree on sys.path, with its tie tolerance."""
+    from breathing_billiard import aubry
+
+    return {"configs": {name: run_config(argv) for name, argv in CONFIGS},
+            "orbits": gate_set(), "tie_rtol": aubry._TIE_RTOL}
+
+
+def status(row: dict) -> str:
+    residual = row.get("best_residual")
+    return row["status"] + ("" if residual is None else f" (best residual {residual:.4e})")
+
+
+def compare(old: dict, new: dict) -> list[tuple[bool, str]]:
+    """(fails, line) for each config and each orbit of the records old and new."""
+    rows = []
+    for name in sorted(old["configs"].keys() | new["configs"].keys()):
+        a, b = old["configs"].get(name, {}), new["configs"].get(name, {})
+        diffs = [part for part in sorted(a.keys() | b.keys()) if a.get(part) != b.get(part)]
+        line = "DIFFERS in " + ", ".join(diffs) if diffs else "identical"
+        rows.append((bool(diffs), f"{name}: exit {a.get('exit')} -> {b.get('exit')}, {line}"))
+    for name in sorted(old["orbits"].keys() | new["orbits"].keys()):
+        a, b = (r["orbits"].get(name, {"status": "absent"}) for r in (old, new))
+        line = f"{name}: {status(a)} -> {status(b)}"
+        bad = a["status"] != b["status"]
+        if a["status"] == b["status"] == "converged":
+            d_action = abs(b["action"] - a["action"]) / abs(a["action"])
+            d_times = max(abs(x - y) for x, y in zip(a["times"], b["times"]))
+            bad = d_action > new["tie_rtol"]
+            line += f", rel d_action {d_action:.2e}, max |d_times| {d_times:.2e}"
+        rows.append((bad, line + (", FAILS" if bad else "")))
+    return rows
+
+
+def run(src: str) -> str:
+    """The record of the tree src as JSON text, computed in a fresh process."""
+    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
+    return subprocess.run([sys.executable, __file__, "--child"], env=env,
+                          stdout=subprocess.PIPE, text=True, check=True).stdout
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 2:
+    if argv == ["--child"]:
+        print(json.dumps(record(), indent=1, sort_keys=True))
+    elif len(argv) == 1:
+        sys.stdout.write(run(argv[0]))
+    elif len(argv) == 2:
+        rows = compare(*(json.loads(run(src)) for src in argv))
+        failing = sum(bad for bad, _ in rows)
+        print("\n".join(line for _, line in rows) + f"\n{failing} of {len(rows)} fail")
+        return 1 if failing else 0
+    else:
         sys.stderr.write(__doc__)
         return 64
-    old_src, new_src = argv
-    differing = 0
-    for name, config in CONFIGS:
-        old, new = run(old_src, config), run(new_src, config)
-        diffs = compare(old, new)
-        differing += bool(diffs)
-        status = "DIFFERS in " + ", ".join(diffs) if diffs else "identical"
-        print(f"{name}: exit {old[0]} -> {new[0]}, {status}")
-    print(f"{differing} of {len(CONFIGS)} configs differ")
-    return 1 if differing else 0
+    return 0
 
 
 if __name__ == "__main__":
